@@ -8,7 +8,7 @@ high or low.  The package provides:
   separation integrals behind the commitment mechanism;
 - ``game``: posteriors, best-response rating rules, and exact payoffs of the
   one-shot messaging game;
-- ``benchmarks``: majority voting, blind abandoning, one-shot commitment;
+- ``benchmarks``: majority voting and blind abandoning;
 - ``equilibrium``: equilibrium enumeration, closed-form system losses,
   honesty thresholds, and the sequential/three-type side analyses;
 - ``evolving``: the multi-period truthful commitment schedule, its loss, and
@@ -26,11 +26,10 @@ from .game import (ALL_PROFILES, Bias, GameConfig, InferenceRule, Message,
                    SC3, SC4, SC5, SC6, SC7, SC8, SC9, SC10, SC11, SC12, SC13,
                    SC14, SC15, SC16, ServiceType, StrategyProfile,
                    best_response_rule, expected_platform_cost,
-                   expected_user_utility, message_of, min_expected_cost,
+                   expected_user_utility, min_expected_cost,
                    posterior_high)
 from .benchmarks import (abandon_scheme, majority_vote_loss,
-                         majority_vote_loss_biased, majority_vote_rule,
-                         one_shot_commitment)
+                         majority_vote_loss_biased, majority_vote_rule)
 from .equilibrium import (BiasThresholds, DeviationWitness, PbeCertificate,
                           bayesian_system_loss, bias_thresholds,
                           enumerate_pbe, is_pbe, max_loss_reduction_one_user,
@@ -38,10 +37,8 @@ from .equilibrium import (BiasThresholds, DeviationWitness, PbeCertificate,
                           sequential_two_user_check, symmetric_bias_loss,
                           three_type_loss)
 from .evolving import (CommitmentSchedule, ConstantSchedule,
-                       commitment_actions, crossover_threshold,
-                       crossover_user_count, equal_variance_normal_loss,
-                       evolving_loss, loss_from_sums, solve_schedule,
-                       verify_ic)
+                       crossover_threshold, equal_variance_normal_loss,
+                       evolving_loss, solve_schedule, verify_ic)
 from .montecarlo import (EvolvingReport, SimulationReport, simulate_evolving,
                          simulate_game)
 from .errors import (CheapTalkError, DegenerateHorizon, DivergentIntegral,

@@ -2,10 +2,14 @@
 
 Work is split into fixed-size chunks, each with its own generator spawned
 from the root seed.  The partition depends only on (seed, total), never on
-how chunks are scheduled, so reports are bit-identical across worker counts.
+how chunks are scheduled, and per-chunk moments are added in chunk order, so
+reports are bit-identical across worker counts.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,3 +34,31 @@ def chunked_generators(entropy, total: int, chunk_size: int = CHUNK_SIZE
         done += count
         out.append((count, np.random.default_rng(child)))
     return out
+
+
+@dataclass(frozen=True)
+class Moments:
+    """Count, sum and sum of squares of a sample; ``+`` merges two parts."""
+
+    count: int = 0
+    total: float = 0.0
+    total_sq: float = 0.0
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> "Moments":
+        return cls(int(values.size), float(values.sum()), float((values**2).sum()))
+
+    def __add__(self, other: "Moments") -> "Moments":
+        return Moments(self.count + other.count, self.total + other.total,
+                       self.total_sq + other.total_sq)
+
+    def mean_stderr(self) -> tuple[float, float]:
+        """Sample mean and its standard error; nan where undefined."""
+        n = self.count
+        if n == 0:
+            return math.nan, math.nan
+        mean = self.total / n
+        if n == 1:
+            return mean, math.nan
+        var = max(0.0, (self.total_sq - self.total**2 / n) / (n - 1))
+        return mean, math.sqrt(var / n)

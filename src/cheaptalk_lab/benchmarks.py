@@ -1,26 +1,10 @@
-"""Baseline rating schemes: majority voting, blind abandoning, one-shot commitment."""
+"""Baseline rating schemes: majority voting and blind abandoning."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
-from .game import GameConfig, InferenceRule
-
-
-class Scheme(Enum):
-    MAJORITY_VOTE = "majority_vote"
-    BLIND_ABANDON = "blind_abandon"
-    ONE_SHOT_COMMIT = "one_shot_commit"
-
-
-@dataclass(frozen=True)
-class BenchmarkResult:
-    scheme: Scheme
-    rule: InferenceRule | None
-    action: float | None
-    system_loss: float
+from .game import GameConfig, InferenceRule, _binom_pmf
 
 
 def majority_vote_rule(config: GameConfig) -> InferenceRule:
@@ -69,7 +53,7 @@ def majority_vote_loss_biased(config: GameConfig) -> float:
     q = config.q_plus
     loss = 0.0
     for k in range(n + 1):
-        w = math.comb(n, k) * q**k * (1.0 - q) ** (n - k)
+        w = _binom_pmf(n, k, q)
         if 2 * k > n:
             loss += w * (1.0 - p)    # rates at the high mean; wrong under low
         elif 2 * k < n:
@@ -80,20 +64,13 @@ def majority_vote_loss_biased(config: GameConfig) -> float:
 
 
 def abandon_scheme(config: GameConfig) -> tuple[float, float]:
-    """Fixed prior-mean rating that ignores all reviews, and its loss."""
+    """Fixed prior-mean rating that ignores all reviews, and its loss.
+
+    This is also the single-period truthful commitment for one reviewer: the
+    only committed action pair that leaves neither bias a profitable
+    misreport is a constant, so that scheme collapses to blind abandoning.
+    """
     action = config.prior_mean
     loss = config.p_high * (1.0 - config.p_high) * config.mean_gap**2
     return action, loss
 
-
-def one_shot_commitment(config: GameConfig) -> tuple[float, float, float]:
-    """Single-period truthful commitment for one reviewer.
-
-    The only committed action pair that leaves neither bias a profitable
-    misreport is a constant, so the scheme collapses to blind abandoning.
-    """
-    if config.n_users != 1:
-        raise ValueError("one-shot commitment is defined for a single reviewer")
-    action = config.prior_mean
-    _, loss = abandon_scheme(config)
-    return action, action, loss

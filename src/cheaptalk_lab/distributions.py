@@ -42,8 +42,10 @@ class StateDistribution:
     scale: float
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not math.isfinite(self.location):
+            raise ValueError(f"location must be finite, got {self.location}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
     @property
     def mean(self) -> float:
@@ -86,14 +88,6 @@ class StateDistribution:
         if self.family is Family.NORMAL:
             return 1.0 / (2.0 * self.scale**2), 0.0
         return 0.0, 1.0 / self.scale
-
-
-def density(dist: StateDistribution, theta):
-    return dist.density(theta)
-
-
-def sample(dist: StateDistribution, rng: np.random.Generator, size=None):
-    return dist.sample(rng, size)
 
 
 @dataclass(frozen=True)

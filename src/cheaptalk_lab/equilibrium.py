@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import OutOfRegime
 from .game import (ALL_PROFILES, Bias, GameConfig, InferenceRule, Message,
                    PureStrategy, SC1, ServiceType, StrategyProfile,
                    best_response_rule, expected_platform_cost,
@@ -45,25 +46,32 @@ class DeviationWitness:
     gain: float
 
 
-def equilibrium_utility(profile: StrategyProfile, config: GameConfig,
-                        bias: Bias) -> float:
-    """A reviewer's expected utility when everyone plays ``profile``."""
-    rule = best_response_rule(profile, config)
-    return expected_user_utility(profile, rule, bias, config)
+def _utility_table(config: GameConfig) -> dict[tuple[StrategyProfile, Bias], float]:
+    """U[profile, bias]: a reviewer's expected utility when everyone plays
+    ``profile`` and the platform best-responds to it.
+
+    A class deviation always lands on another of the 16 profiles, so these 32
+    values hold every utility an equilibrium check compares.
+    """
+    table = {}
+    for profile in ALL_PROFILES:
+        rule = best_response_rule(profile, config)
+        for bias in Bias:
+            table[profile, bias] = expected_user_utility(profile, rule, bias, config)
+    return table
+
+
+def _gains(profile: StrategyProfile, table) -> dict[tuple[Bias, PureStrategy], float]:
+    # keys run negative bias first and alternatives in declaration order
+    return {(bias, alt): table[profile.with_strategy(bias, alt), bias] - table[profile, bias]
+            for bias in Bias for alt in PureStrategy
+            if alt is not profile.strategy_for(bias)}
 
 
 def deviation_gains(profile: StrategyProfile, config: GameConfig
                     ) -> dict[tuple[Bias, PureStrategy], float]:
     """Utility change for every class deviation from ``profile``."""
-    gains = {}
-    for bias in Bias:
-        base = equilibrium_utility(profile, config, bias)
-        for alt in PureStrategy:
-            if alt is profile.strategy_for(bias):
-                continue
-            candidate = profile.with_strategy(bias, alt)
-            gains[(bias, alt)] = equilibrium_utility(candidate, config, bias) - base
-    return gains
+    return _gains(profile, _utility_table(config))
 
 
 def is_pbe(profile: StrategyProfile, config: GameConfig):
@@ -75,11 +83,9 @@ def is_pbe(profile: StrategyProfile, config: GameConfig):
     """
     tol = _gain_tolerance(config)
     gains = deviation_gains(profile, config)
-    for bias in Bias:
-        for alt in PureStrategy:
-            key = (bias, alt)
-            if key in gains and gains[key] > tol:
-                return DeviationWitness(profile, bias, alt, gains[key])
+    for (bias, alt), gain in gains.items():
+        if gain > tol:
+            return DeviationWitness(profile, bias, alt, gain)
     return PbeCertificate(
         profile=profile,
         rule=best_response_rule(profile, config),
@@ -90,8 +96,10 @@ def is_pbe(profile: StrategyProfile, config: GameConfig):
 
 def enumerate_pbe(config: GameConfig) -> list[StrategyProfile]:
     """All stable profiles among the 16 candidates, in canonical order."""
+    table = _utility_table(config)
+    tol = _gain_tolerance(config)
     return [p for p in ALL_PROFILES
-            if isinstance(is_pbe(p, config), PbeCertificate)]
+            if not any(gain > tol for gain in _gains(p, table).values())]
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +117,6 @@ def p1_high(q_plus: float) -> float:
 
     Defined for positive-bias share below one half.
     """
-    from .errors import OutOfRegime
-
     if not 0.0 <= q_plus < 0.5:
         raise OutOfRegime("p1_high is defined for q_plus < 1/2")
     q = q_plus
@@ -124,8 +130,6 @@ def p1_low(q_plus: float) -> float:
     Defined for positive-bias share above one half; mirrors ``p1_high`` via
     p1_low(q) = 1 - p1_high(1 - q).
     """
-    from .errors import OutOfRegime
-
     if not 0.5 < q_plus <= 1.0:
         raise OutOfRegime("p1_low is defined for q_plus > 1/2")
     q = q_plus

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import chunked_generators
+from ._rng import Moments, chunked_generators
 from .distributions import (DistributionPair, Family, alpha_beta,
                             history_log_likelihood_ratio, log_likelihood_ratio)
 from .errors import DegenerateHorizon
-from .game import GameConfig, min_expected_cost
+from .game import GameConfig
 
 # The geometric sums overflow double precision once horizon * gap^2 / sigma^2
 # exceeds about 690 (normal case).  All formulas below are evaluated through
@@ -91,12 +91,6 @@ class CommitmentSchedule:
     pair: DistributionPair
     p_high: float
 
-    def weight(self, log_ratio):
-        """History weight pulling the low action up, from the log likelihood ratio."""
-        ratio = np.exp(log_ratio)
-        return ((ratio * self.lambda_high + self.lambda_low)
-                / (2.0 * self.pair.mean_gap * (1.0 - self.p_high)))
-
     def actions_from_log_ratio(self, log_ratio):
         """Committed (low-message, high-message) ratings; vectorized."""
         log_ratio = np.asarray(log_ratio, dtype=float)
@@ -161,11 +155,6 @@ def solve_schedule(config: GameConfig, horizon: int) -> CommitmentSchedule:
     )
 
 
-def commitment_actions(schedule, history) -> tuple[float, float]:
-    """The committed (low, high) ratings after the given state history."""
-    return schedule.actions(history)
-
-
 def evolving_loss(config: GameConfig, horizon: int) -> float:
     """Per-period system loss of the solved commitment mechanism.
 
@@ -179,12 +168,6 @@ def evolving_loss(config: GameConfig, horizon: int) -> float:
         return p * (1.0 - p) * config.mean_gap**2
     alpha, beta = alpha_beta(config.pair)
     return _solve(p, config.mean_gap, alpha, beta, horizon).loss
-
-
-def loss_from_sums(p_high: float, mean_gap: float, alpha: float, beta: float,
-                   horizon: int) -> float:
-    """Per-period loss directly from the separation integrals."""
-    return _solve(p_high, mean_gap, alpha, beta, horizon).loss
 
 
 def equal_variance_normal_loss(p_high: float, mean_gap: float, variance: float,
@@ -229,10 +212,6 @@ def crossover_threshold(config: GameConfig, horizon: int) -> float:
                math.log2((1.0 - p) * big_r + p))
 
 
-def crossover_user_count(config: GameConfig, horizon: int) -> int:
-    return math.floor(crossover_threshold(config, horizon))
-
-
 # ---------------------------------------------------------------------------
 # incentive-compatibility verification
 
@@ -268,30 +247,44 @@ class IcResiduals:
         return [self.positive_low, self.positive_high,
                 self.negative_low, self.negative_high]
 
+    @classmethod
+    def _from_moments(cls, low: Moments, high: Moments, episodes: int,
+                     seed: int) -> "IcResiduals":
+        """Residuals from the moments of sum_k (a_low - a_high)(h_{k-1}) over
+        histories drawn from the low and from the high density."""
+        mean_low, se_low = low.mean_stderr()
+        mean_high, se_high = high.mean_stderr()
+        return cls(
+            positive_low=IcResidual(mean_low, se_low),
+            positive_high=IcResidual(-mean_high, se_high),
+            negative_low=IcResidual(-mean_low, se_low),
+            negative_high=IcResidual(mean_high, se_high),
+            episodes=episodes,
+            seed=seed,
+        )
 
-def _difference_sum_stats(schedule, dist, pair, episodes: int, seed_seq
-                          ) -> tuple[float, float]:
-    """Mean and stderr of sum_k (a_low - a_high)(h_{k-1}) over histories
-    drawn from ``dist``."""
-    horizon = schedule.horizon
-    total = 0.0
-    total_sq = 0.0
+
+def _prefix_log_ratios(pair: DistributionPair, histories) -> np.ndarray:
+    """Log likelihood ratio of every prefix of each row's history.
+
+    A (rows, k) array of states gives (rows, k + 1) log ratios, the empty
+    prefix (log ratio 0) first.
+    """
+    steps = log_likelihood_ratio(pair, histories)
+    return np.concatenate(
+        [np.zeros((len(histories), 1)), np.cumsum(steps, axis=1)], axis=1)
+
+
+def _difference_sums(schedule, dist, episodes: int, seed_seq) -> Moments:
+    """Moments of sum_k (a_low - a_high)(h_{k-1}) over histories drawn from
+    ``dist``."""
+    acc = Moments()
     for count, rng in chunked_generators(seed_seq, episodes):
-        draws = dist.sample(rng, (count, horizon - 1))
-        steps = log_likelihood_ratio(pair, draws) if horizon > 1 else np.zeros((count, 0))
-        prefix = np.concatenate(
-            [np.zeros((count, 1)), np.cumsum(steps, axis=1)], axis=1)
-        a_low, a_high = schedule.actions_from_log_ratio(prefix)
-        per_episode = np.sum(a_low - a_high, axis=1)
-        total += float(np.sum(per_episode))
-        total_sq += float(np.sum(per_episode**2))
-    mean = total / episodes
-    if episodes > 1:
-        var = max(0.0, (total_sq - total**2 / episodes) / (episodes - 1))
-        stderr = math.sqrt(var / episodes)
-    else:
-        stderr = 0.0
-    return mean, stderr
+        draws = dist.sample(rng, (count, schedule.horizon - 1))
+        a_low, a_high = schedule.actions_from_log_ratio(
+            _prefix_log_ratios(schedule.pair, draws))
+        acc += Moments.of(np.sum(a_low - a_high, axis=1))
+    return acc
 
 
 def verify_ic(schedule, mc_episodes: int, seed: int) -> IcResiduals:
@@ -304,15 +297,7 @@ def verify_ic(schedule, mc_episodes: int, seed: int) -> IcResiduals:
     root = np.random.SeedSequence(seed)
     low_seq, high_seq = root.spawn(2)
     pair = schedule.pair
-    mean_low, se_low = _difference_sum_stats(
-        schedule, pair.low, pair, mc_episodes, low_seq)
-    mean_high, se_high = _difference_sum_stats(
-        schedule, pair.high, pair, mc_episodes, high_seq)
-    return IcResiduals(
-        positive_low=IcResidual(mean_low, se_low),
-        positive_high=IcResidual(-mean_high, se_high),
-        negative_low=IcResidual(-mean_low, se_low),
-        negative_high=IcResidual(mean_high, se_high),
-        episodes=mc_episodes,
-        seed=seed,
-    )
+    return IcResiduals._from_moments(
+        _difference_sums(schedule, pair.low, mc_episodes, low_seq),
+        _difference_sums(schedule, pair.high, mc_episodes, high_seq),
+        mc_episodes, seed)

@@ -9,15 +9,11 @@ game, so closed-form results can be checked at machine precision.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 
 from .distributions import DistributionPair
-
-# Comparison tolerances used by equilibrium checks and tests: relative scale
-# with a small absolute floor for quantities that are exactly zero.
-REL_TOL = 1e-12
-ABS_TOL = 1e-14
 
 
 class ServiceType(Enum):
@@ -61,10 +57,6 @@ class PureStrategy(Enum):
         return self.message(observed) is ServiceType.HIGH
 
 
-def message_of(strategy: PureStrategy, observed: ServiceType) -> Message:
-    return strategy.message(observed)
-
-
 @dataclass(frozen=True)
 class StrategyProfile:
     """One pure strategy per bias, shared by all reviewers of that bias."""
@@ -79,10 +71,6 @@ class StrategyProfile:
         if bias is Bias.NEGATIVE:
             return replace(self, negative=strategy)
         return replace(self, positive=strategy)
-
-    @property
-    def label(self) -> str:
-        return PROFILE_LABELS[self]
 
 
 _H = PureStrategy.HONEST
@@ -123,6 +111,8 @@ class GameConfig:
     pair: DistributionPair
 
     def __post_init__(self):
+        if isinstance(self.n_users, bool) or not isinstance(self.n_users, numbers.Integral):
+            raise ValueError(f"n_users must be an integer, got {self.n_users!r}")
         if self.n_users < 1:
             raise ValueError("n_users must be >= 1")
         if not 0.0 < self.p_high < 1.0:
@@ -158,9 +148,6 @@ class InferenceRule:
     """Platform rating as a function of the count k of high messages."""
 
     actions: tuple[float, ...]
-
-    def action(self, k: int) -> float:
-        return self.actions[k]
 
     def __call__(self, k: int) -> float:
         return self.actions[k]

@@ -1,4 +1,4 @@
-"""Experiment front end: config parsing, scenario dispatch, CSV/SVG output.
+"""Experiment front end: config parsing, table specs, CSV/SVG output.
 
 A scenario reads a YAML experiment file with three sections (``game``,
 ``sweep``, ``output``; plus scenario-specific ``options``), evaluates the
@@ -6,16 +6,27 @@ requested quantities through the library, and writes one CSV whose first
 column is the swept value.  Floats are formatted at nine significant digits
 and the body carries no timestamps, so reruns are byte-identical.  Files are
 staged in a temporary name and renamed, so failed runs leave nothing behind.
+
+Every scenario but ``simulate``, and each figure named by ``options.figure``,
+is one entry of a spec table: a default sweep, overrides of the config's
+``game`` section, and columns, each a quantity from a small registry with
+optional game overrides and a fixed horizon.  A ``sweep`` section replaces
+the default sweep.  Each swept value gives a row, and every cell is computed
+on its own row's game, the column's overrides applied last.  The ``horizon``
+axis sets the horizon of columns without a fixed one.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
@@ -121,11 +132,11 @@ def build_game(section: dict) -> GameConfig:
         family = Family(section["family"])
     except ValueError as exc:
         raise ConfigError(f"unknown family {section['family']!r}") from exc
-    pair = DistributionPair(
-        StateDistribution(family, float(section["mu_low"]), float(section["scale_low"])),
-        StateDistribution(family, float(section["mu_high"]), float(section["scale_high"])),
-    )
     try:
+        pair = DistributionPair(
+            StateDistribution(family, float(section["mu_low"]), float(section["scale_low"])),
+            StateDistribution(family, float(section["mu_high"]), float(section["scale_high"])),
+        )
         return GameConfig(
             n_users=int(section["n_users"]),
             p_high=float(section["p_high"]),
@@ -136,109 +147,163 @@ def build_game(section: dict) -> GameConfig:
         raise ConfigError(str(exc)) from exc
 
 
+_AXIS_TYPES = {"n_users": int, "horizon": int, "count": int, "family": str}
+_ROW = "row"   # a column horizon: the row's, which the horizon and count axes set
+
+
 def _apply_axis(section: dict, axis: str, value) -> dict:
-    out = dict(section)
-    if axis == "n_users":
-        out["n_users"] = int(value)
-    elif axis in ("p_high", "q_plus", "mu_low"):
-        out[axis] = float(value)
-    elif axis == "var_high":
-        out["scale_high"] = _scale_from_variance(Family(out["family"]), float(value))
-    elif axis == "family":
-        out["family"] = str(value)
-    else:
-        raise ConfigError(f"axis {axis!r} does not modify the game")
-    return out
-
-
-def _require_sweep(cfg: ExperimentConfig, default_axis: str, default_values):
-    if cfg.sweep_axis is None:
-        return default_axis, list(default_values)
-    if not cfg.sweep_values:
-        raise ConfigError("sweep.values must be a non-empty list")
-    return cfg.sweep_axis, cfg.sweep_values
+    if axis == "horizon":
+        return section
+    if axis == "var_high":
+        return dict(section, scale_high=_scale_from_variance(Family(section["family"]), value))
+    return dict(section, **{"n_users" if axis == "count" else axis: value})
 
 
 # ---------------------------------------------------------------------------
-# scenarios: each returns (header, rows)
+# table specs: one sweep axis, one row per value, one cell per column
 
 
-def _scenario_pbe(cfg: ExperimentConfig):
-    axis, values = _require_sweep(cfg, "p_high", [x / 10 for x in range(1, 10)])
-    header = [axis, "pbe_set", "system_loss"]
-    rows = []
-    for v in values:
-        g = build_game(_apply_axis(cfg.game, axis, v))
-        labels = "+".join(PROFILE_LABELS[p] for p in equilibrium.enumerate_pbe(g))
-        rows.append([v, labels, equilibrium.bayesian_system_loss(g)])
-    return header, rows
+def _crossover(g: GameConfig, horizon: int) -> float:
+    try:
+        return evolving.crossover_threshold(g, horizon)
+    except ValueError:
+        return math.nan
 
 
-def _scenario_loss_curve(cfg: ExperimentConfig):
-    axis, values = _require_sweep(cfg, "n_users", list(range(1, 9)))
-    header = [axis, "bayesian_loss"]
-    rows = []
-    for v in values:
-        g = build_game(_apply_axis(cfg.game, axis, v))
-        rows.append([v, equilibrium.bayesian_system_loss(g)])
-    return header, rows
+# Each quantity takes the cell's game and horizon.  Library functions are
+# looked up on their modules when a cell is computed, not bound at import.
+_QUANTITIES = {
+    "pbe_set": lambda g, t: "+".join(PROFILE_LABELS[p] for p in equilibrium.enumerate_pbe(g)),
+    "bayesian_loss": lambda g, t: equilibrium.bayesian_system_loss(g),
+    "majority_loss": lambda g, t: benchmarks.majority_vote_loss_biased(g),
+    "abandon_action": lambda g, t: benchmarks.abandon_scheme(g)[0],
+    "abandon_loss": lambda g, t: benchmarks.abandon_scheme(g)[1],
+    "evolving_loss": lambda g, t: evolving.evolving_loss(g, t),
+    "crossover_threshold": _crossover,
+}
 
 
-def _scenario_benchmark(cfg: ExperimentConfig):
-    axis, values = _require_sweep(cfg, "n_users", list(range(1, 9)))
-    header = [axis, "majority_loss", "abandon_action", "abandon_loss"]
-    rows = []
-    for v in values:
-        g = build_game(_apply_axis(cfg.game, axis, v))
-        action, loss = benchmarks.abandon_scheme(g)
-        rows.append([v, benchmarks.majority_vote_loss_biased(g), action, loss])
-    return header, rows
+class Column(NamedTuple):
+    """A quantity evaluated on the row's game with ``game`` overrides, at a
+    fixed ``horizon`` or, given ``_ROW``, at the row's horizon."""
+
+    header: str
+    quantity: str
+    game: dict = {}   # read only: shared by every instance
+    horizon: int | str | None = None
 
 
-def _scenario_evolving(cfg: ExperimentConfig):
-    axis, values = _require_sweep(cfg, "horizon", list(range(2, 13)))
+class TableSpec(NamedTuple):
+    """Default sweep, overrides of the config's game section, and the
+    columns as a function of (options, sweep axis)."""
+
+    axis: str
+    values: list
+    columns: Callable[[dict, str], list[Column]]
+    game: dict = {}   # read only: shared by every instance
+
+
+def _fixed(*columns: Column):
+    return lambda options, axis: list(columns)
+
+
+_ABANDON = Column("abandon_loss", "abandon_loss")
+
+
+def _horizon_columns(options: dict, default) -> list[Column]:
+    horizons = [int(t) for t in options.get("horizons", default)]
+    return [Column(f"loss_T{t}", "evolving_loss", horizon=t) for t in horizons]
+
+
+def _evolving_columns(options: dict, axis: str) -> list[Column]:
     if axis == "horizon":
-        header = ["horizon", "evolving_loss", "abandon_loss"]
-        g = build_game(cfg.game)
-        _, abandon = benchmarks.abandon_scheme(g)
-        rows = [[int(v), evolving.evolving_loss(g, int(v)), abandon] for v in values]
-        return header, rows
-    horizons = [int(t) for t in cfg.options.get("horizons", (2, 4, 6))]
-    header = [axis] + [f"loss_T{t}" for t in horizons] + ["abandon_loss"]
-    rows = []
-    for v in values:
-        g = build_game(_apply_axis(cfg.game, axis, v))
-        _, abandon = benchmarks.abandon_scheme(g)
-        rows.append([v] + [evolving.evolving_loss(g, t) for t in horizons] + [abandon])
-    return header, rows
+        return [Column("evolving_loss", "evolving_loss", horizon=_ROW), _ABANDON]
+    return _horizon_columns(options, (2, 4, 6)) + [_ABANDON]
 
 
-def _scenario_compare(cfg: ExperimentConfig):
-    axis, values = _require_sweep(cfg, "n_users", list(range(1, 9)))
+def _compare_columns(options: dict, axis: str) -> list[Column]:
     if axis != "n_users":
         raise ConfigError("compare sweeps the reviewer count")
-    horizon = int(cfg.options.get("horizon", 2))
-    base = build_game(cfg.game)
-    evolving_value = evolving.evolving_loss(base, horizon)
-    try:
-        threshold = evolving.crossover_threshold(base, horizon)
-    except ValueError:
-        threshold = math.nan
-    _, abandon = benchmarks.abandon_scheme(base)
-    header = ["n_users", "bayesian_loss", f"evolving_loss_T{horizon}",
-              "majority_loss", "abandon_loss", "crossover_threshold"]
+    t = int(options.get("horizon", 2))
+    return [Column("bayesian_loss", "bayesian_loss"),
+            Column(f"evolving_loss_T{t}", "evolving_loss", horizon=t),
+            Column("majority_loss", "majority_loss"),
+            _ABANDON,
+            Column("crossover_threshold", "crossover_threshold", horizon=t)]
+
+
+_FIG_SHARES = (0.1, 0.5, 0.7)
+
+_SPECS = {
+    "pbe": TableSpec("p_high", [x / 10 for x in range(1, 10)], _fixed(
+        Column("pbe_set", "pbe_set"), Column("system_loss", "bayesian_loss"))),
+    "loss_curve": TableSpec("n_users", list(range(1, 9)), _fixed(
+        Column("bayesian_loss", "bayesian_loss"))),
+    "benchmark": TableSpec("n_users", list(range(1, 9)), _fixed(
+        Column("majority_loss", "majority_loss"),
+        Column("abandon_action", "abandon_action"), _ABANDON)),
+    "evolving": TableSpec("horizon", list(range(2, 13)), _evolving_columns),
+    "compare": TableSpec("n_users", list(range(1, 9)), _compare_columns),
+    # Figure 2: commitment loss against the low mean, one column per horizon
+    "fig2": TableSpec(
+        "mu_low", [x / 2.0 for x in range(-10, 0)],
+        lambda options, axis: _horizon_columns(options, (2, 3, 4, 5, 6)),
+        dict(family="normal", mu_high=1.0, scale_low=1.0, scale_high=1.0, p_high=0.3)),
+    # Figure 3: commitment loss against the horizon for three high variances
+    "fig3": TableSpec("horizon", list(range(2, 11)), _fixed(_ABANDON, *(
+        Column(f"evolving_var_high_{v:g}", "evolving_loss", dict(scale_high=math.sqrt(v)), _ROW)
+        for v in (2.0 / 3.0, 1.0, 1.5))),
+        dict(family="normal", mu_low=-1.0, mu_high=1.0, scale_low=1.0, p_high=0.3)),
+    # Figure 4: the same for logistic and Laplace pairs
+    "fig4": TableSpec("horizon", list(range(2, 11)), _fixed(
+        _ABANDON,
+        Column("logistic_loss", "evolving_loss", dict(family="logistic"), _ROW),
+        Column("laplace_loss", "evolving_loss", dict(family="laplace"), _ROW)),
+        dict(p_high=0.3, scale_low=1.0, scale_high=1.5)),
+    # Figure 5: game learning with N reviewers against commitment over T = N periods
+    "fig5": TableSpec("count", list(range(1, 9)), _fixed(
+        Column("bayesian_loss_at_N", "bayesian_loss"),
+        Column("evolving_loss_at_T", "evolving_loss", horizon=_ROW)),
+        dict(p_high=0.3, q_plus=0.5, scale_low=1.0, scale_high=math.sqrt(1.5))),
+    # Figure 6: baselines and game learning against N for three bias shares
+    "fig6": TableSpec("n_users", list(range(1, 9)), _fixed(
+        _ABANDON,
+        *(Column(f"majority_q{q:g}", "majority_loss", dict(q_plus=q)) for q in _FIG_SHARES),
+        *(Column(f"bayesian_q{q:g}", "bayesian_loss", dict(q_plus=q)) for q in _FIG_SHARES)),
+        dict(p_high=0.3, scale_low=1.0, scale_high=math.sqrt(1.5))),
+}
+
+
+def _build_table(cfg: ExperimentConfig):
+    """Evaluate a table spec; every cell is computed on its own row's game."""
+    name = cfg.scenario
+    if name == "figure":
+        name = str(cfg.options.get("figure", "fig6"))
+        figures = sorted(key for key in _SPECS if key.startswith("fig"))
+        if name not in figures:
+            raise ConfigError(f"unknown figure {name!r}; expected one of {figures}")
+    spec = _SPECS[name]
+    if cfg.sweep_axis is not None and not cfg.sweep_values:
+        raise ConfigError("sweep.values must be a non-empty list")
+    axis = cfg.sweep_axis or spec.axis
+    values = cfg.sweep_values or spec.values
+    columns = spec.columns(cfg.options, axis)
+    reads_row_horizon = any(c.horizon == _ROW for c in columns)
+    if axis == "horizon" and not reads_row_horizon:
+        raise ConfigError(f"axis {axis!r} does not modify the game")
+    if reads_row_horizon and axis not in ("horizon", "count"):
+        raise ConfigError(f"axis {axis!r} sets no horizon for {name}")
+
+    base = dict(cfg.game, **spec.game)
     rows = []
-    for v in values:
-        g = build_game(_apply_axis(cfg.game, "n_users", v))
-        rows.append([
-            int(v),
-            equilibrium.bayesian_system_loss(g),
-            evolving_value,
-            benchmarks.majority_vote_loss_biased(g),
-            abandon,
-            threshold,
-        ])
-    return header, rows
+    for raw in values:
+        value = _AXIS_TYPES.get(axis, float)(raw)
+        section = _apply_axis(base, axis, value)
+        rows.append([value] + [
+            _QUANTITIES[c.quantity](build_game(dict(section, **c.game)),
+                                   value if c.horizon == _ROW else c.horizon)
+            for c in columns])
+    return [axis] + [c.header for c in columns], rows
 
 
 def _scenario_simulate(cfg: ExperimentConfig):
@@ -252,129 +317,18 @@ def _scenario_simulate(cfg: ExperimentConfig):
     rule = game.best_response_rule(profile, g)
     report = montecarlo.simulate_game(g, profile, rule, samples, seed)
 
-    refs = {
-        "cost": game.expected_platform_cost(profile, rule, g),
-        "utility_negative": game.expected_user_utility(profile, rule, Bias.NEGATIVE, g),
-        "utility_positive": game.expected_user_utility(profile, rule, Bias.POSITIVE, g),
-    }
-    ests = {
-        "cost": (report.mean_cost, report.stderr_cost),
-        "utility_negative": (report.mean_utility_negative, report.stderr_utility_negative),
-        "utility_positive": (report.mean_utility_positive, report.stderr_utility_positive),
-    }
+    cells = (
+        ("cost", report.mean_cost, report.stderr_cost,
+         game.expected_platform_cost(profile, rule, g)),
+        ("utility_negative", report.mean_utility_negative, report.stderr_utility_negative,
+         game.expected_user_utility(profile, rule, Bias.NEGATIVE, g)),
+        ("utility_positive", report.mean_utility_positive, report.stderr_utility_positive,
+         game.expected_user_utility(profile, rule, Bias.POSITIVE, g)),
+    )
     header = ["quantity", "estimate", "stderr", "reference", "z_score"]
-    rows = []
-    for name, ref in refs.items():
-        est, se = ests[name]
-        z = (est - ref) / se if se else math.nan
-        rows.append([name, est, se, ref, z])
+    rows = [[name, est, se, ref, (est - ref) / se if se else math.nan]
+            for name, est, se, ref in cells]
     return header, rows
-
-
-def _figure_two(cfg):
-    base = dict(cfg.game, family="normal", mu_high=1.0, scale_low=1.0,
-                scale_high=1.0, p_high=0.3)
-    horizons = [int(t) for t in cfg.options.get("horizons", (2, 3, 4, 5, 6))]
-    values = cfg.sweep_values or [x / 2.0 for x in range(-10, 0)]
-    header = ["mu_low"] + [f"loss_T{t}" for t in horizons]
-    rows = []
-    for mu_low in values:
-        g = build_game(dict(base, mu_low=float(mu_low)))
-        rows.append([mu_low] + [evolving.evolving_loss(g, t) for t in horizons])
-    return header, rows
-
-
-def _figure_three(cfg):
-    base = dict(cfg.game, family="normal", mu_low=-1.0, mu_high=1.0,
-                scale_low=1.0, p_high=0.3)
-    variances = (2.0 / 3.0, 1.0, 1.5)
-    header = (["horizon", "abandon_loss"]
-              + [f"evolving_var_high_{v:g}" for v in variances])
-    rows = []
-    for t in range(2, 11):
-        row = [t, benchmarks.abandon_scheme(build_game(base))[1]]
-        for v in variances:
-            g = build_game(dict(base, scale_high=math.sqrt(v)))
-            row.append(evolving.evolving_loss(g, t))
-        rows.append(row)
-    return header, rows
-
-
-def _figure_four(cfg):
-    header = ["horizon", "abandon_loss", "logistic_loss", "laplace_loss"]
-    logistic = build_game(dict(_GAME_DEFAULTS, family="logistic", p_high=0.3,
-                               scale_low=1.0, scale_high=1.5))
-    laplace = build_game(dict(_GAME_DEFAULTS, family="laplace", p_high=0.3,
-                              scale_low=1.0, scale_high=1.5))
-    abandon = benchmarks.abandon_scheme(logistic)[1]
-    rows = []
-    for t in range(2, 11):
-        rows.append([t, abandon,
-                     evolving.evolving_loss(logistic, t),
-                     evolving.evolving_loss(laplace, t)])
-    return header, rows
-
-
-def _figure_five(cfg):
-    base = dict(_GAME_DEFAULTS, p_high=0.3, q_plus=0.5,
-                scale_low=1.0, scale_high=math.sqrt(1.5))
-    header = ["count", "bayesian_loss_at_N", "evolving_loss_at_T"]
-    rows = []
-    for idx in range(1, 9):
-        g_n = build_game(dict(base, n_users=idx))
-        g_t = build_game(base)
-        rows.append([idx,
-                     equilibrium.bayesian_system_loss(g_n),
-                     evolving.evolving_loss(g_t, idx)])
-    return header, rows
-
-
-def _figure_six(cfg):
-    base = dict(_GAME_DEFAULTS, p_high=0.3, scale_low=1.0,
-                scale_high=math.sqrt(1.5))
-    shares = (0.1, 0.5, 0.7)
-    n_max = int(cfg.options.get("n_max", 8))
-    header = (["n_users", "abandon_loss"]
-              + [f"majority_q{q:g}" for q in shares]
-              + [f"bayesian_q{q:g}" for q in shares])
-    rows = []
-    for n in range(1, n_max + 1):
-        row = [n, benchmarks.abandon_scheme(build_game(dict(base, n_users=n)))[1]]
-        for q in shares:
-            g = build_game(dict(base, n_users=n, q_plus=q))
-            row.append(benchmarks.majority_vote_loss_biased(g))
-        for q in shares:
-            g = build_game(dict(base, n_users=n, q_plus=q))
-            row.append(equilibrium.bayesian_system_loss(g))
-        rows.append(row)
-    return header, rows
-
-
-_FIGURES = {
-    "fig2": _figure_two,
-    "fig3": _figure_three,
-    "fig4": _figure_four,
-    "fig5": _figure_five,
-    "fig6": _figure_six,
-}
-
-
-def _scenario_figure(cfg: ExperimentConfig):
-    name = str(cfg.options.get("figure", "fig6"))
-    if name not in _FIGURES:
-        raise ConfigError(f"unknown figure {name!r}; expected one of {sorted(_FIGURES)}")
-    return _FIGURES[name](cfg)
-
-
-_DISPATCH = {
-    "pbe": _scenario_pbe,
-    "loss_curve": _scenario_loss_curve,
-    "benchmark": _scenario_benchmark,
-    "evolving": _scenario_evolving,
-    "compare": _scenario_compare,
-    "simulate": _scenario_simulate,
-    "figure": _scenario_figure,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +336,7 @@ _DISPATCH = {
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
+    return f"{value:.9g}" if isinstance(value, float) else str(value)
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -404,8 +352,6 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def write_csv(path: Path, header, rows) -> None:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -476,7 +422,10 @@ def run(cfg: ExperimentConfig, out_dir=None) -> list[Path]:
     """Evaluate one scenario and write its artifacts; returns written paths."""
     out = Path(out_dir) if out_dir is not None else default_output_dir()
     out.mkdir(parents=True, exist_ok=True)
-    header, rows = _DISPATCH[cfg.scenario](cfg)
+    if cfg.scenario == "simulate":
+        header, rows = _scenario_simulate(cfg)
+    else:
+        header, rows = _build_table(cfg)
 
     written = []
     csv_path = out / f"{cfg.stem}.csv"

@@ -8,16 +8,14 @@ therefore bit-identical for a given seed regardless of the worker count.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import chunked_generators
-from .distributions import log_likelihood_ratio
-from .evolving import IcResidual, IcResiduals
-from .game import (Bias, GameConfig, InferenceRule, ServiceType,
+from ._rng import Moments, chunked_generators
+from .evolving import IcResiduals, _prefix_log_ratios
+from .game import (GameConfig, InferenceRule, ServiceType,
                    StrategyProfile, min_expected_cost)
 
 
@@ -46,22 +44,15 @@ class EvolvingReport:
     ic: IcResiduals
 
 
-def _mean_stderr(total: float, total_sq: float, n: int) -> tuple[float, float]:
-    if n == 0:
-        return math.nan, math.nan
-    mean = total / n
-    if n == 1:
-        return mean, math.nan
-    var = max(0.0, (total_sq - total**2 / n) / (n - 1))
-    return mean, math.sqrt(var / n)
-
-
-def _run_chunks(chunks, worker, workers: int):
+def _run_chunks(chunks, worker, workers: int) -> list[Moments]:
+    """Run ``worker`` per chunk; sum its tuples of moments in chunk order."""
     if workers <= 1:
-        return [worker(count, rng) for count, rng in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(worker, count, rng) for count, rng in chunks]
-        return [f.result() for f in futures]
+        parts = [worker(count, rng) for count, rng in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(worker, count, rng) for count, rng in chunks]
+            parts = [f.result() for f in futures]
+    return [sum(column, Moments()) for column in zip(*parts)]
 
 
 def simulate_game(config: GameConfig, profile: StrategyProfile,
@@ -101,27 +92,19 @@ def simulate_game(config: GameConfig, profile: StrategyProfile,
         cost = (a - theta) ** 2
 
         focal_pos = is_pos[:, 0]
-        u_pos = a[focal_pos]
-        u_neg = -a[~focal_pos]
-        return (count, float(cost.sum()), float((cost**2).sum()),
-                int(focal_pos.sum()), float(u_pos.sum()), float((u_pos**2).sum()),
-                int((~focal_pos).sum()), float(u_neg.sum()), float((u_neg**2).sum()))
+        return Moments.of(cost), Moments.of(a[focal_pos]), Moments.of(-a[~focal_pos])
 
-    parts = _run_chunks(chunked_generators(seed, samples), worker, workers)
-    tot = [0.0] * 9
-    for part in parts:
-        for i, v in enumerate(part):
-            tot[i] += v
-    mean_cost, se_cost = _mean_stderr(tot[1], tot[2], int(tot[0]))
-    mean_pos, se_pos = _mean_stderr(tot[4], tot[5], int(tot[3]))
-    mean_neg, se_neg = _mean_stderr(tot[7], tot[8], int(tot[6]))
+    cost, pos, neg = _run_chunks(chunked_generators(seed, samples), worker, workers)
+    mean_cost, se_cost = cost.mean_stderr()
+    mean_pos, se_pos = pos.mean_stderr()
+    mean_neg, se_neg = neg.mean_stderr()
     return SimulationReport(
         samples=samples, seed=seed,
         mean_cost=mean_cost, stderr_cost=se_cost,
         mean_utility_negative=mean_neg, stderr_utility_negative=se_neg,
-        count_negative=int(tot[6]),
+        count_negative=neg.count,
         mean_utility_positive=mean_pos, stderr_utility_positive=se_pos,
-        count_positive=int(tot[3]),
+        count_positive=pos.count,
     )
 
 
@@ -146,42 +129,20 @@ def simulate_evolving(config: GameConfig, schedule, episodes: int, seed: int,
         theta_high = pair.high.sample(rng, (count, horizon))
         theta = np.where(is_high[:, None], theta_high, theta_low)
 
-        if horizon > 1:
-            steps = log_likelihood_ratio(pair, theta[:, : horizon - 1])
-        else:
-            steps = np.zeros((count, 0))
-        prefix = np.concatenate(
-            [np.zeros((count, 1)), np.cumsum(steps, axis=1)], axis=1)
-        a_low, a_high = schedule.actions_from_log_ratio(prefix)
+        a_low, a_high = schedule.actions_from_log_ratio(
+            _prefix_log_ratios(pair, theta[:, : horizon - 1]))
         a = np.where(is_high[:, None], a_high, a_low)
         period_cost = np.mean((a - theta) ** 2, axis=1)
 
         diff_sum = np.sum(a_low - a_high, axis=1)
-        d_high = diff_sum[is_high]
-        d_low = diff_sum[~is_high]
-        return (count, float(period_cost.sum()), float((period_cost**2).sum()),
-                int(d_low.size), float(d_low.sum()), float((d_low**2).sum()),
-                int(d_high.size), float(d_high.sum()), float((d_high**2).sum()))
+        return (Moments.of(period_cost), Moments.of(diff_sum[~is_high]),
+                Moments.of(diff_sum[is_high]))
 
-    parts = _run_chunks(chunked_generators(seed, episodes), worker, workers)
-    tot = [0.0] * 9
-    for part in parts:
-        for i, v in enumerate(part):
-            tot[i] += v
-    mean_cost, se_cost = _mean_stderr(tot[1], tot[2], int(tot[0]))
-    mean_low, se_low = _mean_stderr(tot[4], tot[5], int(tot[3]))
-    mean_high, se_high = _mean_stderr(tot[7], tot[8], int(tot[6]))
-    ic = IcResiduals(
-        positive_low=IcResidual(mean_low, se_low),
-        positive_high=IcResidual(-mean_high, se_high),
-        negative_low=IcResidual(-mean_low, se_low),
-        negative_high=IcResidual(mean_high, se_high),
-        episodes=episodes,
-        seed=seed,
-    )
+    cost, low, high = _run_chunks(chunked_generators(seed, episodes), worker, workers)
+    mean_cost, se_cost = cost.mean_stderr()
     return EvolvingReport(
         episodes=episodes, seed=seed, horizon=horizon,
         mean_period_cost=mean_cost, stderr_period_cost=se_cost,
         loss_estimate=mean_cost - min_expected_cost(config),
-        ic=ic,
+        ic=IcResiduals._from_moments(low, high, episodes, seed),
     )

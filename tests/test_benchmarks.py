@@ -3,7 +3,7 @@ import pytest
 
 from cheaptalk_lab.benchmarks import (abandon_scheme, majority_vote_loss,
                                       majority_vote_loss_biased,
-                                      majority_vote_rule, one_shot_commitment)
+                                      majority_vote_rule)
 from cheaptalk_lab.distributions import normal_pair
 from cheaptalk_lab.game import GameConfig
 
@@ -84,23 +84,22 @@ class TestAbandon:
 
 
 class TestOneShotCommitment:
+    """A single-period commitment posts the abandoning rating after either
+    message, so both committed actions are ``abandon_scheme``'s action."""
+
     def test_degenerates_to_the_prior_mean(self):
-        a_low, a_high, loss = one_shot_commitment(config())
-        assert a_low == a_high == pytest.approx(-0.4)
+        action, loss = abandon_scheme(config())
+        assert action == pytest.approx(-0.4)
         assert loss == pytest.approx(0.84, abs=1e-12)
 
     def test_other_parameterizations(self):
         g = GameConfig(1, 0.9, 0.5, normal_pair(0.0, 2.0))
-        assert one_shot_commitment(g) == pytest.approx((1.8, 1.8, 0.36))
+        assert abandon_scheme(g) == pytest.approx((1.8, 0.36))
         g = GameConfig(1, 0.9, 0.5, normal_pair(0.7, 0.7))
-        assert one_shot_commitment(g) == pytest.approx((0.7, 0.7, 0.0))
-
-    def test_requires_a_single_reviewer(self):
-        with pytest.raises(ValueError):
-            one_shot_commitment(config(n=2))
+        assert abandon_scheme(g) == pytest.approx((0.7, 0.0))
 
     def test_constant_actions_satisfy_all_four_constraints_exactly(self):
         # with a_low == a_high every expected-difference constraint is zero
-        a_low, a_high, _ = one_shot_commitment(config())
+        a_low = a_high = abandon_scheme(config())[0]
         for sign in (1.0, -1.0):
             assert sign * (a_low - a_high) == 0.0

@@ -6,19 +6,19 @@ from scipy import integrate
 
 from cheaptalk_lab.distributions import (DistributionPair, Family,
                                          StateDistribution, alpha_beta,
-                                         density, history_likelihood_ratio,
+                                         history_likelihood_ratio,
                                          history_log_likelihood_ratio,
-                                         likelihood_ratio, normal_pair, sample)
+                                         likelihood_ratio, normal_pair)
 from cheaptalk_lab.errors import DivergentIntegral, DivisionOutsideSupport
 
 from oracles import normal_ratio_integral
 
 
 def test_density_peaks():
-    assert density(StateDistribution(Family.NORMAL, 0, 1), 0.0) == pytest.approx(
+    assert StateDistribution(Family.NORMAL, 0, 1).density(0.0) == pytest.approx(
         1.0 / math.sqrt(2 * math.pi), rel=1e-12)
-    assert density(StateDistribution(Family.LAPLACE, 0, 1), 0.0) == pytest.approx(0.5)
-    assert density(StateDistribution(Family.LOGISTIC, 0, 1), 0.0) == pytest.approx(0.25)
+    assert StateDistribution(Family.LAPLACE, 0, 1).density(0.0) == pytest.approx(0.5)
+    assert StateDistribution(Family.LOGISTIC, 0, 1).density(0.0) == pytest.approx(0.25)
 
 
 def test_variances_follow_family_formulas():
@@ -33,6 +33,21 @@ def test_scale_must_be_positive():
         StateDistribution(Family.NORMAL, 0, 0.0)
     with pytest.raises(ValueError):
         StateDistribution(Family.LAPLACE, 0, -1.0)
+
+
+@pytest.mark.parametrize("location, scale", [
+    (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+    (0.0, math.nan), (0.0, math.inf),
+])
+def test_nonfinite_parameters_are_rejected_at_construction(location, scale):
+    with pytest.raises(ValueError):
+        StateDistribution(Family.NORMAL, location, scale)
+
+
+def test_normal_pair_rejects_a_nan_mean():
+    # accepted before, after which every profile was certified with loss nan
+    with pytest.raises(ValueError):
+        normal_pair(math.nan, 1.0)
 
 
 def test_pair_requires_ordered_means():
@@ -196,12 +211,12 @@ class TestAlphaBeta:
 class TestSampling:
     def test_normal_sample_mean_within_clt_bound(self):
         rng = np.random.default_rng(101)
-        draws = sample(StateDistribution(Family.NORMAL, 0, 1), rng, 10**6)
+        draws = StateDistribution(Family.NORMAL, 0, 1).sample(rng, 10**6)
         assert abs(draws.mean()) < 4.0 / math.sqrt(10**6)
 
     def test_laplace_sample_variance_near_two(self):
         rng = np.random.default_rng(102)
-        draws = sample(StateDistribution(Family.LAPLACE, 0, 1), rng, 10**6)
+        draws = StateDistribution(Family.LAPLACE, 0, 1).sample(rng, 10**6)
         assert draws.var() == pytest.approx(2.0, rel=0.05)
 
     def test_same_seed_gives_identical_sequences(self):

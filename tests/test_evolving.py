@@ -9,10 +9,9 @@ from cheaptalk_lab.distributions import (DistributionPair, Family,
                                          normal_pair)
 from cheaptalk_lab.errors import DegenerateHorizon
 from cheaptalk_lab.evolving import (CommitmentSchedule, ConstantSchedule,
-                                    commitment_actions, crossover_threshold,
-                                    crossover_user_count,
+                                    _solve, crossover_threshold,
                                     equal_variance_normal_loss, evolving_loss,
-                                    loss_from_sums, solve_schedule, verify_ic)
+                                    solve_schedule, verify_ic)
 from cheaptalk_lab.game import GameConfig
 
 from oracles import (cost_by_quadrature_two_periods, ic_sums_by_quadrature,
@@ -65,16 +64,16 @@ class TestSolveSchedule:
 class TestCommitmentActions:
     def test_empty_history_actions_sit_strictly_inside_the_means(self):
         s = solve_schedule(FIG_CONFIG, 2)
-        a_low, a_high = commitment_actions(s, [])
+        a_low, a_high = s.actions([])
         assert FIG_CONFIG.mu_low < a_low
         assert a_high < FIG_CONFIG.mu_high
 
     def test_midpoint_history_keeps_unit_ratio(self):
         s = solve_schedule(FIG_CONFIG, 3)
-        assert commitment_actions(s, [0.0]) == pytest.approx(
-            commitment_actions(s, []), rel=1e-12)
-        assert commitment_actions(s, [0.0, 0.0]) == pytest.approx(
-            commitment_actions(s, []), rel=1e-12)
+        assert s.actions([0.0]) == pytest.approx(
+            s.actions([]), rel=1e-12)
+        assert s.actions([0.0, 0.0]) == pytest.approx(
+            s.actions([]), rel=1e-12)
 
     def test_high_action_rises_toward_its_supremum_on_favorable_runs(self):
         # as the history ratio blows up the high action increases toward
@@ -82,7 +81,7 @@ class TestCommitmentActions:
         s = solve_schedule(FIG_CONFIG, 4)
         gaps = []
         for length in (1, 3, 8, 20):
-            _, a_high = commitment_actions(s, [1.0] * length)
+            _, a_high = s.actions([1.0] * length)
             gaps.append(FIG_CONFIG.mu_high - a_high)
             assert a_high < FIG_CONFIG.mu_high
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -98,7 +97,7 @@ class TestCommitmentActions:
                 length = int(rng.integers(0, horizon))
                 source = g.pair.high if rng.random() < 0.5 else g.pair.low
                 hist = source.sample(rng, length)
-                a_low, a_high = commitment_actions(s, hist)
+                a_low, a_high = s.actions(hist)
                 assert g.mu_low < a_low
                 assert a_high < g.mu_high
 
@@ -170,16 +169,16 @@ class TestEvolvingLoss:
             assert all(a > b for a, b in zip(losses, losses[1:]))
             assert losses[0] < abandon_scheme(g)[1]
 
-    def test_loss_from_sums_is_exposed(self):
+    def test_loss_follows_from_the_separation_sums(self):
         alpha, beta = alpha_beta(FIG_CONFIG.pair)
-        assert loss_from_sums(0.3, 2.0, alpha, beta, 2) == pytest.approx(
+        assert _solve(0.3, 2.0, alpha, beta, 2).loss == pytest.approx(
             evolving_loss(FIG_CONFIG, 2), rel=1e-12)
 
 
 class TestCrossover:
     def test_reference_values(self):
         assert crossover_threshold(FIG_CONFIG, 2) == pytest.approx(4.304, abs=1e-3)
-        assert crossover_user_count(FIG_CONFIG, 2) == 4
+        assert math.floor(crossover_threshold(FIG_CONFIG, 2)) == 4
 
     def test_strictly_increasing_in_the_horizon(self):
         values = [crossover_threshold(FIG_CONFIG, t) for t in range(2, 7)]
@@ -239,6 +238,13 @@ class TestVerifyIc:
         assert residuals.negative_high.value == violation
         assert residuals.positive_high.value == -violation
         assert residuals.negative_low.value == -violation
+
+    def test_single_episode_reports_no_standard_error(self):
+        # one episode cannot estimate a spread; 0.0 would claim an exact answer
+        residuals = verify_ic(solve_schedule(FIG_CONFIG, 2), 1, seed=3)
+        for r in residuals.as_list():
+            assert math.isfinite(r.value)
+            assert math.isnan(r.stderr)
 
     def test_deterministic_given_the_seed(self):
         s = solve_schedule(FIG_CONFIG, 2)

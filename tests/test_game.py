@@ -8,7 +8,7 @@ from cheaptalk_lab.game import (ALL_PROFILES, Bias, GameConfig, PureStrategy,
                                 SC1, SC2, SC5, SC7, ServiceType,
                                 best_response_rule, expected_platform_cost,
                                 expected_user_utility, high_message_prob,
-                                message_of, min_expected_cost, posterior_high)
+                                min_expected_cost, posterior_high)
 from cheaptalk_lab.distributions import normal_pair
 
 from oracles import (brute_force_cost, brute_force_utility,
@@ -21,10 +21,10 @@ def config(n=1, p=0.3, q=0.5, mu_l=-1.0, mu_h=1.0, var_l=1.0, var_h=1.0):
 
 
 def test_message_tables():
-    assert message_of(PureStrategy.HONEST, ServiceType.HIGH) is ServiceType.HIGH
-    assert message_of(PureStrategy.REVERSED, ServiceType.HIGH) is ServiceType.LOW
-    assert message_of(PureStrategy.BLIND_LOW, ServiceType.HIGH) is ServiceType.LOW
-    assert message_of(PureStrategy.BLIND_HIGH, ServiceType.LOW) is ServiceType.HIGH
+    assert PureStrategy.HONEST.message(ServiceType.HIGH) is ServiceType.HIGH
+    assert PureStrategy.REVERSED.message(ServiceType.HIGH) is ServiceType.LOW
+    assert PureStrategy.BLIND_LOW.message(ServiceType.HIGH) is ServiceType.LOW
+    assert PureStrategy.BLIND_HIGH.message(ServiceType.LOW) is ServiceType.HIGH
 
 
 def test_profile_constants_are_all_distinct():
@@ -228,3 +228,9 @@ def test_utility_rejects_mismatched_rule():
         expected_user_utility(SC1, rule, Bias.POSITIVE, g)
     with pytest.raises(ValueError):
         expected_platform_cost(SC1, rule, g)
+
+
+@pytest.mark.parametrize("n_users", [2.5, 2.0, True, "3"])
+def test_reviewer_count_must_be_an_integer(n_users):
+    with pytest.raises(ValueError):
+        GameConfig(n_users, 0.3, 0.5, normal_pair(-1.0, 1.0))

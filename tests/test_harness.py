@@ -48,6 +48,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_experiment(path)
 
+    @pytest.mark.parametrize("text", [
+        "scenario: pbe\nsweep:\n  axis: horizon\n  values: [2]\n",
+        "scenario: compare\nsweep:\n  axis: p_high\n  values: [0.3]\n",
+        "scenario: evolving\nsweep:\n  axis: p_high\n  values: []\n",
+        "scenario: figure\noptions:\n  figure: pbe\n",
+        "scenario: figure\nsweep:\n  axis: p_high\n  values: [0.3]\n"
+        "options:\n  figure: fig3\n",
+        "scenario: benchmark\ngame:\n  mu_low: .nan\n",
+    ], ids=["horizon_axis_unused", "compare_axis", "empty_values",
+            "unknown_figure", "figure_needs_horizon_sweep", "nan_mean"])
+    def test_invalid_tables_rejected(self, tmp_path, text):
+        cfg = load_experiment(write_yaml(tmp_path, text))
+        with pytest.raises(ConfigError):
+            run(cfg, out_dir=tmp_path)
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_bad_game_values_rejected(self, tmp_path):
         path = write_yaml(tmp_path,
                           "scenario: benchmark\ngame:\n  p_high: 1.5\n")
