@@ -21,7 +21,7 @@ high or low.  The package provides:
 from .distributions import (DistributionPair, Family, StateDistribution,
                             alpha_beta, history_likelihood_ratio,
                             likelihood_ratio, normal_pair)
-from .game import (ALL_PROFILES, Bias, GameConfig, InferenceRule, Message,
+from .game import (ALL_PROFILES, Bias, GameConfig, InferenceRule,
                    PROFILE_LABELS, PROFILES_BY_LABEL, PureStrategy, SC1, SC2,
                    SC3, SC4, SC5, SC6, SC7, SC8, SC9, SC10, SC11, SC12, SC13,
                    SC14, SC15, SC16, ServiceType, StrategyProfile,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .game import GameConfig, InferenceRule, _binom_pmf
+from .game import GameConfig, InferenceRule, _count_pmf
 
 
 def majority_vote_rule(config: GameConfig) -> InferenceRule:
@@ -34,12 +34,13 @@ def majority_vote_loss(config: GameConfig) -> float:
     p = config.p_high
     upper_low = (n - 1) // 2          # ceil(n/2 - 1)
     lower_high = n // 2 + 1           # floor(n/2 + 1)
-    low_tail = sum(math.comb(n, k) for k in range(0, upper_low + 1))
-    high_tail = sum(math.comb(n, k) for k in range(lower_high, n + 1))
+    # integer counts over 2^n: exact division, so 2^n cannot overflow
+    low_tail = sum(math.comb(n, k) for k in range(0, upper_low + 1)) / 2**n
+    high_tail = sum(math.comb(n, k) for k in range(lower_high, n + 1)) / 2**n
     bracket = p * low_tail + (1.0 - p) * high_tail
     if n % 2 == 0:
-        bracket += p * (1.0 - p) * math.comb(n, n // 2)
-    return config.mean_gap**2 * bracket / 2.0**n
+        bracket += p * (1.0 - p) * (math.comb(n, n // 2) / 2**n)
+    return config.mean_gap**2 * bracket
 
 
 def majority_vote_loss_biased(config: GameConfig) -> float:
@@ -50,10 +51,8 @@ def majority_vote_loss_biased(config: GameConfig) -> float:
     """
     n = config.n_users
     p = config.p_high
-    q = config.q_plus
     loss = 0.0
-    for k in range(n + 1):
-        w = _binom_pmf(n, k, q)
+    for k, w in enumerate(_count_pmf(n, config.q_plus)):
         if 2 * k > n:
             loss += w * (1.0 - p)    # rates at the high mean; wrong under low
         elif 2 * k < n:

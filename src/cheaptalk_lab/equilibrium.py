@@ -1,26 +1,28 @@
-"""Equilibrium search, closed-form losses, thresholds, and side analyses.
+"""Equilibrium search, system losses, thresholds, and side analyses.
 
-Stability here is checked at the level of a bias class: all reviewers who
-share a bias use the same strategy, a deviation switches that class to one of
-the three alternative strategies, and the platform re-derives its rating rule
-for the deviated profile (its beliefs track the strategy profile in play).
-A profile is an equilibrium when neither class gains from any such switch.
-This is the notion under which the published equilibrium tables, thresholds,
-and loss formulas are exact; a unilateral deviation against a frozen rule
-would instead let a blind reviewer free-ride on out-of-date beliefs and
-reject every informative profile.
+Stability is checked per bias class: all reviewers who share a bias use the
+same strategy, a deviation switches that class to one of the three others,
+and the platform re-derives its rating rule for the deviated profile.  A
+profile is an equilibrium when neither class gains from any such switch.  The
+published tables, thresholds and loss formulas are exact under this notion; a
+unilateral deviation against a frozen rule would let a blind reviewer
+free-ride on out-of-date beliefs and reject every informative profile.  The
+ratings, payoffs and losses come from the message-count pmf of ``game``, and
+the sequential check rates ordered message pairs through the same posterior.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import OutOfRegime
-from .game import (ALL_PROFILES, Bias, GameConfig, InferenceRule, Message,
+from .game import (ALL_PROFILES, Bias, GameConfig, InferenceRule,
                    PureStrategy, SC1, ServiceType, StrategyProfile,
-                   best_response_rule, expected_platform_cost,
-                   expected_user_utility, min_expected_cost)
+                   _likelihoods, _posterior, best_response_rule,
+                   expected_user_utility)
 
 GOLDEN_LOW = (3.0 - math.sqrt(5.0)) / 2.0   # small positive-share regime ends here
 GOLDEN_HIGH = (math.sqrt(5.0) - 1.0) / 2.0  # large positive-share regime starts here
@@ -153,11 +155,9 @@ def bias_thresholds(q_plus: float) -> BiasThresholds:
 def symmetric_bias_loss(n_users: int, p_high: float, mean_gap: float) -> float:
     """Worst-equilibrium loss for equally likely biases, any reviewer count."""
     p = p_high
-    d2 = mean_gap**2
-    return max(
-        (1.0 - p) * p * d2 / (p + 2.0**n_users * (1.0 - p)),
-        (1.0 - p) * p * d2 / (1.0 - (1.0 - 2.0**n_users) * p),
-    )
+    s = math.ldexp(1.0, -n_users)   # both ratios scaled by 2^-N, exactly
+    scaled = math.ldexp((1.0 - p) * p * mean_gap**2, -n_users)
+    return max(scaled / (p * s + (1.0 - p)), scaled / (s - (s - 1.0) * p))
 
 
 def one_user_loss(p_high: float, q_plus: float, mean_gap: float) -> float:
@@ -178,16 +178,21 @@ def one_user_loss(p_high: float, q_plus: float, mean_gap: float) -> float:
 
 
 def bayesian_system_loss(config: GameConfig) -> float:
-    """Worst enumerated-equilibrium cost in excess of the ideal cost floor."""
+    """Worst enumerated-equilibrium cost in excess of the ideal cost floor.
+
+    Under a profile's best-response rule that excess is gap^2 times the
+    expected posterior variance of the type given the count k of high
+    messages, gap^2 (1 - p) sum_k f_L(k) P(high | k), with f_L the count's pmf
+    under the low type.  No term is negative, so small losses stay accurate.
+    """
     profiles = enumerate_pbe(config)
     if not profiles:
         raise RuntimeError("no equilibrium found; the candidate set is incomplete")
-    floor = min_expected_cost(config)
-    worst = max(
-        expected_platform_cost(p, best_response_rule(p, config), config)
-        for p in profiles
-    )
-    return abs(worst - floor)
+    p = config.p_high
+    worst = max(sum(like_low * _posterior(p, like_high, like_low)
+                    for like_high, like_low in zip(*_likelihoods(profile, config)))
+                for profile in profiles)
+    return config.mean_gap**2 * (1.0 - p) * worst
 
 
 @dataclass(frozen=True)
@@ -222,7 +227,7 @@ def max_loss_reduction_one_user() -> LossReduction:
 _MSG_H = ServiceType.HIGH
 _MSG_L = ServiceType.LOW
 
-SECOND_MOVER_PLANS: dict[str, dict[tuple[ServiceType, Message], Message]] = {
+SECOND_MOVER_PLANS: dict[str, dict[tuple[ServiceType, ServiceType], ServiceType]] = {
     "plan1": {(_MSG_H, _MSG_H): _MSG_H, (_MSG_H, _MSG_L): _MSG_L, (_MSG_L, _MSG_L): _MSG_L},
     "plan2": {(_MSG_H, _MSG_H): _MSG_H, (_MSG_H, _MSG_L): _MSG_L, (_MSG_L, _MSG_L): _MSG_H},
     "plan3": {(_MSG_H, _MSG_H): _MSG_L, (_MSG_H, _MSG_L): _MSG_H, (_MSG_L, _MSG_L): _MSG_H},
@@ -253,38 +258,26 @@ def _sequential_plan_utility(config: GameConfig, plan) -> float:
     (negative blind-low, positive honest).  The platform observes the ordered
     message pair and best-responds to the full deviated profile.
     """
-    p, q = config.p_high, config.q_plus
 
-    def second_message(bias2: Bias, service: ServiceType, m1: Message) -> Message:
+    def messages(service: ServiceType, bias1: Bias, bias2: Bias):
+        m1 = SC1.strategy_for(bias1).message(service)
         if bias2 is Bias.NEGATIVE:
-            return SC1.negative.message(service)
-        return plan[(service, m1)]
+            return m1, SC1.negative.message(service)
+        return m1, plan[(service, m1)]
 
-    # joint distribution of ordered pairs given each type
-    pair_prob = {s: {} for s in ServiceType}
-    for service in ServiceType:
-        for bias1 in Bias:
-            m1 = SC1.strategy_for(bias1).message(service)
-            for bias2 in Bias:
-                m2 = second_message(bias2, service, m1)
-                key = (m1, m2)
-                w = config.bias_prob(bias1) * config.bias_prob(bias2)
-                pair_prob[service][key] = pair_prob[service].get(key, 0.0) + w
-
-    def action(key) -> float:
-        like_h = pair_prob[ServiceType.HIGH].get(key, 0.0)
-        like_l = pair_prob[ServiceType.LOW].get(key, 0.0)
-        denom = p * like_h + (1.0 - p) * like_l
-        post = p if denom == 0.0 else p * like_h / denom
-        return post * config.mu_high + (1.0 - post) * config.mu_low
+    # likelihood of each ordered pair under each type
+    likes = {s: defaultdict(float) for s in ServiceType}
+    for service, bias1, bias2 in itertools.product(ServiceType, Bias, Bias):
+        likes[service][messages(service, bias1, bias2)] += (
+            config.bias_prob(bias1) * config.bias_prob(bias2))
 
     utility = 0.0
-    for service in ServiceType:
-        for bias1 in Bias:
-            m1 = SC1.strategy_for(bias1).message(service)
-            m2 = second_message(Bias.POSITIVE, service, m1)
-            utility += (config.type_prob(service) * config.bias_prob(bias1)
-                        * action((m1, m2)))
+    for service, bias1 in itertools.product(ServiceType, Bias):
+        key = messages(service, bias1, Bias.POSITIVE)
+        post = _posterior(config.p_high, likes[ServiceType.HIGH][key],
+                          likes[ServiceType.LOW][key])
+        rating = post * config.mu_high + (1.0 - post) * config.mu_low
+        utility += config.type_prob(service) * config.bias_prob(bias1) * rating
     return utility
 
 
@@ -317,5 +310,5 @@ def three_type_loss(n_users: int, delta: float) -> float:
         raise ValueError("the three-type analysis needs at least two reviewers")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    two_n = 2.0**n_users
-    return (1.0 + 5.0 * two_n) / (3.0 * (2.0 + two_n) * 4.0 * two_n) * delta**2
+    s = math.ldexp(1.0, -n_users)   # 2^-N; the ratio is scaled by 2^-2N, exactly
+    return (s + 5.0) * s / (3.0 * (2.0 * s + 1.0) * 4.0) * delta**2

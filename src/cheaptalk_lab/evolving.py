@@ -37,6 +37,13 @@ def _log_geometric_sum(ratio: float, horizon: int) -> float:
     return math.log((1.0 - ratio**horizon) / (1.0 - ratio))
 
 
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class _Solution:
     lambda_low: float
@@ -146,8 +153,8 @@ def solve_schedule(config: GameConfig, horizon: int) -> CommitmentSchedule:
         horizon=horizon,
         lambda_low=sol.lambda_low,
         lambda_high=sol.lambda_high,
-        s_alpha=math.exp(sol.log_s_alpha),
-        s_beta=math.exp(sol.log_s_beta),
+        s_alpha=_exp(sol.log_s_alpha),
+        s_beta=_exp(sol.log_s_beta),
         alpha=alpha,
         beta=beta,
         pair=config.pair,
@@ -167,7 +174,8 @@ def evolving_loss(config: GameConfig, horizon: int) -> float:
     if horizon == 1:
         return p * (1.0 - p) * config.mean_gap**2
     alpha, beta = alpha_beta(config.pair)
-    return _solve(p, config.mean_gap, alpha, beta, horizon).loss
+    # + 0.0 turns a loss that underflows to -0.0 into +0.0 and changes no other bit
+    return _solve(p, config.mean_gap, alpha, beta, horizon).loss + 0.0
 
 
 def equal_variance_normal_loss(p_high: float, mean_gap: float, variance: float,

@@ -2,7 +2,8 @@
 
 Reviewers observe a binary quality type and message it (possibly untruthfully)
 to the platform; the platform maps the count of high messages to a continuous
-rating.  Everything here is exact arithmetic over the discrete part of the
+rating.  Given the type the count is binomial, and its pmf (``_count_pmf``)
+yields every quantity here in exact arithmetic over the discrete part of the
 game, so closed-form results can be checked at machine precision.
 """
 
@@ -19,10 +20,6 @@ from .distributions import DistributionPair
 class ServiceType(Enum):
     LOW = "L"
     HIGH = "H"
-
-
-# messages live in the same label space as the observed types
-Message = ServiceType
 
 
 class Bias(Enum):
@@ -44,7 +41,7 @@ class PureStrategy(Enum):
     BLIND_LOW = "blind_low"
     REVERSED = "reversed"
 
-    def message(self, observed: ServiceType) -> Message:
+    def message(self, observed: ServiceType) -> ServiceType:
         if self is PureStrategy.HONEST:
             return observed
         if self is PureStrategy.BLIND_HIGH:
@@ -173,72 +170,71 @@ def high_message_prob(profile: StrategyProfile, config: GameConfig,
     return p
 
 
-def _binom_pmf(n: int, k: int, p: float) -> float:
-    # exact at the endpoints: blind profiles yield p in {0, 1}
-    if p == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if k == n else 0.0
-    return math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
+def _count_pmf(n: int, h: float) -> list[float]:
+    """Chance of k = 0..n high messages from n reviewers who each message
+    high with chance ``h``."""
+    # exact at the endpoints: blind profiles yield h in {0, 1}
+    if h == 0.0:
+        return [1.0] + [0.0] * n
+    if h == 1.0:
+        return [0.0] * n + [1.0]
+    return [math.comb(n, k) * h**k * (1.0 - h) ** (n - k) for k in range(n + 1)]
 
 
-def count_likelihood(profile: StrategyProfile, config: GameConfig, k: int,
-                     given_type: ServiceType) -> float:
-    """Probability of observing exactly k high messages under the given type."""
-    return _binom_pmf(config.n_users, k, high_message_prob(profile, config, given_type))
+def _likelihoods(profile: StrategyProfile, config: GameConfig) -> tuple[list, list]:
+    """Pmfs of the count of high messages under the high and the low type."""
+    n = config.n_users
+    return (_count_pmf(n, high_message_prob(profile, config, ServiceType.HIGH)),
+            _count_pmf(n, high_message_prob(profile, config, ServiceType.LOW)))
+
+
+def _posterior(p: float, like_high: float, like_low: float) -> float:
+    """Chance of the high type given its prior ``p`` and an observation's
+    likelihood under each type.  An observation impossible under both keeps
+    the prior: off-path beliefs are unrestricted, and the prior reproduces
+    every published rating rule."""
+    denom = p * like_high + (1.0 - p) * like_low
+    if denom == 0.0:
+        return p
+    return p * like_high / denom
 
 
 def posterior_high(profile: StrategyProfile, config: GameConfig, k: int) -> float:
-    """Posterior chance of the high density after seeing k high messages.
-
-    Counts that are impossible under either density keep the prior belief:
-    off-path beliefs are unrestricted and the prior reproduces every published
-    rating rule.
-    """
+    """Posterior chance of the high density after seeing k high messages."""
     if not 0 <= k <= config.n_users:
         raise ValueError(f"k={k} outside 0..{config.n_users}")
-    like_high = count_likelihood(profile, config, k, ServiceType.HIGH)
-    like_low = count_likelihood(profile, config, k, ServiceType.LOW)
-    denom = config.p_high * like_high + (1.0 - config.p_high) * like_low
-    if denom == 0.0:
-        return config.p_high
-    return config.p_high * like_high / denom
+    like_high, like_low = _likelihoods(profile, config)
+    return _posterior(config.p_high, like_high[k], like_low[k])
 
 
 def best_response_rule(profile: StrategyProfile, config: GameConfig) -> InferenceRule:
     """Cost-minimizing rating for each message count: the posterior state mean."""
     actions = []
-    for k in range(config.n_users + 1):
-        post = posterior_high(profile, config, k)
+    for like_high, like_low in zip(*_likelihoods(profile, config)):
+        post = _posterior(config.p_high, like_high, like_low)
         actions.append(post * config.mu_high + (1.0 - post) * config.mu_low)
     return InferenceRule(tuple(actions))
 
 
 def expected_user_utility(profile: StrategyProfile, rule: InferenceRule,
-                          bias: Bias, config: GameConfig,
-                          focal_strategy: PureStrategy | None = None) -> float:
+                          bias: Bias, config: GameConfig) -> float:
     """Expected signed rating for one reviewer of the given bias.
 
-    The other ``n_users - 1`` reviewers follow ``profile``; the focal reviewer
-    follows ``focal_strategy`` when given (otherwise his profile strategy).
-    The expectation over the others' bias draws is exact: messages are
-    deterministic given (bias, type), so only the count of positive others
-    matters and the 2^(N-1) assignments collapse into binomial weights.
+    All reviewers, this one included, follow ``profile``.  The expectation over
+    the others' bias draws is exact: given the type, each of the other
+    ``n_users - 1`` reviewers messages high with the same chance, so the
+    2^(N-1) bias assignments collapse into the pmf of their high count.
     """
     if rule.n_users != config.n_users:
         raise ValueError("rule was built for a different number of users")
-    focal = focal_strategy if focal_strategy is not None else profile.strategy_for(bias)
-    n_others = config.n_users - 1
+    strategy = profile.strategy_for(bias)
     total = 0.0
     for service in ServiceType:
         p_type = config.type_prob(service)
-        k_focal = 1 if focal.sends_high(service) else 0
-        pos_high = 1 if profile.positive.sends_high(service) else 0
-        neg_high = 1 if profile.negative.sends_high(service) else 0
-        for j in range(n_others + 1):
-            p_j = _binom_pmf(n_others, j, config.q_plus)
-            k = k_focal + j * pos_high + (n_others - j) * neg_high
-            total += p_type * p_j * bias.weight * rule(k)
+        k_focal = 1 if strategy.sends_high(service) else 0
+        others = _count_pmf(config.n_users - 1, high_message_prob(profile, config, service))
+        for j, p_j in enumerate(others):
+            total += p_type * p_j * bias.weight * rule(k_focal + j)
     return total
 
 
@@ -247,13 +243,10 @@ def expected_platform_cost(profile: StrategyProfile, rule: InferenceRule,
     """Expected squared rating error plus state variance under the profile."""
     if rule.n_users != config.n_users:
         raise ValueError("rule was built for a different number of users")
+    like_high, like_low = _likelihoods(profile, config)
     total = 0.0
-    for service, dist in ((ServiceType.HIGH, config.pair.high),
-                          (ServiceType.LOW, config.pair.low)):
-        p_type = config.type_prob(service)
-        for k in range(config.n_users + 1):
-            p_k = count_likelihood(profile, config, k, service)
-            if p_k == 0.0:
-                continue
+    for p_type, like, dist in ((config.p_high, like_high, config.pair.high),
+                               (1.0 - config.p_high, like_low, config.pair.low)):
+        for k, p_k in enumerate(like):
             total += p_type * p_k * ((rule(k) - dist.mean) ** 2 + dist.variance)
     return total

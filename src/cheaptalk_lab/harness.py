@@ -127,6 +127,13 @@ def _scale_from_variance(family: Family, variance: float) -> float:
     return math.sqrt(3.0 * variance) / math.pi
 
 
+def _integer(value) -> int:
+    """A whole config value: 2 and 2.0 pass; 2.5, true and "2" are refused."""
+    if type(value) in (int, float) and float(value).is_integer():
+        return int(value)
+    raise ConfigError(f"expected an integer, got {value!r}")
+
+
 def build_game(section: dict) -> GameConfig:
     try:
         family = Family(section["family"])
@@ -138,7 +145,7 @@ def build_game(section: dict) -> GameConfig:
             StateDistribution(family, float(section["mu_high"]), float(section["scale_high"])),
         )
         return GameConfig(
-            n_users=int(section["n_users"]),
+            n_users=_integer(section["n_users"]),
             p_high=float(section["p_high"]),
             q_plus=float(section["q_plus"]),
             pair=pair,
@@ -147,7 +154,7 @@ def build_game(section: dict) -> GameConfig:
         raise ConfigError(str(exc)) from exc
 
 
-_AXIS_TYPES = {"n_users": int, "horizon": int, "count": int, "family": str}
+_AXIS_TYPES = {"n_users": _integer, "horizon": _integer, "count": _integer, "family": str}
 _ROW = "row"   # a column horizon: the row's, which the horizon and count axes set
 
 
@@ -211,7 +218,7 @@ _ABANDON = Column("abandon_loss", "abandon_loss")
 
 
 def _horizon_columns(options: dict, default) -> list[Column]:
-    horizons = [int(t) for t in options.get("horizons", default)]
+    horizons = [_integer(t) for t in options.get("horizons", default)]
     return [Column(f"loss_T{t}", "evolving_loss", horizon=t) for t in horizons]
 
 
@@ -224,7 +231,7 @@ def _evolving_columns(options: dict, axis: str) -> list[Column]:
 def _compare_columns(options: dict, axis: str) -> list[Column]:
     if axis != "n_users":
         raise ConfigError("compare sweeps the reviewer count")
-    t = int(options.get("horizon", 2))
+    t = _integer(options.get("horizon", 2))
     return [Column("bayesian_loss", "bayesian_loss"),
             Column(f"evolving_loss_T{t}", "evolving_loss", horizon=t),
             Column("majority_loss", "majority_loss"),
@@ -312,8 +319,8 @@ def _scenario_simulate(cfg: ExperimentConfig):
     if label not in PROFILES_BY_LABEL:
         raise ConfigError(f"unknown profile {label!r}")
     profile = PROFILES_BY_LABEL[label]
-    samples = int(cfg.options.get("samples", 100_000))
-    seed = int(cfg.options.get("seed", 0))
+    samples = _integer(cfg.options.get("samples", 100_000))
+    seed = _integer(cfg.options.get("seed", 0))
     rule = game.best_response_rule(profile, g)
     report = montecarlo.simulate_game(g, profile, rule, samples, seed)
 
@@ -363,15 +370,16 @@ def write_csv(path: Path, header, rows) -> None:
 def render_svg(header, rows, title: str) -> str:
     """Minimal polyline plot of every numeric column against the first one."""
     width, height, margin = 640, 400, 55
-    xs = [float(r[0]) for r in rows]
-    series = []
-    for col in range(1, len(header)):
+
+    def numeric(col: int) -> list[float]:
         try:
-            ys = [float(r[col]) for r in rows]
+            values = [float(r[col]) for r in rows]
         except (TypeError, ValueError):
-            continue
-        if all(math.isfinite(y) for y in ys):
-            series.append((header[col], ys))
+            return []
+        return values if all(math.isfinite(v) for v in values) else []
+
+    xs = numeric(0)   # empty for a first column of names, as in ``simulate``
+    series = [(header[col], ys) for col in range(1, len(header)) if (ys := numeric(col))]
     if not xs or not series:
         return ("<svg xmlns='http://www.w3.org/2000/svg' width='640' height='400'>"
                 "<text x='20' y='40'>no numeric series</text></svg>")
@@ -427,12 +435,11 @@ def run(cfg: ExperimentConfig, out_dir=None) -> list[Path]:
     else:
         header, rows = _build_table(cfg)
 
-    written = []
-    csv_path = out / f"{cfg.stem}.csv"
-    write_csv(csv_path, header, rows)
-    written.append(csv_path)
-    if "svg" in cfg.formats:
-        svg_path = out / f"{cfg.stem}.svg"
-        _write_atomic(svg_path, render_svg(header, rows, cfg.stem))
-        written.append(svg_path)
+    # the SVG is rendered before any file is written: a failed render leaves nothing
+    svg = render_svg(header, rows, cfg.stem) if "svg" in cfg.formats else None
+    written = [out / f"{cfg.stem}.csv"]
+    write_csv(written[0], header, rows)
+    if svg is not None:
+        written.append(out / f"{cfg.stem}.svg")
+        _write_atomic(written[1], svg)
     return written

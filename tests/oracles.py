@@ -23,9 +23,8 @@ C = math.comb
 # brute-force expectations (exact enumeration over bias assignments)
 
 
-def brute_force_utility(profile, rule, bias, config: GameConfig,
-                        focal_strategy=None) -> float:
-    focal = focal_strategy if focal_strategy is not None else profile.strategy_for(bias)
+def brute_force_utility(profile, rule, bias, config: GameConfig) -> float:
+    focal = profile.strategy_for(bias)
     total = 0.0
     for service in ServiceType:
         p_type = config.type_prob(service)

@@ -29,6 +29,8 @@ class TestMajorityVote:
         assert majority_vote_loss(config(n=2, p=0.5)) == pytest.approx(1.5, abs=1e-12)
         assert majority_vote_loss(config(n=3, p=0.5)) == pytest.approx(2.0, abs=1e-12)
         assert majority_vote_loss(config(n=2, p=0.3)) == pytest.approx(1.42, abs=1e-12)
+        # odd N: each tail is exactly 2^(N-1), and 2^N is past the double range
+        assert majority_vote_loss(config(n=1025, p=0.3)) == 2.0
 
     def test_equals_brute_force_for_all_counts(self):
         for n in range(1, 9):

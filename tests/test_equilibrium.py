@@ -70,7 +70,7 @@ class TestIsPbe:
 
 class TestEnumeration:
     def test_equal_shares_table_for_all_counts(self):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 13, 26, 39):
             for p in (0.1, 0.3, 0.5, 0.7, 0.9):
                 got = labels(enumerate_pbe(config(n=n, p=p)))
                 assert got == {"SC1", "SC2", "SC3", "SC4"}, (n, p)
@@ -148,11 +148,12 @@ class TestSystemLoss:
         assert symmetric_bias_loss(1, 0.3, 0.0) == 0.0
 
     def test_generic_enumeration_matches_the_closed_form(self):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 13, 26, 39):
             for p in (0.1, 0.3, 0.5, 0.7, 0.9):
                 g = config(n=n, p=p, var_h=1.5)
+                # abs=0: from N=26 the loss is below approx's default 1e-12
                 assert bayesian_system_loss(g) == pytest.approx(
-                    symmetric_bias_loss(n, p, 2.0), rel=1e-12)
+                    symmetric_bias_loss(n, p, 2.0), rel=1e-12, abs=0.0), (n, p)
 
     def test_one_user_loss_matches_enumeration_off_the_thresholds(self):
         rng = np.random.default_rng(41)
@@ -176,6 +177,14 @@ class TestSystemLoss:
     def test_strictly_decreasing_in_the_reviewer_count(self):
         losses = [symmetric_bias_loss(n, 0.3, 2.0) for n in range(1, 11)]
         assert all(a > b for a, b in zip(losses, losses[1:]))
+
+    def test_closed_forms_stay_finite_where_two_to_the_n_overflows(self):
+        for n in (1024, 5000):
+            for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+                loss = symmetric_bias_loss(n, p, 2.0)
+                assert math.isfinite(loss) and loss >= 0.0
+            loss = three_type_loss(n, 2.0)
+            assert math.isfinite(loss) and loss >= 0.0
 
     def test_dominated_by_both_benchmarks(self):
         rng = np.random.default_rng(43)

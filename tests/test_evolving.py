@@ -46,6 +46,16 @@ class TestSolveSchedule:
             assert s.lambda_low == pytest.approx(lam_low, rel=1e-9)
             assert s.lambda_high == pytest.approx(lam_high, rel=1e-9)
 
+    def test_large_horizons_solve_without_overflow(self):
+        # from T=179 the geometric sums exceed the double range
+        for horizon in (179, 400):
+            s = solve_schedule(FIG_CONFIG, horizon)
+            assert math.isfinite(s.lambda_low) and math.isfinite(s.lambda_high)
+            for log_ratio in (-30.0, 0.0, 30.0):
+                a_low, a_high = s.actions_from_log_ratio(log_ratio)
+                assert FIG_CONFIG.mu_low <= a_low <= FIG_CONFIG.mu_high
+                assert FIG_CONFIG.mu_low <= a_high <= FIG_CONFIG.mu_high
+
     def test_single_period_is_degenerate(self):
         with pytest.raises(DegenerateHorizon):
             solve_schedule(FIG_CONFIG, 1)
@@ -158,7 +168,10 @@ class TestEvolvingLoss:
         assert evolving_loss(config(mu_l=-5, mu_h=5), 2) < 1e-9
 
     def test_large_horizon_underflows_to_zero_without_error(self):
-        assert evolving_loss(FIG_CONFIG, 500) == 0.0
+        for horizon in (400, 500):
+            loss = evolving_loss(FIG_CONFIG, horizon)
+            # +0.0: a CSV prints -0.0 as "-0"
+            assert loss == 0.0 and math.copysign(1.0, loss) == 1.0, horizon
 
     def test_laplace_and_logistic_pairs_are_supported(self):
         for family, scale_high in ((Family.LAPLACE, 1.5), (Family.LOGISTIC, 1.5)):

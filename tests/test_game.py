@@ -166,11 +166,13 @@ class TestExpectedUtility:
                        q=rng.uniform(0.05, 0.95),
                        mu_l=rng.uniform(-3, 0), mu_h=rng.uniform(0.1, 3))
             profile = ALL_PROFILES[rng.integers(0, 16)]
-            focal = list(PureStrategy)[rng.integers(0, 4)]
+            alternative = list(PureStrategy)[rng.integers(0, 4)]
             rule = best_response_rule(profile, g)
             for bias in Bias:
-                got = expected_user_utility(profile, rule, bias, g, focal)
-                want = brute_force_utility(profile, rule, bias, g, focal)
+                # the bias class deviates; the rule still answers ``profile``
+                deviated = profile.with_strategy(bias, alternative)
+                got = expected_user_utility(deviated, rule, bias, g)
+                want = brute_force_utility(deviated, rule, bias, g)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from cheaptalk_lab import harness
 from cheaptalk_lab.cli import main
 from cheaptalk_lab.harness import (ConfigError, load_experiment, run,
                                    write_csv)
@@ -56,13 +57,30 @@ class TestConfigParsing:
         "scenario: figure\nsweep:\n  axis: p_high\n  values: [0.3]\n"
         "options:\n  figure: fig3\n",
         "scenario: benchmark\ngame:\n  mu_low: .nan\n",
+        "scenario: pbe\ngame:\n  n_users: 2.5\n",
+        "scenario: loss_curve\nsweep:\n  axis: n_users\n  values: [2.5, 3.9]\n",
+        "scenario: evolving\nsweep:\n  axis: mu_low\n  values: [-2.0]\n"
+        "options:\n  horizons: [2.5, 3.7]\n",
+        "scenario: compare\noptions:\n  horizon: 2.5\n",
+        "scenario: simulate\noptions:\n  samples: 2.5\n",
+        "scenario: simulate\noptions:\n  seed: 2.5\n",
     ], ids=["horizon_axis_unused", "compare_axis", "empty_values",
-            "unknown_figure", "figure_needs_horizon_sweep", "nan_mean"])
+            "unknown_figure", "figure_needs_horizon_sweep", "nan_mean",
+            "fractional_n_users", "fractional_sweep_values",
+            "fractional_horizons", "fractional_horizon", "fractional_samples",
+            "fractional_seed"])
     def test_invalid_tables_rejected(self, tmp_path, text):
         cfg = load_experiment(write_yaml(tmp_path, text))
         with pytest.raises(ConfigError):
             run(cfg, out_dir=tmp_path)
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_whole_float_counts_are_accepted(self, tmp_path):
+        path = write_yaml(tmp_path, "scenario: loss_curve\n"
+                          "sweep:\n  axis: n_users\n  values: [1.0, 2]\n")
+        (path,) = run(load_experiment(path), out_dir=tmp_path)
+        header, rows = read_csv(path)
+        assert [r[0] for r in rows] == ["1", "2"]
 
     def test_bad_game_values_rejected(self, tmp_path):
         path = write_yaml(tmp_path,
@@ -163,6 +181,23 @@ class TestOutputs:
         assert [p.suffix for p in paths] == [".csv", ".svg"]
         body = paths[1].read_text()
         assert body.startswith("<svg") and "polyline" in body
+
+    def test_svg_of_a_table_without_a_numeric_axis(self, tmp_path):
+        cfg = load_experiment(CONFIG_DIR / "simulate_sc1.yaml", samples=2_000)
+        cfg.formats = ("csv", "svg")
+        paths = run(cfg, out_dir=tmp_path)
+        assert [p.suffix for p in paths] == [".csv", ".svg"]
+        assert "no numeric series" in paths[1].read_text()
+
+    def test_a_failed_render_leaves_no_files(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("render failed")
+        monkeypatch.setattr(harness, "render_svg", broken)
+        cfg = load_experiment(CONFIG_DIR / "benchmark_counts.yaml")
+        cfg.formats = ("csv", "svg")
+        with pytest.raises(RuntimeError):
+            run(cfg, out_dir=tmp_path)
+        assert not list(tmp_path.iterdir())
 
     def test_default_output_dir_comes_from_the_environment(self, tmp_path,
                                                            monkeypatch):
