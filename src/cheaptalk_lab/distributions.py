@@ -4,16 +4,21 @@ The service state is a continuous quantity whose density is one of two
 candidates (a "low" and a "high" one).  Three location-scale families are
 supported; all have full support on the real line, so the two candidates of a
 pair automatically share their support.
+
+The separation integrals are closed forms for normal pairs (any variances)
+and Laplace pairs.  Only logistic and mixed-family pairs are integrated
+numerically; that quadrature loads scipy on its first call and is cached per
+(numerator, denominator) pair.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DivergentIntegral, DivisionOutsideSupport, QuadratureFailure
 
@@ -169,8 +174,11 @@ def _check_converges(num: StateDistribution, den: StateDistribution) -> tuple[fl
     return quad, rate
 
 
+@functools.lru_cache(maxsize=64)
 def _ratio_integral(num: StateDistribution, den: StateDistribution) -> float:
     """Adaptive quadrature of the squared-ratio integral num^2/den over the line."""
+    from scipy import integrate   # on demand: closed-form pairs never load scipy
+
     quad_coeff, rate = _check_converges(num, den)
 
     centers = sorted({num.location, den.location})
@@ -208,16 +216,37 @@ def _ratio_integral(num: StateDistribution, den: StateDistribution) -> float:
     return wide
 
 
+def _closed_form_integral(num: StateDistribution, den: StateDistribution) -> float:
+    """The squared-ratio integral num^2/den of a normal or a Laplace pair."""
+    _, tail_rate = _check_converges(num, den)
+    if num.family is Family.NORMAL:
+        # v_d / sqrt(v_n (2 v_d - v_n)) * exp((m_n - m_d)^2 / (2 v_d - v_n)),
+        # the prefactor taken as a product of variance ratios, which is exactly
+        # 1 for equal variances and does not overflow for large ones
+        v_num, v_den = num.scale**2, den.scale**2
+        spread = 2.0 * v_den - v_num
+        return (math.exp((num.location - den.location) ** 2 / spread)
+                * math.sqrt(v_den / v_num * (v_den / spread)))
+    # (c / 2b^2) * integral of exp(-2|t - m|/b + |t - n|/c): two tails of rate
+    # 2/b - 1/c beyond the locations and, between them, a piece of rate 2/b + 1/c;
+    # the exponent is d/c at m and -2d/b at n, d being the locations' distance
+    b, c = num.scale, den.scale
+    d = abs(num.location - den.location)
+    middle_rate = 2.0 / b + 1.0 / c
+    at_num, at_den = math.exp(d / c), math.exp(-2.0 * d / b)
+    middle = -at_num * math.expm1(-d * middle_rate)   # at_num - at_den, accurately
+    return c / (2.0 * b * b) * ((at_num + at_den) / tail_rate + middle / middle_rate)
+
+
 def alpha_beta(pair: DistributionPair) -> tuple[float, float]:
     """The two squared-ratio separation integrals of the pair.
 
     Both equal 1 exactly when the densities coincide and exceed 1 otherwise.
-    Equal-variance normal pairs use the exact closed form
-    exp(gap^2 / sigma^2); every other combination is integrated numerically.
+    Normal pairs of any variances and Laplace pairs use exact closed forms;
+    logistic and mixed-family pairs are integrated numerically, once per pair.
+    Raises ``DivergentIntegral`` when an integral does not converge.
     """
     low, high = pair.low, pair.high
-    if (low.family is Family.NORMAL and high.family is Family.NORMAL
-            and low.scale == high.scale):
-        value = math.exp(pair.mean_gap**2 / low.scale**2)
-        return value, value
+    if low.family is high.family and low.family is not Family.LOGISTIC:
+        return _closed_form_integral(low, high), _closed_form_integral(high, low)
     return _ratio_integral(low, high), _ratio_integral(high, low)

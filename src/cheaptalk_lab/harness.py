@@ -134,6 +134,13 @@ def _integer(value) -> int:
     raise ConfigError(f"expected an integer, got {value!r}")
 
 
+def _real(value) -> float:
+    """A real config value: 2 and 0.3 pass; true and "0.3" are refused."""
+    if type(value) in (int, float):
+        return float(value)
+    raise ConfigError(f"expected a number, got {value!r}")
+
+
 def build_game(section: dict) -> GameConfig:
     try:
         family = Family(section["family"])
@@ -304,7 +311,7 @@ def _build_table(cfg: ExperimentConfig):
     base = dict(cfg.game, **spec.game)
     rows = []
     for raw in values:
-        value = _AXIS_TYPES.get(axis, float)(raw)
+        value = _AXIS_TYPES.get(axis, _real)(raw)
         section = _apply_axis(base, axis, value)
         rows.append([value] + [
             _QUANTITIES[c.quantity](build_game(dict(section, **c.game)),

@@ -92,15 +92,15 @@ def test_criterion_04_worst_equilibrium_loss_formula():
     assert symmetric_bias_loss(1, 0.3, 2.0) == pytest.approx(0.6461538,
                                                              abs=1e-7)
     assert symmetric_bias_loss(1, 0.3, 2.0) == pytest.approx(0.84 / 1.3,
-                                                             rel=1e-9)
+                                                             rel=1e-9, abs=0.0)
     assert symmetric_bias_loss(2, 0.3, 2.0) == pytest.approx(0.84 / 1.9,
-                                                             rel=1e-9)
+                                                             rel=1e-9, abs=0.0)
     losses = [symmetric_bias_loss(n, 0.3, 2.0) for n in range(1, 11)]
     assert all(a > b for a, b in zip(losses, losses[1:]))
     for n in (1, 2, 3):
         for p in (0.1, 0.3, 0.5, 0.7, 0.9):
             assert bayesian_system_loss(config(n=n, p=p)) == pytest.approx(
-                symmetric_bias_loss(n, p, 2.0), rel=1e-9)
+                symmetric_bias_loss(n, p, 2.0), rel=1e-9, abs=0.0)
     report("criterion 4: worst-equilibrium loss 0.6461538 / 0.4421053, "
            "decreasing in N, generic enumeration matches the formula (1e-9)")
 
@@ -130,7 +130,7 @@ def test_criterion_06_commitment_mechanism():
     general = evolving_loss(g, 2)
     normal_form = equal_variance_normal_loss(0.3, 2.0, 1.0, 2)
     assert general == pytest.approx(0.126739, abs=5e-7)
-    assert general == pytest.approx(normal_form, rel=1e-9)
+    assert general == pytest.approx(normal_form, rel=1e-9, abs=0.0)
 
     losses = [evolving_loss(g, t) for t in range(2, 13)]
     assert all(a > b for a, b in zip(losses, losses[1:]))
@@ -185,9 +185,9 @@ def test_criterion_08_crossover():
 def test_criterion_09_three_type_extension():
     assert three_type_loss(2, 2.0) == pytest.approx(0.2916667, abs=1e-7)
     assert three_type_loss(2, 2.0) == pytest.approx(21.0 * 4.0 / 288.0,
-                                                    rel=1e-9)
+                                                    rel=1e-9, abs=0.0)
     assert three_type_loss(3, 2.0) == pytest.approx(41.0 * 4.0 / 960.0,
-                                                    rel=1e-9)
+                                                    rel=1e-9, abs=0.0)
     losses = [three_type_loss(n, 2.0) for n in range(2, 12)]
     assert all(a > b for a, b in zip(losses, losses[1:]))
     report("criterion 9: three-type losses 0.2916667 / 0.1708333 (1e-9), "

@@ -43,7 +43,7 @@ class TestMajorityVote:
         for n in range(1, 7):
             g = config(n=n, p=0.41)
             assert majority_vote_loss_biased(g) == pytest.approx(
-                majority_vote_loss(g), rel=1e-12)
+                majority_vote_loss(g), rel=1e-12, abs=0.0)
 
     def test_biased_variant_equals_brute_force(self):
         for q in (0.1, 0.35, 0.8):
@@ -68,7 +68,7 @@ class TestMajorityVote:
         base = majority_vote_loss(config(n=3, mu_l=-0.5, mu_h=0.5))
         for gap in (10.0, 100.0):
             g = config(n=3, mu_l=-gap / 2, mu_h=gap / 2)
-            assert majority_vote_loss(g) == pytest.approx(base * gap**2, rel=1e-12)
+            assert majority_vote_loss(g) == pytest.approx(base * gap**2, rel=1e-12, abs=0.0)
 
 
 class TestAbandon:
@@ -82,7 +82,7 @@ class TestAbandon:
     def test_scales_with_the_squared_mean_gap(self):
         base = abandon_scheme(config(mu_l=-0.5, mu_h=0.5))[1]
         g = config(mu_l=-50, mu_h=50)
-        assert abandon_scheme(g)[1] == pytest.approx(base * 100.0**2, rel=1e-12)
+        assert abandon_scheme(g)[1] == pytest.approx(base * 100.0**2, rel=1e-12, abs=0.0)
 
 
 class TestOneShotCommitment:

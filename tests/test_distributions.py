@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +17,12 @@ from cheaptalk_lab.errors import DivergentIntegral, DivisionOutsideSupport
 
 from oracles import normal_ratio_integral
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
 
 def test_density_peaks():
     assert StateDistribution(Family.NORMAL, 0, 1).density(0.0) == pytest.approx(
-        1.0 / math.sqrt(2 * math.pi), rel=1e-12)
+        1.0 / math.sqrt(2 * math.pi), rel=1e-12, abs=0.0)
     assert StateDistribution(Family.LAPLACE, 0, 1).density(0.0) == pytest.approx(0.5)
     assert StateDistribution(Family.LOGISTIC, 0, 1).density(0.0) == pytest.approx(0.25)
 
@@ -73,18 +79,18 @@ def test_density_matches_moments_by_quadrature():
     var, _ = integrate.quad(lambda t: (t - dist.mean) ** 2 * dist.density(t),
                             -200, 200, limit=300)
     assert mean == pytest.approx(dist.mean, abs=1e-9)
-    assert var == pytest.approx(dist.variance, rel=1e-9)
+    assert var == pytest.approx(dist.variance, rel=1e-9, abs=0.0)
 
 
 class TestLikelihoodRatio:
     def test_symmetric_midpoint(self):
         pair = normal_pair(-1, 1)
-        assert likelihood_ratio(pair, 0.0) == pytest.approx(1.0, rel=1e-12)
+        assert likelihood_ratio(pair, 0.0) == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     def test_matches_exponential_form(self):
         pair = normal_pair(-1, 1)
-        assert likelihood_ratio(pair, 1.0) == pytest.approx(math.exp(2), rel=1e-12)
-        assert likelihood_ratio(pair, -1.0) == pytest.approx(math.exp(-2), rel=1e-12)
+        assert likelihood_ratio(pair, 1.0) == pytest.approx(math.exp(2), rel=1e-12, abs=0.0)
+        assert likelihood_ratio(pair, -1.0) == pytest.approx(math.exp(-2), rel=1e-12, abs=0.0)
 
     def test_rejects_nonfinite_state(self):
         pair = normal_pair(-1, 1)
@@ -102,29 +108,29 @@ class TestLikelihoodRatio:
         thetas = rng.normal(0, 2, size=9)
         product = math.prod(likelihood_ratio(pair, t) for t in thetas)
         assert history_likelihood_ratio(pair, thetas) == pytest.approx(
-            product, rel=1e-10)
+            product, rel=1e-10, abs=0.0)
         assert history_log_likelihood_ratio(pair, []) == 0.0
 
     def test_long_history_stays_finite_in_log_space(self):
         pair = normal_pair(-1, 1)
         log_ratio = history_log_likelihood_ratio(pair, [1.0] * 500)
-        assert log_ratio == pytest.approx(1000.0, rel=1e-12)
+        assert log_ratio == pytest.approx(1000.0, rel=1e-12, abs=0.0)
 
 
 class TestAlphaBeta:
     def test_identical_densities_give_one(self):
         alpha, beta = alpha_beta(normal_pair(0.3, 0.3, 1.2, 1.2))
-        assert alpha == pytest.approx(1.0, rel=1e-12)
-        assert beta == pytest.approx(1.0, rel=1e-12)
+        assert alpha == pytest.approx(1.0, rel=1e-12, abs=0.0)
+        assert beta == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     def test_equal_variance_normal_closed_form(self):
         alpha, beta = alpha_beta(normal_pair(-1, 1, 1, 1))
-        assert alpha == pytest.approx(math.exp(4.0), rel=1e-12)
+        assert alpha == pytest.approx(math.exp(4.0), rel=1e-12, abs=0.0)
         assert beta == alpha
 
     def test_quadrature_path_reproduces_the_equal_variance_closed_form(self):
-        # the public entry point short-circuits equal-variance normal pairs,
-        # so drive the integrator directly on randomized such pairs
+        # the public entry point uses the closed form for every normal pair,
+        # so drive the integrator directly on randomized equal-variance pairs
         from cheaptalk_lab.distributions import _ratio_integral
 
         rng = np.random.default_rng(19)
@@ -135,11 +141,14 @@ class TestAlphaBeta:
             low = StateDistribution(Family.NORMAL, mu_l, sigma)
             high = StateDistribution(Family.NORMAL, mu_h, sigma)
             want = math.exp((mu_h - mu_l) ** 2 / sigma**2)
-            assert _ratio_integral(low, high) == pytest.approx(want, rel=1e-8)
-            assert _ratio_integral(high, low) == pytest.approx(want, rel=1e-8)
+            assert _ratio_integral(low, high) == pytest.approx(want, rel=1e-8, abs=0.0)
+            assert _ratio_integral(high, low) == pytest.approx(want, rel=1e-8, abs=0.0)
 
     def test_quadrature_matches_closed_form_on_random_normal_pairs(self):
-        # force the quadrature path by perturbing one variance off equality
+        # the closed form against the quadrature it replaced, and against the
+        # oracle's own closed form
+        from cheaptalk_lab.distributions import _ratio_integral
+
         rng = np.random.default_rng(23)
         for _ in range(8):
             mu_l = rng.uniform(-2, 0)
@@ -149,28 +158,102 @@ class TestAlphaBeta:
             pair = normal_pair(mu_l, mu_h, var_l, var_h)
             alpha, beta = alpha_beta(pair)
             assert alpha == pytest.approx(
-                normal_ratio_integral(mu_l, var_l, mu_h, var_h), rel=1e-8)
+                _ratio_integral(pair.low, pair.high), rel=1e-12, abs=0.0)
             assert beta == pytest.approx(
-                normal_ratio_integral(mu_h, var_h, mu_l, var_l), rel=1e-8)
+                _ratio_integral(pair.high, pair.low), rel=1e-12, abs=0.0)
+            assert alpha == pytest.approx(
+                normal_ratio_integral(mu_l, var_l, mu_h, var_h), rel=1e-12, abs=0.0)
+            assert beta == pytest.approx(
+                normal_ratio_integral(mu_h, var_h, mu_l, var_l), rel=1e-12, abs=0.0)
+
+    def test_quadrature_matches_closed_form_on_random_laplace_pairs(self):
+        from cheaptalk_lab.distributions import _ratio_integral
+
+        rng = np.random.default_rng(29)
+        pairs = [DistributionPair(StateDistribution(Family.LAPLACE, 0.4, 1.0),
+                                  StateDistribution(Family.LAPLACE, 0.4, 1.3))]
+        for _ in range(8):
+            mu_l = rng.uniform(-2, 0)
+            scale_l = rng.uniform(0.5, 1.5)
+            pairs.append(DistributionPair(
+                StateDistribution(Family.LAPLACE, mu_l, scale_l),
+                StateDistribution(Family.LAPLACE, mu_l + rng.uniform(0, 3),
+                                  scale_l * rng.uniform(0.6, 1.6))))
+        for pair in pairs:
+            alpha, beta = alpha_beta(pair)
+            assert alpha == pytest.approx(
+                _ratio_integral(pair.low, pair.high), rel=1e-12, abs=0.0)
+            assert beta == pytest.approx(
+                _ratio_integral(pair.high, pair.low), rel=1e-12, abs=0.0)
 
     def test_unequal_variance_normal_golden_values(self):
         pair = normal_pair(-1, 1, 1.0, 1.5)
         alpha, beta = alpha_beta(pair)
-        assert alpha == pytest.approx(7.837277511182514, rel=1e-8)
-        assert beta == pytest.approx(3442.1137925230114, rel=1e-8)
+        assert alpha == pytest.approx(7.837277511182514, rel=1e-12, abs=0.0)
+        assert beta == pytest.approx(3442.1137925230114, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("args", [(-1, 1, 1, 1.8), (-2, 2, 1, 1.5),
+                                      (-1, 1, 0.6, 1.0)])
+    def test_convergent_normal_pairs_peaking_far_out_do_not_diverge(self, args):
+        # the quadrature's widen-and-compare check called these divergent
+        mu_l, mu_h, var_l, var_h = args
+        alpha, beta = alpha_beta(normal_pair(*args))
+        assert alpha == pytest.approx(
+            normal_ratio_integral(mu_l, var_l, mu_h, var_h), rel=1e-12, abs=0.0)
+        assert beta == pytest.approx(
+            normal_ratio_integral(mu_h, var_h, mu_l, var_l), rel=1e-12, abs=0.0)
 
     def test_laplace_and_logistic_golden_values(self):
         pair = DistributionPair(StateDistribution(Family.LAPLACE, -1, 1.0),
                                 StateDistribution(Family.LAPLACE, 1, 1.5))
         alpha, beta = alpha_beta(pair)
-        assert alpha == pytest.approx(3.2060585595763884, rel=1e-8)
-        assert beta == pytest.approx(5.669461857026858, rel=1e-8)
+        assert alpha == pytest.approx(3.2060585595763884, rel=1e-12, abs=0.0)
+        assert beta == pytest.approx(5.669461857026858, rel=1e-12, abs=0.0)
 
         pair = DistributionPair(StateDistribution(Family.LOGISTIC, -1, 1.0),
                                 StateDistribution(Family.LOGISTIC, 1, 1.5))
         alpha, beta = alpha_beta(pair)
-        assert alpha == pytest.approx(1.8627897661148847, rel=1e-8)
-        assert beta == pytest.approx(5.146924865753686, rel=1e-8)
+        assert alpha == pytest.approx(1.8627897661148847, rel=1e-8, abs=0.0)
+        assert beta == pytest.approx(5.146924865753686, rel=1e-8, abs=0.0)
+
+    def test_a_logistic_pair_is_integrated_once(self, monkeypatch):
+        from scipy import integrate
+
+        from cheaptalk_lab.distributions import _ratio_integral
+
+        calls = []
+        quad = integrate.quad
+
+        def counting_quad(*args, **kwargs):
+            calls.append(args)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(integrate, "quad", counting_quad)
+        _ratio_integral.cache_clear()
+        pair = DistributionPair(StateDistribution(Family.LOGISTIC, -1, 1.0),
+                                StateDistribution(Family.LOGISTIC, 1, 1.5))
+        first = alpha_beta(pair)
+        integrated = len(calls)
+        assert integrated > 0
+        assert alpha_beta(pair) == first
+        assert len(calls) == integrated
+
+    def test_importing_and_running_closed_form_configs_leaves_scipy_unloaded(self, tmp_path):
+        script = (
+            "import sys\n"
+            "import cheaptalk_lab.cli\n"
+            "from cheaptalk_lab import harness\n"
+            f"harness.run(harness.load_experiment({str(CONFIG_DIR / 'figure3.yaml')!r}),"
+            f" out_dir={str(tmp_path)!r})\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "figure3.csv").exists()
 
     def test_both_exceed_one_for_distinct_densities(self):
         rng = np.random.default_rng(5)
@@ -217,7 +300,7 @@ class TestSampling:
     def test_laplace_sample_variance_near_two(self):
         rng = np.random.default_rng(102)
         draws = StateDistribution(Family.LAPLACE, 0, 1).sample(rng, 10**6)
-        assert draws.var() == pytest.approx(2.0, rel=0.05)
+        assert draws.var() == pytest.approx(2.0, rel=0.05, abs=0.0)
 
     def test_same_seed_gives_identical_sequences(self):
         for family in Family:
@@ -232,4 +315,4 @@ class TestSampling:
             dist = StateDistribution(family, -0.7, 1.4)
             draws = dist.sample(rng, 10**6)
             assert draws.mean() == pytest.approx(dist.mean, abs=0.02)
-            assert draws.var() == pytest.approx(dist.variance, rel=0.03)
+            assert draws.var() == pytest.approx(dist.variance, rel=0.03, abs=0.0)

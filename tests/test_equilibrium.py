@@ -49,7 +49,7 @@ class TestIsPbe:
                 p = g.p_high
                 expected_gain = ((1 - p) * p * q * (1 - q) ** (n - 1) * g.mean_gap
                                  / (1 - p * (1 - (1 - q) ** n)))
-                assert result.gain == pytest.approx(expected_gain, rel=1e-12)
+                assert result.gain == pytest.approx(expected_gain, rel=1e-12, abs=0.0)
 
     def test_degenerate_gap_makes_everything_an_equilibrium(self):
         g = GameConfig(2, 0.3, 0.4, normal_pair(0.2, 0.2))
@@ -110,9 +110,9 @@ class TestEnumeration:
 
 class TestThresholds:
     def test_limit_and_point_values(self):
-        assert p1_high(0.0) == pytest.approx(1.5 - math.sqrt(5) / 2, rel=1e-12)
-        assert p1_high(0.1) == pytest.approx(1.45 - math.sqrt(4.86) / 2, rel=1e-12)
-        assert p1_low(0.9) == pytest.approx(math.sqrt(4.86) / 2 - 0.45, rel=1e-12)
+        assert p1_high(0.0) == pytest.approx(1.5 - math.sqrt(5) / 2, rel=1e-12, abs=0.0)
+        assert p1_high(0.1) == pytest.approx(1.45 - math.sqrt(4.86) / 2, rel=1e-12, abs=0.0)
+        assert p1_low(0.9) == pytest.approx(math.sqrt(4.86) / 2 - 0.45, rel=1e-12, abs=0.0)
 
     def test_symmetry(self):
         for q in np.linspace(0.5 + 1e-6, 1.0 - 1e-9, 40):
@@ -132,7 +132,7 @@ class TestThresholds:
         assert 0.0 <= t.p1_high < 1.0
         t = bias_thresholds(0.9)
         assert t.p1_high is None
-        assert t.p1_low == pytest.approx(0.6522703842524302, rel=1e-9)
+        assert t.p1_low == pytest.approx(0.6522703842524302, rel=1e-9, abs=0.0)
 
     def test_in_unit_interval_in_the_small_share_regime(self):
         for q in np.linspace(0.0, GOLDEN_LOW - 1e-9, 30):
@@ -142,9 +142,9 @@ class TestThresholds:
 class TestSystemLoss:
     def test_symmetric_closed_form_values(self):
         assert symmetric_bias_loss(1, 0.3, 2.0) == pytest.approx(
-            0.84 / 1.3, rel=1e-12)
+            0.84 / 1.3, rel=1e-12, abs=0.0)
         assert symmetric_bias_loss(2, 0.3, 2.0) == pytest.approx(
-            0.84 / 1.9, rel=1e-12)
+            0.84 / 1.9, rel=1e-12, abs=0.0)
         assert symmetric_bias_loss(1, 0.3, 0.0) == 0.0
 
     def test_generic_enumeration_matches_the_closed_form(self):
@@ -167,12 +167,12 @@ class TestSystemLoss:
                 continue
             g = config(p=p, q=q)
             assert bayesian_system_loss(g) == pytest.approx(
-                one_user_loss(p, q, 2.0), rel=1e-10)
+                one_user_loss(p, q, 2.0), rel=1e-10, abs=0.0)
 
     def test_one_user_loss_reduces_to_the_symmetric_form(self):
         for p in (0.1, 0.4, 0.8):
             assert one_user_loss(p, 0.5, 2.0) == pytest.approx(
-                symmetric_bias_loss(1, p, 2.0), rel=1e-12)
+                symmetric_bias_loss(1, p, 2.0), rel=1e-12, abs=0.0)
 
     def test_strictly_decreasing_in_the_reviewer_count(self):
         losses = [symmetric_bias_loss(n, 0.3, 2.0) for n in range(1, 11)]
@@ -206,7 +206,7 @@ class TestSystemLoss:
 class TestLossReduction:
     def test_coefficient(self):
         summary = max_loss_reduction_one_user()
-        assert summary.coefficient == pytest.approx(math.sqrt(5) - 2, rel=1e-12)
+        assert summary.coefficient == pytest.approx(math.sqrt(5) - 2, rel=1e-12, abs=0.0)
 
     def test_grid_search_approaches_the_coefficient(self):
         gap = 2.0
@@ -238,9 +238,9 @@ class TestSequentialCheck:
             assert report.deviations[name].utility == pytest.approx(
                 want, rel=1e-12, abs=1e-14)
         assert report.baseline_utility == pytest.approx(-0.2645161290322581,
-                                                        rel=1e-9)
+                                                        rel=1e-9, abs=0.0)
         assert report.deviations["plan1"].gain == pytest.approx(-0.1354838709677,
-                                                                rel=1e-9)
+                                                                rel=1e-9, abs=0.0)
 
     def test_no_plan_gains_across_the_prior_sweep(self):
         for p in [x / 10 for x in range(1, 10)]:
@@ -258,16 +258,16 @@ class TestSequentialCheck:
 class TestThreeTypeLoss:
     def test_values(self):
         assert three_type_loss(2, 2.0) == pytest.approx(0.2916666666666667,
-                                                        rel=1e-12)
+                                                        rel=1e-12, abs=0.0)
         assert three_type_loss(3, 2.0) == pytest.approx(0.17083333333333334,
-                                                        rel=1e-12)
+                                                        rel=1e-12, abs=0.0)
         assert three_type_loss(4, 0.0) == 0.0
 
     def test_matches_the_rating_rule_derivation(self):
         for n in range(2, 9):
             for delta in (1.0, 2.0, 5.0):
                 assert three_type_loss(n, delta) == pytest.approx(
-                    three_type_loss_direct(n, delta), rel=1e-12)
+                    three_type_loss_direct(n, delta), rel=1e-12, abs=0.0)
 
     def test_strictly_decreasing_and_vanishing(self):
         losses = [three_type_loss(n, 2.0) for n in range(2, 16)]

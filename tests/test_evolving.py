@@ -28,7 +28,7 @@ FIG_CONFIG = config()
 class TestSolveSchedule:
     def test_reference_values(self):
         s = solve_schedule(FIG_CONFIG, 2)
-        assert s.s_alpha == pytest.approx(1.0 + math.exp(4.0), rel=1e-12)
+        assert s.s_alpha == pytest.approx(1.0 + math.exp(4.0), rel=1e-12, abs=0.0)
         assert s.s_beta == s.s_alpha
         assert s.lambda_low > 0 and s.lambda_high > 0
 
@@ -43,8 +43,8 @@ class TestSolveSchedule:
             s = solve_schedule(g, horizon)
             lam_low, lam_high = multipliers_by_linear_solve(
                 p, gap, s.alpha, s.beta, horizon)
-            assert s.lambda_low == pytest.approx(lam_low, rel=1e-9)
-            assert s.lambda_high == pytest.approx(lam_high, rel=1e-9)
+            assert s.lambda_low == pytest.approx(lam_low, rel=1e-9, abs=0.0)
+            assert s.lambda_high == pytest.approx(lam_high, rel=1e-9, abs=0.0)
 
     def test_large_horizons_solve_without_overflow(self):
         # from T=179 the geometric sums exceed the double range
@@ -81,9 +81,9 @@ class TestCommitmentActions:
     def test_midpoint_history_keeps_unit_ratio(self):
         s = solve_schedule(FIG_CONFIG, 3)
         assert s.actions([0.0]) == pytest.approx(
-            s.actions([]), rel=1e-12)
+            s.actions([]), rel=1e-12, abs=0.0)
         assert s.actions([0.0, 0.0]) == pytest.approx(
-            s.actions([]), rel=1e-12)
+            s.actions([]), rel=1e-12, abs=0.0)
 
     def test_high_action_rises_toward_its_supremum_on_favorable_runs(self):
         # as the history ratio blows up the high action increases toward
@@ -96,7 +96,7 @@ class TestCommitmentActions:
             assert a_high < FIG_CONFIG.mu_high
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         supremum = FIG_CONFIG.mu_high - s.lambda_high / (2 * FIG_CONFIG.p_high)
-        assert gaps[-1] == pytest.approx(FIG_CONFIG.mu_high - supremum, rel=1e-9)
+        assert gaps[-1] == pytest.approx(FIG_CONFIG.mu_high - supremum, rel=1e-9, abs=0.0)
 
     def test_bounds_hold_over_random_histories(self):
         rng = np.random.default_rng(59)
@@ -125,7 +125,7 @@ class TestEvolvingLoss:
                                    var_l=var, var_h=var)
                         assert evolving_loss(g, horizon) == pytest.approx(
                             equal_variance_normal_loss(p, gap, var, horizon),
-                            rel=1e-9)
+                            rel=1e-9, abs=0.0)
 
     def test_loss_matches_the_second_moment_derivation(self):
         rng = np.random.default_rng(61)
@@ -137,7 +137,7 @@ class TestEvolvingLoss:
             s = solve_schedule(g, horizon)
             direct = loss_by_moment_sums(p, s.lambda_low, s.lambda_high,
                                          s.alpha, s.beta, horizon)
-            assert evolving_loss(g, horizon) == pytest.approx(direct, rel=1e-9)
+            assert evolving_loss(g, horizon) == pytest.approx(direct, rel=1e-9, abs=0.0)
 
     def test_two_period_cost_by_quadrature(self):
         for g in (FIG_CONFIG, config(var_h=1.5)):
@@ -145,7 +145,7 @@ class TestEvolvingLoss:
             cost = cost_by_quadrature_two_periods(s)
             floor = (g.p_high * g.pair.high.variance
                      + (1 - g.p_high) * g.pair.low.variance)
-            assert cost - floor == pytest.approx(evolving_loss(g, 2), rel=1e-8)
+            assert cost - floor == pytest.approx(evolving_loss(g, 2), rel=1e-8, abs=0.0)
 
     def test_single_period_routes_to_the_abandoning_loss(self):
         assert evolving_loss(FIG_CONFIG, 1) == pytest.approx(0.84, abs=1e-12)
@@ -185,7 +185,7 @@ class TestEvolvingLoss:
     def test_loss_follows_from_the_separation_sums(self):
         alpha, beta = alpha_beta(FIG_CONFIG.pair)
         assert _solve(0.3, 2.0, alpha, beta, 2).loss == pytest.approx(
-            evolving_loss(FIG_CONFIG, 2), rel=1e-12)
+            evolving_loss(FIG_CONFIG, 2), rel=1e-12, abs=0.0)
 
 
 class TestCrossover:

@@ -41,9 +41,9 @@ def test_high_message_prob_examples():
 def test_posterior_examples():
     g = config()
     assert posterior_high(SC1, g, 1) == 1.0
-    assert posterior_high(SC1, g, 0) == pytest.approx(0.15 / 0.85, rel=1e-12)
+    assert posterior_high(SC1, g, 0) == pytest.approx(0.15 / 0.85, rel=1e-12, abs=0.0)
     g2 = config(n=2)
-    assert posterior_high(SC2, g2, 2) == pytest.approx(0.3 / 0.475, rel=1e-12)
+    assert posterior_high(SC2, g2, 2) == pytest.approx(0.3 / 0.475, rel=1e-12, abs=0.0)
 
 
 def test_posterior_rejects_bad_count():
@@ -74,10 +74,10 @@ def test_posterior_is_prior_when_counts_are_uninformative():
 class TestBestResponseRule:
     def test_spec_values(self):
         rule = best_response_rule(SC1, config())
-        assert rule(0) == pytest.approx(-0.6470588235294118, rel=1e-9)
+        assert rule(0) == pytest.approx(-0.6470588235294118, rel=1e-9, abs=0.0)
         assert rule(1) == 1.0
         rule = best_response_rule(SC2, config(n=2))
-        assert rule(2) == pytest.approx(0.2631578947368423, rel=1e-9)
+        assert rule(2) == pytest.approx(0.2631578947368423, rel=1e-9, abs=0.0)
         assert rule(0) == -1.0 and rule(1) == -1.0
 
     def test_constant_rule_for_opposed_strategies(self):
@@ -132,11 +132,11 @@ class TestExpectedUtility:
         g = config()
         rule = best_response_rule(SC1, g)
         assert expected_user_utility(SC1, rule, Bias.POSITIVE, g) == pytest.approx(
-            -0.15294117647058814, rel=1e-9)
+            -0.15294117647058814, rel=1e-9, abs=0.0)
         g2 = config(n=2)
         rule2 = best_response_rule(SC1, g2)
         assert expected_user_utility(SC1, rule2, Bias.POSITIVE, g2) == pytest.approx(
-            -0.2645161290322581, rel=1e-9)
+            -0.2645161290322581, rel=1e-9, abs=0.0)
 
     def test_constant_rule_gives_the_constant(self):
         g = config(n=3, p=0.62)
@@ -186,10 +186,10 @@ class TestPlatformCost:
     def test_spec_values(self):
         g = config(var_h=1.5)
         rule = best_response_rule(SC5, g)
-        assert expected_platform_cost(SC5, rule, g) == pytest.approx(1.99, rel=1e-12)
+        assert expected_platform_cost(SC5, rule, g) == pytest.approx(1.99, rel=1e-12, abs=0.0)
         rule = best_response_rule(SC1, g)
         assert expected_platform_cost(SC1, rule, g) == pytest.approx(
-            1.15 + 0.84 / 1.7, rel=1e-12)
+            1.15 + 0.84 / 1.7, rel=1e-12, abs=0.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(29)
@@ -201,7 +201,7 @@ class TestPlatformCost:
             rule = best_response_rule(profile, g)
             got = expected_platform_cost(profile, rule, g)
             assert got == pytest.approx(brute_force_cost(profile, rule, g),
-                                        rel=1e-12)
+                                        rel=1e-12, abs=0.0)
 
     def test_cost_floor_holds_for_every_profile(self):
         rng = np.random.default_rng(31)

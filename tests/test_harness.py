@@ -64,11 +64,16 @@ class TestConfigParsing:
         "scenario: compare\noptions:\n  horizon: 2.5\n",
         "scenario: simulate\noptions:\n  samples: 2.5\n",
         "scenario: simulate\noptions:\n  seed: 2.5\n",
+        "scenario: pbe\nsweep:\n  axis: p_high\n  values: [0.3, abc]\n",
+        "scenario: evolving\nsweep:\n  axis: mu_low\n  values: [false]\n",
+        "scenario: evolving\nsweep:\n  axis: mu_low\n  values: ['-2.0']\n",
+        "scenario: evolving\nsweep:\n  axis: var_high\n  values: [true]\n",
     ], ids=["horizon_axis_unused", "compare_axis", "empty_values",
             "unknown_figure", "figure_needs_horizon_sweep", "nan_mean",
             "fractional_n_users", "fractional_sweep_values",
             "fractional_horizons", "fractional_horizon", "fractional_samples",
-            "fractional_seed"])
+            "fractional_seed", "text_sweep_value", "bool_sweep_value",
+            "quoted_sweep_value", "bool_variance"])
     def test_invalid_tables_rejected(self, tmp_path, text):
         cfg = load_experiment(write_yaml(tmp_path, text))
         with pytest.raises(ConfigError):
@@ -111,6 +116,17 @@ class TestScenarios:
         for col in range(1, 5):
             series = [float(r[col]) for r in rows]
             assert all(a < b for a, b in zip(series, series[1:]))
+
+    def test_high_variance_sweep_with_far_peaking_integrands(self, tmp_path):
+        # the separation integral of var_high 1.8 peaks far from both means;
+        # a truncated quadrature once reported it divergent
+        path = write_yaml(tmp_path, "scenario: evolving\nsweep:\n  axis: var_high\n"
+                          "  values: [1.0, 1.5, 1.8]\n")
+        (path,) = run(load_experiment(path), out_dir=tmp_path)
+        header, rows = read_csv(path)
+        assert header[0] == "var_high"
+        assert [float(r[0]) for r in rows] == [1.0, 1.5, 1.8]
+        assert all(math.isfinite(float(cell)) for r in rows for cell in r)
 
     def test_figure6_bayesian_columns_fall_beyond_three_reviewers(self, tmp_path):
         cfg = load_experiment(CONFIG_DIR / "figure6.yaml")
