@@ -6,30 +6,63 @@ and the platform re-derives its rating rule for the deviated profile.  A
 profile is an equilibrium when neither class gains from any such switch.  The
 published tables, thresholds and loss formulas are exact under this notion; a
 unilateral deviation against a frozen rule would let a blind reviewer
-free-ride on out-of-date beliefs and reject every informative profile.  The
-ratings, payoffs and losses come from the message-count pmf of ``game``, and
-the sequential check rates ordered message pairs through the same posterior.
+free-ride on out-of-date beliefs and reject every informative profile.
+
+Under a profile's own best-response rule the expected posterior is the prior
+p, so a profile enters both class utilities through one number, its bias
+influence D_P = E[post | focal reviewer positive] - E[post | focal reviewer
+negative]:
+
+    U[P, +] = mu_L + gap (p + (1 - q) D_P),   U[P, -] = -mu_L - gap (p - q D_P).
+
+A class deviation P -> P' gains gap (1 - q)(D_P' - D_P) for the positive class
+and gap q (D_P' - D_P) for the negative class.  So with gap > 0 a profile is
+stable iff D_P >= D_P' for its six deviations, with gap = 0 every profile is,
+and the set depends on (N, p, q) only; it is built once per game.  The
+influence is
+
+    D_P = sum_t s_t pi_t sum_j Bin(j; N-1, h_t) (post(j+1) - post(j)),
+
+with s_t the positive class's message minus the negative class's under type
+t and h_t in {0, q, 1-q, 1} a reviewer's chance of messaging high.  Each
+type's part is one log-sum-exp: the log-odds are linear in the count, h is
+formed from log q and log1p(-q), never from the float 1 - q, and influences
+far below the range of a double still compare.
+
+D_P is exactly zero, and carries no parts, when (a) s_H = s_L = 0 (SC7, SC8,
+SC16); (b) h_H = h_L, the babbling profiles SC9-SC11 and, at q = 1/2, SC5 and
+SC6; (c) p = 1/2, h_L = 1 - h_H and s_H = -s_L, where the map k -> N - k
+cancels the two parts (SC5 and SC6 at p = 1/2).  Ties between such zeros are
+therefore exact.  Any other comparison whose float margin is below a fixed
+bound (1e-10 of the parts' magnitudes, widened by the rounding of the largest
+log term at large N) is decided again in decimal arithmetic by ``_exact``,
+imported only then, at a precision taken from the float margin and doubled
+until the sign is certain; past a cap it raises ``UndecidedEquilibrium``
+rather than return a set.  Losses are the expected posterior variance, summed
+in the same log space.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import OutOfRegime
-from .game import (ALL_PROFILES, Bias, GameConfig, InferenceRule,
-                   PureStrategy, SC1, ServiceType, StrategyProfile,
-                   _likelihoods, _posterior, best_response_rule,
+from .game import (ALL_PROFILES, PROFILE_LABELS, Bias, GameConfig,
+                   InferenceRule, PureStrategy, SC1, ServiceType,
+                   StrategyProfile, _posterior, best_response_rule,
                    expected_user_utility)
 
 GOLDEN_LOW = (3.0 - math.sqrt(5.0)) / 2.0   # small positive-share regime ends here
 GOLDEN_HIGH = (math.sqrt(5.0) - 1.0) / 2.0  # large positive-share regime starts here
 
-
-def _gain_tolerance(config: GameConfig) -> float:
-    return 1e-12 * max(1.0, abs(config.mu_high), abs(config.mu_low))
+_MARGIN = 1e-10   # relative float margin below which a comparison is decided exactly
 
 
 @dataclass(frozen=True)
@@ -48,60 +81,207 @@ class DeviationWitness:
     gain: float
 
 
-def _utility_table(config: GameConfig) -> dict[tuple[StrategyProfile, Bias], float]:
-    """U[profile, bias]: a reviewer's expected utility when everyone plays
-    ``profile`` and the platform best-responds to it.
-
-    A class deviation always lands on another of the 16 profiles, so these 32
-    values hold every utility an equilibrium check compares.
-    """
-    table = {}
-    for profile in ALL_PROFILES:
-        rule = best_response_rule(profile, config)
-        for bias in Bias:
-            table[profile, bias] = expected_user_utility(profile, rule, bias, config)
-    return table
+def _alternatives(profile: StrategyProfile) -> list[tuple[Bias, PureStrategy]]:
+    """Class deviations, negative bias first, alternatives in declaration order."""
+    return [(bias, alt) for bias in Bias for alt in PureStrategy
+            if alt is not profile.strategy_for(bias)]
 
 
-def _gains(profile: StrategyProfile, table) -> dict[tuple[Bias, PureStrategy], float]:
-    # keys run negative bias first and alternatives in declaration order
-    return {(bias, alt): table[profile.with_strategy(bias, alt), bias] - table[profile, bias]
-            for bias in Bias for alt in PureStrategy
-            if alt is not profile.strategy_for(bias)}
+# Row i: the profiles that the class deviations of profile i lead to, in the
+# order of ``_alternatives``, so the first three columns are negative-class
+# switches and the last three positive ones.
+_TARGETS = np.array([[ALL_PROFILES.index(profile.with_strategy(bias, alt))
+                      for bias, alt in _alternatives(profile)]
+                     for profile in ALL_PROFILES])
+
+
+# A reviewer's chance of messaging high under one type, h = q [positive class
+# sends high] + (1 - q) [negative class sends high], is kept as those two flags.
+
+def _senders(profile: StrategyProfile, service: ServiceType) -> tuple[bool, bool]:
+    return (profile.positive.sends_high(service), profile.negative.sends_high(service))
+
+
+def _rank(flags: tuple[bool, bool], q: float) -> tuple[int, float]:
+    """Orders the chances 0 < min(q, 1-q) <= max(q, 1-q) < 1 without forming 1 - q."""
+    positive, negative = flags
+    if positive != negative:
+        return 1, (q - 0.5 if positive else 0.5 - q)
+    return 2 * positive, 0.0
+
+
+def _xlog(count, log: float):
+    """count * log elementwise, with 0 * log 0 = 0."""
+    if log > -math.inf:
+        return count * log
+    return np.where(count > 0, -math.inf, 0.0)
+
+
+def _logsumexp(x) -> float:
+    top = float(x.max())
+    return top if top == -math.inf else top + math.log(float(np.exp(x - top).sum()))
+
+
+def _log1mexp(x: float) -> float:
+    """log(1 - e^-x) for x > 0."""
+    return math.log(-math.expm1(-x)) if x < math.log(2.0) else math.log1p(-math.exp(-x))
+
+
+class _LogGame:
+    """Bias influences and posterior variances of one game (N, p, q) in log space."""
+
+    def __init__(self, n: int, p: float, q: float):
+        self.n, self.p, self.q = n, p, q
+        lq, lc = math.log(q), math.log1p(-q)
+        self.log_chance = {(False, False): (-math.inf, 0.0), (True, False): (lq, lc),
+                           (False, True): (lc, lq), (True, True): (0.0, -math.inf)}
+        self.log_prior = (math.log(p), math.log1p(-p))
+        lg = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+        self.log_comb = lg[n] - lg - lg[::-1]                       # log C(N, k)
+        self.log_comb_others = lg[n - 1] - lg[:n] - lg[n - 1::-1]   # log C(N-1, j)
+        k = np.arange(n + 1.0)
+        # log h^k (1 - h)^(N - k) for k = 0..N; over the N - 1 others only for
+        # 0 < h < 1, the chances of a type whose classes message differently
+        self.kernel = {flags: _xlog(k, lh) + _xlog(n - k, lc)
+                       for flags, (lh, lc) in self.log_chance.items()}
+        self.kernel_others = {(True, False): k[:n] * lq + (n - 1 - k[:n]) * lc,
+                              (False, True): k[:n] * lc + (n - 1 - k[:n]) * lq}
+        # float error of the largest log term, relative to the parts it sums
+        scale = lg[n] + n * (abs(lq) + abs(lc)) + abs(self.log_prior[0] - self.log_prior[1])
+        self.tolerance = _MARGIN + 16.0 * sys.float_info.epsilon * (scale + 1.0)
+
+    def _parts(self, profile: StrategyProfile) -> list[tuple[int, int, float]]:
+        """(type, sign, log-magnitude) of each nonzero part of D_P; none for an exact zero."""
+        p, q = self.p, self.q
+        high, low = _senders(profile, ServiceType.HIGH), _senders(profile, ServiceType.LOW)
+        s_high, s_low = high[0] - high[1], low[0] - low[1]
+        if ((s_high == 0 and s_low == 0) or _rank(high, q) == _rank(low, q)
+                or (p == 0.5 and low == (not high[0], not high[1]) and s_high == -s_low)):
+            return []
+        up = 1 if _rank(high, q) > _rank(low, q) else -1   # sign of post(k+1) - post(k)
+        log_odds = (self.log_prior[0] - self.log_prior[1]
+                    + self.kernel[high] - self.kernel[low])
+        hi, lo = (log_odds[1:], log_odds[:-1]) if up > 0 else (log_odds[:-1], log_odds[1:])
+        (lh_high, lc_high), (lh_low, lc_low) = self.log_chance[high], self.log_chance[low]
+        step = abs((lh_high - lc_high) - (lh_low - lc_low))   # hi - lo where finite
+        # log(sigma(hi) - sigma(lo)) = log sigma(hi) + log sigma(-lo) + log(1 - e^(lo - hi))
+        log_jump = -np.logaddexp(0.0, -hi) - np.logaddexp(0.0, lo) + _log1mexp(step)
+        parts = []
+        for t, (s, flags) in enumerate(((s_high, high), (s_low, low))):
+            if s:
+                log_part = _logsumexp(self.log_prior[t] + self.log_comb_others
+                                      + self.kernel_others[flags] + log_jump)
+                parts.append((t, s * up, log_part))
+        return parts
+
+    @functools.cached_property
+    def influences(self) -> tuple[np.ndarray, np.ndarray]:
+        """Signs and log-magnitudes of every profile's parts, shape (16, 2); an
+        absent part has sign 0 and log -inf."""
+        signs, logs = np.zeros((16, 2)), np.full((16, 2), -math.inf)
+        for i, profile in enumerate(ALL_PROFILES):
+            for t, sign, log in self._parts(profile):
+                signs[i, t], logs[i, t] = sign, log
+        return signs, logs
+
+    @functools.cached_property
+    def deviations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """D of the target minus D of the profile for every class deviation, as
+        arrays (value, size, top) of shape (16, 6): the difference is
+        value e^top and its parts' magnitudes add up to size e^top."""
+        signs, logs = self.influences
+        scaled = np.concatenate(np.broadcast_arrays(logs[_TARGETS], logs[:, None]), axis=2)
+        top = scaled.max(axis=2)
+        scaled -= np.where(top > -math.inf, top, 0.0)[..., None]
+        np.exp(scaled, out=scaled)
+        size = scaled.sum(axis=2)
+        scaled[..., :2] *= signs[_TARGETS]
+        scaled[..., 2:] *= -signs[:, None]
+        return scaled.sum(axis=2), size, top
+
+    def raises(self, i: int, j: int) -> bool:
+        """Whether the j-th class deviation of profile i raises its influence,
+        decided exactly."""
+        value, size, _ = self.deviations
+        if abs(value[i, j]) > self.tolerance * size[i, j]:
+            return bool(value[i, j] > 0.0)
+        if size[i, j] == 0.0:   # two exact zeros
+            return False
+        from . import _exact   # loads decimal; only when floats cannot decide
+
+        a, b = ALL_PROFILES[_TARGETS[i, j]], ALL_PROFILES[i]
+        signs = self.influences[0]
+        return _exact.exceeds(a if signs[_TARGETS[i, j]].any() else None,
+                              b if signs[i].any() else None,
+                              (PROFILE_LABELS[a], PROFILE_LABELS[b]),
+                              self.n, self.p, self.q, abs(value[i, j]) / size[i, j])
+
+    def stable(self) -> list[int]:
+        value, size, _ = self.deviations
+        clear = np.abs(value) > self.tolerance * size
+        raised = (clear & (value > 0.0)).any(axis=1)
+        unsure = ~clear & (size > 0.0)
+        return [i for i in range(16) if not raised[i]
+                and not any(self.raises(i, j) for j in np.flatnonzero(unsure[i]))]
+
+    def gains(self, i: int, mean_gap: float) -> dict[tuple[Bias, PureStrategy], float]:
+        value, _, top = self.deviations
+        return {(bias, alt): mean_gap * (self.q if bias is Bias.NEGATIVE else 1.0 - self.q)
+                * float(value[i, j]) * math.exp(top[i, j])
+                for j, (bias, alt) in enumerate(_alternatives(ALL_PROFILES[i]))}
+
+    def log_posterior_variance(self, profile: StrategyProfile) -> float:
+        """log sum_k P(high, k) P(low, k) / P(k), k the count of high messages."""
+        high = (self.log_prior[0] + self.log_comb
+                + self.kernel[_senders(profile, ServiceType.HIGH)])
+        low = (self.log_prior[1] + self.log_comb
+               + self.kernel[_senders(profile, ServiceType.LOW)])
+        both = np.isfinite(high) & np.isfinite(low)
+        if not both.any():
+            return -math.inf
+        high, low = high[both], low[both]
+        return _logsumexp(high + low - np.logaddexp(high, low))
+
+
+@functools.lru_cache(maxsize=256)
+def _stable_profiles(n: int, p: float, q: float) -> tuple[StrategyProfile, ...]:
+    return tuple(ALL_PROFILES[i] for i in _LogGame(n, p, q).stable())
 
 
 def deviation_gains(profile: StrategyProfile, config: GameConfig
                     ) -> dict[tuple[Bias, PureStrategy], float]:
-    """Utility change for every class deviation from ``profile``."""
-    return _gains(profile, _utility_table(config))
+    """Utility change for every class deviation from ``profile``: gap (1 - q)
+    times the influence change for the positive class, gap q for the negative."""
+    game = _LogGame(config.n_users, config.p_high, config.q_plus)
+    return game.gains(ALL_PROFILES.index(profile), config.mean_gap)
 
 
 def is_pbe(profile: StrategyProfile, config: GameConfig):
     """Certify ``profile`` as an equilibrium or return the first deviation.
 
     Biases are scanned negative first and alternatives in declaration order;
-    a deviation counts only when its gain exceeds the relative tolerance, so
-    exact ties are non-deviations.
+    a deviation counts only when it raises the bias influence, so exact ties
+    are non-deviations.
     """
-    tol = _gain_tolerance(config)
-    gains = deviation_gains(profile, config)
-    for (bias, alt), gain in gains.items():
-        if gain > tol:
-            return DeviationWitness(profile, bias, alt, gain)
-    return PbeCertificate(
-        profile=profile,
-        rule=best_response_rule(profile, config),
-        deviations_checked=len(gains),
-        max_deviation_gain=max(gains.values()),
-    )
+    game = _LogGame(config.n_users, config.p_high, config.q_plus)
+    i = ALL_PROFILES.index(profile)
+    gains = game.gains(i, config.mean_gap)
+    if profile in enumerate_pbe(config):
+        return PbeCertificate(
+            profile=profile,
+            rule=best_response_rule(profile, config),
+            deviations_checked=len(gains),
+            max_deviation_gain=max(gains.values()),
+        )
+    bias, alt = _alternatives(profile)[next(j for j in range(6) if game.raises(i, j))]
+    return DeviationWitness(profile, bias, alt, gains[bias, alt])
 
 
 def enumerate_pbe(config: GameConfig) -> list[StrategyProfile]:
     """All stable profiles among the 16 candidates, in canonical order."""
-    table = _utility_table(config)
-    tol = _gain_tolerance(config)
-    return [p for p in ALL_PROFILES
-            if not any(gain > tol for gain in _gains(p, table).values())]
+    if config.mean_gap == 0.0:
+        return list(ALL_PROFILES)
+    return list(_stable_profiles(config.n_users, config.p_high, config.q_plus))
 
 
 # ---------------------------------------------------------------------------
@@ -182,17 +362,15 @@ def bayesian_system_loss(config: GameConfig) -> float:
 
     Under a profile's best-response rule that excess is gap^2 times the
     expected posterior variance of the type given the count k of high
-    messages, gap^2 (1 - p) sum_k f_L(k) P(high | k), with f_L the count's pmf
-    under the low type.  No term is negative, so small losses stay accurate.
+    messages, gap^2 sum_k P(high, k) P(low, k) / P(k).  Its terms are summed
+    in log space, so the loss is accurate and finite at any N.
     """
     profiles = enumerate_pbe(config)
     if not profiles:
         raise RuntimeError("no equilibrium found; the candidate set is incomplete")
-    p = config.p_high
-    worst = max(sum(like_low * _posterior(p, like_high, like_low)
-                    for like_high, like_low in zip(*_likelihoods(profile, config)))
-                for profile in profiles)
-    return config.mean_gap**2 * (1.0 - p) * worst
+    game = _LogGame(config.n_users, config.p_high, config.q_plus)
+    worst = max(game.log_posterior_variance(profile) for profile in profiles)
+    return config.mean_gap**2 * math.exp(worst)
 
 
 @dataclass(frozen=True)

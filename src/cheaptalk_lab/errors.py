@@ -23,3 +23,7 @@ class DegenerateHorizon(CheapTalkError):
 
 class OutOfRegime(CheapTalkError):
     """A threshold was requested outside the half-interval on which it is defined."""
+
+
+class UndecidedEquilibrium(CheapTalkError):
+    """Two profiles' bias influences agree beyond the exact comparison's precision cap."""

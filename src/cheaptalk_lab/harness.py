@@ -148,13 +148,13 @@ def build_game(section: dict) -> GameConfig:
         raise ConfigError(f"unknown family {section['family']!r}") from exc
     try:
         pair = DistributionPair(
-            StateDistribution(family, float(section["mu_low"]), float(section["scale_low"])),
-            StateDistribution(family, float(section["mu_high"]), float(section["scale_high"])),
+            StateDistribution(family, _real(section["mu_low"]), _real(section["scale_low"])),
+            StateDistribution(family, _real(section["mu_high"]), _real(section["scale_high"])),
         )
         return GameConfig(
             n_users=_integer(section["n_users"]),
-            p_high=float(section["p_high"]),
-            q_plus=float(section["q_plus"]),
+            p_high=_real(section["p_high"]),
+            q_plus=_real(section["q_plus"]),
             pair=pair,
         )
     except ValueError as exc:

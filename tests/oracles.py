@@ -14,7 +14,8 @@ import math
 import numpy as np
 from scipy import integrate
 
-from cheaptalk_lab.game import Bias, GameConfig, InferenceRule, ServiceType
+from cheaptalk_lab.game import (Bias, GameConfig, InferenceRule, PureStrategy,
+                                ServiceType)
 
 C = math.comb
 
@@ -134,6 +135,30 @@ def closed_form_utility(idx: int, bias_positive: bool, n: int, q: float,
             return -p * mu_h - (1 - p) * blend
         return (p * q ** (n - 1) + 1 - p) * blend + p * (1 - q ** (n - 1)) * mu_h
     raise ValueError(idx)
+
+
+def closed_form_equilibrium_set(n: int, p: float, q: float) -> set[str]:
+    """Labels of the stable profiles, from ``closed_form_utility`` in mpmath.
+
+    Utilities take means -1 and 1 (the set does not depend on them) and 60
+    digits.  True gains for N <= 44 exceed 1e-45 and closed-form ties come
+    out below 1e-55, so a gain counts as a deviation above 1e-52.
+    """
+    import mpmath
+
+    from cheaptalk_lab.game import ALL_PROFILES, PROFILE_LABELS
+
+    with mpmath.workdps(60):
+        pp, qq, one = mpmath.mpf(p), mpmath.mpf(q), mpmath.mpf(1)
+        utility = {(profile, bias): closed_form_utility(
+                       idx, bias is Bias.POSITIVE, n, qq, pp, one, -one)
+                   for idx, profile in enumerate(ALL_PROFILES, start=1)
+                   for bias in Bias}
+        eps = mpmath.mpf(10) ** -52
+        return {PROFILE_LABELS[profile] for profile in ALL_PROFILES
+                if all(utility[profile.with_strategy(bias, alt), bias]
+                       - utility[profile, bias] <= eps
+                       for bias in Bias for alt in PureStrategy)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cheaptalk_lab import _exact, equilibrium
 from cheaptalk_lab.distributions import normal_pair
 from cheaptalk_lab.equilibrium import (DeviationWitness, PbeCertificate,
                                        bayesian_system_loss, bias_thresholds,
@@ -11,14 +17,17 @@ from cheaptalk_lab.equilibrium import (DeviationWitness, PbeCertificate,
                                        one_user_loss, p1_high, p1_low,
                                        sequential_two_user_check,
                                        symmetric_bias_loss, three_type_loss)
-from cheaptalk_lab.errors import OutOfRegime
+from cheaptalk_lab.errors import OutOfRegime, UndecidedEquilibrium
 from cheaptalk_lab.game import (ALL_PROFILES, Bias, GameConfig,
                                 PROFILE_LABELS, PureStrategy, SC1, SC2, SC3,
                                 SC4, SC7, best_response_rule,
                                 expected_user_utility)
 from cheaptalk_lab.benchmarks import abandon_scheme, majority_vote_loss
 
-from oracles import sequential_utilities, three_type_loss_direct
+from oracles import (closed_form_equilibrium_set, sequential_utilities,
+                     three_type_loss_direct)
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
 GOLDEN_LOW = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -29,6 +38,14 @@ def config(n=1, p=0.3, q=0.5, mu_l=-1.0, mu_h=1.0, var_l=1.0, var_h=1.0):
 
 def labels(profiles):
     return {PROFILE_LABELS[p] for p in profiles}
+
+
+def influence(game, profile):
+    """(sign, log|D|) of an influence whose one nonzero part is its value."""
+    signs, logs = game.influences
+    i = ALL_PROFILES.index(profile)
+    (t,) = np.flatnonzero(signs[i])
+    return signs[i, t], logs[i, t]
 
 
 class TestIsPbe:
@@ -108,6 +125,104 @@ class TestEnumeration:
             assert inner == (p >= p1_high(0.25) - 1e-12)
 
 
+class TestInfluenceEngine:
+    """Stability from the 16 bias influences, against independent routes."""
+
+    @pytest.mark.parametrize("n", [14, 25, 30, 42, 44])
+    def test_sets_match_the_mpmath_oracle(self, n):
+        # the grid where the float utility-difference engine certified
+        # spurious profiles
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for q in (0.1, 0.3, 0.5, 0.7, 0.9):
+                got = labels(enumerate_pbe(config(n=n, p=p, q=q)))
+                assert got == closed_form_equilibrium_set(n, p, q), (n, p, q)
+
+    def test_influences_floats_cannot_order_are_ordered_exactly(self, monkeypatch):
+        # just off p = 1/2 the two parts of SC5's influence cancel to 1e-14
+        # of their size, yet the oracle keeps SC4
+        calls = []
+        exact = _exact.exceeds
+        monkeypatch.setattr(_exact, "exceeds",
+                            lambda *args: calls.append(args) or exact(*args))
+        equilibrium._stable_profiles.cache_clear()
+        p = 0.5 + 2.0**-45
+        for n in (3, 30):
+            for q in (0.1, 0.3):
+                got = labels(enumerate_pbe(config(n=n, p=p, q=q)))
+                assert got == closed_form_equilibrium_set(n, p, q), (n, q)
+                assert "SC4" in got
+        assert calls
+
+    def test_an_undecidable_comparison_raises(self, monkeypatch):
+        monkeypatch.setattr(_exact, "MAX_DIGITS", 10)
+        equilibrium._stable_profiles.cache_clear()
+        with pytest.raises(UndecidedEquilibrium, match=r"SC\d+ or SC\d+"):
+            enumerate_pbe(config(n=30, p=0.5 + 2.0**-45, q=0.1))
+        equilibrium._stable_profiles.cache_clear()
+
+    def test_large_counts_do_not_overflow(self):
+        g = config(n=1030, p=0.3, q=0.5)
+        assert labels(enumerate_pbe(g)) == {"SC1", "SC2", "SC3", "SC4"}
+        assert math.isfinite(bayesian_system_loss(g))
+
+    @PROPERTY
+    @given(n=st.integers(1, 10**4), p=st.floats(0.01, 0.99))
+    def test_equal_shares_give_the_four_profile_table(self, n, p):
+        assert labels(enumerate_pbe(config(n=n, p=p))) == {"SC1", "SC2", "SC3", "SC4"}
+
+    @PROPERTY
+    @given(n=st.integers(1, 2000), p=st.floats(0.01, 0.99), q=st.floats(0.01, 0.99))
+    def test_relabelling_the_messages_keeps_the_influence(self, n, p, q):
+        game = equilibrium._LogGame(n, p, q)
+        for a, b in ((SC1, SC3), (SC2, SC4)):
+            sign_a, log_a = influence(game, a)
+            sign_b, log_b = influence(game, b)
+            assert sign_a == sign_b
+            assert log_a == pytest.approx(log_b, rel=0.0, abs=1e-9)
+
+    @PROPERTY
+    @given(n=st.integers(1, 2000), p=st.floats(0.01, 0.99), q=st.floats(0.01, 0.99))
+    def test_swapping_types_and_biases_maps_sc1_to_sc2(self, n, p, q):
+        sign_one, log_one = influence(equilibrium._LogGame(n, p, q), SC1)
+        sign_two, log_two = influence(equilibrium._LogGame(n, 1.0 - p, 1.0 - q), SC2)
+        assert sign_one == sign_two
+        assert log_one == pytest.approx(log_two, rel=0.0, abs=1e-9)
+
+    @PROPERTY
+    @given(n=st.integers(1, 6), p=st.floats(0.05, 0.95), q=st.floats(0.05, 0.95),
+           mu_l=st.floats(-3.0, 0.0), gap=st.floats(0.1, 3.0),
+           index=st.integers(0, 15))
+    def test_gains_are_the_influence_changes(self, n, p, q, mu_l, gap, index):
+        # gap (1 - q) dD for the positive class and gap q dD for the negative
+        # one equal the differences of the rules' expected utilities
+        g = config(n=n, p=p, q=q, mu_l=mu_l, mu_h=mu_l + gap)
+        profile = ALL_PROFILES[index]
+
+        def utility(prof, bias):
+            return expected_user_utility(prof, best_response_rule(prof, g), bias, g)
+
+        for (bias, alt), gain in deviation_gains(profile, g).items():
+            direct = utility(profile.with_strategy(bias, alt), bias) - utility(profile, bias)
+            assert gain == pytest.approx(direct, rel=0.0, abs=1e-12)
+
+    def test_importing_and_solving_loads_no_exact_arithmetic(self):
+        script = (
+            "import sys\n"
+            "import cheaptalk_lab.cli\n"
+            "import cheaptalk_lab as lab\n"
+            "g = lab.GameConfig(40, 0.3, 0.7, lab.normal_pair(-1.0, 1.0, 1.0, 1.5))\n"
+            "lab.enumerate_pbe(g), lab.bayesian_system_loss(g)\n"
+            "assert 'decimal' not in sys.modules, 'decimal was imported'\n"
+            "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+
+
 class TestThresholds:
     def test_limit_and_point_values(self):
         assert p1_high(0.0) == pytest.approx(1.5 - math.sqrt(5) / 2, rel=1e-12, abs=0.0)
@@ -154,6 +269,19 @@ class TestSystemLoss:
                 # abs=0: from N=26 the loss is below approx's default 1e-12
                 assert bayesian_system_loss(g) == pytest.approx(
                     symmetric_bias_loss(n, p, 2.0), rel=1e-12, abs=0.0), (n, p)
+
+    def test_log_space_loss_matches_the_closed_form_at_large_counts(self):
+        for n in (44, 64, 256, 1024, 4096):
+            for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+                g = config(n=n, p=p, var_h=1.5)
+                assert bayesian_system_loss(g) == pytest.approx(
+                    symmetric_bias_loss(n, p, 2.0), rel=1e-9, abs=0.0), (n, p)
+
+    def test_no_spurious_equilibrium_inflates_the_loss(self):
+        # the 1e-12 gain tolerance once certified all 16 profiles here: 0.84
+        loss = bayesian_system_loss(GameConfig(42, 0.3, 0.5, normal_pair(-1, 1, 1, 1.5)))
+        assert loss == pytest.approx(symmetric_bias_loss(42, 0.3, 2.0), rel=1e-9, abs=0.0)
+        assert loss == pytest.approx(6.37e-13, rel=1e-3, abs=0.0)
 
     def test_one_user_loss_matches_enumeration_off_the_thresholds(self):
         rng = np.random.default_rng(41)

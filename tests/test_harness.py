@@ -68,12 +68,15 @@ class TestConfigParsing:
         "scenario: evolving\nsweep:\n  axis: mu_low\n  values: [false]\n",
         "scenario: evolving\nsweep:\n  axis: mu_low\n  values: ['-2.0']\n",
         "scenario: evolving\nsweep:\n  axis: var_high\n  values: [true]\n",
+        "scenario: benchmark\ngame:\n  mu_low: true\n  mu_high: 2.0\n",
+        "scenario: benchmark\ngame:\n  p_high: '0.3'\n",
     ], ids=["horizon_axis_unused", "compare_axis", "empty_values",
             "unknown_figure", "figure_needs_horizon_sweep", "nan_mean",
             "fractional_n_users", "fractional_sweep_values",
             "fractional_horizons", "fractional_horizon", "fractional_samples",
             "fractional_seed", "text_sweep_value", "bool_sweep_value",
-            "quoted_sweep_value", "bool_variance"])
+            "quoted_sweep_value", "bool_variance", "bool_game_mean",
+            "quoted_game_prior"])
     def test_invalid_tables_rejected(self, tmp_path, text):
         cfg = load_experiment(write_yaml(tmp_path, text))
         with pytest.raises(ConfigError):
