@@ -43,6 +43,6 @@ from .montecarlo import (EvolvingReport, SimulationReport, simulate_evolving,
                          simulate_game)
 from .errors import (CheapTalkError, DegenerateHorizon, DivergentIntegral,
                      DivisionOutsideSupport, OutOfRegime, QuadratureFailure,
-                     UndecidedEquilibrium)
+                     SeparationOverflow, UndecidedEquilibrium)
 
 __version__ = "0.1.0"

@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
-from .equilibrium import _senders
 from .errors import UndecidedEquilibrium
-from .game import ServiceType, StrategyProfile
+from .game import ServiceType, StrategyProfile, _senders
 
 MAX_DIGITS = 1000   # precision cap
 

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import math
-
-from .game import GameConfig, InferenceRule, _count_pmf
+from .game import GameConfig, InferenceRule, _CountKernel, _kernel
 
 
 def majority_vote_rule(config: GameConfig) -> InferenceRule:
@@ -26,21 +24,13 @@ def majority_vote_loss(config: GameConfig) -> float:
 
     Positive reviewers always message high and negative ones low, each bias
     equally likely, so the high count is binomial with success chance 1/2.
-    The index bounds follow the closed form exactly: the low side sums counts
-    k = 0 .. ceil(N/2 - 1), the high side l = floor(N/2 + 1) .. N, and even N
-    adds the tie term.
+    It is symmetric about N/2, so each side of a tie holds (1 - tie)/2, and
+    the bracket p low + (1 - p) high + p (1 - p) tie is (1 - tie)/2 +
+    p (1 - p) tie, exactly 1/2 for odd N, which has no tie.
     """
-    n = config.n_users
-    p = config.p_high
-    upper_low = (n - 1) // 2          # ceil(n/2 - 1)
-    lower_high = n // 2 + 1           # floor(n/2 + 1)
-    # integer counts over 2^n: exact division, so 2^n cannot overflow
-    low_tail = sum(math.comb(n, k) for k in range(0, upper_low + 1)) / 2**n
-    high_tail = sum(math.comb(n, k) for k in range(lower_high, n + 1)) / 2**n
-    bracket = p * low_tail + (1.0 - p) * high_tail
-    if n % 2 == 0:
-        bracket += p * (1.0 - p) * (math.comb(n, n // 2) / 2**n)
-    return config.mean_gap**2 * bracket
+    n, p = config.n_users, config.p_high
+    tie = _CountKernel(n, p, 0.5).pmf((True, False))[n // 2] if n % 2 == 0 else 0.0
+    return config.mean_gap**2 * ((1.0 - tie) / 2.0 + p * (1.0 - p) * tie)
 
 
 def majority_vote_loss_biased(config: GameConfig) -> float:
@@ -49,17 +39,13 @@ def majority_vote_loss_biased(config: GameConfig) -> float:
     Same blind-bias messaging, but the high count is binomial with success
     chance ``q_plus``; reduces to the closed form at q_plus = 1/2.
     """
-    n = config.n_users
-    p = config.p_high
-    loss = 0.0
-    for k, w in enumerate(_count_pmf(n, config.q_plus)):
-        if 2 * k > n:
-            loss += w * (1.0 - p)    # rates at the high mean; wrong under low
-        elif 2 * k < n:
-            loss += w * p
-        else:
-            loss += w * p * (1.0 - p)
-    return config.mean_gap**2 * loss
+    n, p = config.n_users, config.p_high
+    pmf = _kernel(config).pmf((True, False))   # positive reviewers message high
+    # rated at the low mean below N/2, wrong under high; at the high mean above
+    loss = p * pmf[:(n + 1) // 2].sum() + (1.0 - p) * pmf[n // 2 + 1:].sum()
+    if n % 2 == 0:
+        loss += p * (1.0 - p) * pmf[n // 2]
+    return config.mean_gap**2 * float(loss)
 
 
 def abandon_scheme(config: GameConfig) -> tuple[float, float]:

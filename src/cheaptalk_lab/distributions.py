@@ -20,7 +20,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DivergentIntegral, DivisionOutsideSupport, QuadratureFailure
+from .errors import (DivergentIntegral, DivisionOutsideSupport, QuadratureFailure,
+                     SeparationOverflow)
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -244,9 +245,20 @@ def alpha_beta(pair: DistributionPair) -> tuple[float, float]:
     Both equal 1 exactly when the densities coincide and exceed 1 otherwise.
     Normal pairs of any variances and Laplace pairs use exact closed forms;
     logistic and mixed-family pairs are integrated numerically, once per pair.
-    Raises ``DivergentIntegral`` when an integral does not converge.
+    Raises ``DivergentIntegral`` when an integral does not converge and
+    ``SeparationOverflow`` when one converges past the double range.
     """
     low, high = pair.low, pair.high
-    if low.family is high.family and low.family is not Family.LOGISTIC:
-        return _closed_form_integral(low, high), _closed_form_integral(high, low)
-    return _ratio_integral(low, high), _ratio_integral(high, low)
+    closed = low.family is high.family and low.family is not Family.LOGISTIC
+    integral = _closed_form_integral if closed else _ratio_integral
+    try:
+        alpha, beta = integral(low, high), integral(high, low)
+    except OverflowError:
+        alpha = beta = math.inf
+    if math.isinf(alpha) or math.isinf(beta):
+        raise SeparationOverflow(
+            "a separation integral of the pair "
+            + " and ".join(f"{d.family.value}({d.location!r}, scale {d.scale!r})"
+                           for d in (low, high))
+            + " exceeds the double range")
+    return alpha, beta

@@ -25,7 +25,8 @@ influence is
 
 with s_t the positive class's message minus the negative class's under type
 t and h_t in {0, q, 1-q, 1} a reviewer's chance of messaging high.  Each
-type's part is one log-sum-exp: the log-odds are linear in the count, h is
+type's part is one log-sum-exp over the count, read from ``game``'s log-space
+binomial kernel (``_CountKernel``): the log-odds are linear in the count, h is
 formed from log q and log1p(-q), never from the float 1 - q, and influences
 far below the range of a double still compare.
 
@@ -56,8 +57,8 @@ import numpy as np
 from .errors import OutOfRegime
 from .game import (ALL_PROFILES, PROFILE_LABELS, Bias, GameConfig,
                    InferenceRule, PureStrategy, SC1, ServiceType,
-                   StrategyProfile, _posterior, best_response_rule,
-                   expected_user_utility)
+                   StrategyProfile, _CountKernel, _posterior, _senders,
+                   best_response_rule, expected_user_utility)
 
 GOLDEN_LOW = (3.0 - math.sqrt(5.0)) / 2.0   # small positive-share regime ends here
 GOLDEN_HIGH = (math.sqrt(5.0) - 1.0) / 2.0  # large positive-share regime starts here
@@ -95,26 +96,12 @@ _TARGETS = np.array([[ALL_PROFILES.index(profile.with_strategy(bias, alt))
                      for profile in ALL_PROFILES])
 
 
-# A reviewer's chance of messaging high under one type, h = q [positive class
-# sends high] + (1 - q) [negative class sends high], is kept as those two flags.
-
-def _senders(profile: StrategyProfile, service: ServiceType) -> tuple[bool, bool]:
-    return (profile.positive.sends_high(service), profile.negative.sends_high(service))
-
-
 def _rank(flags: tuple[bool, bool], q: float) -> tuple[int, float]:
     """Orders the chances 0 < min(q, 1-q) <= max(q, 1-q) < 1 without forming 1 - q."""
     positive, negative = flags
     if positive != negative:
         return 1, (q - 0.5 if positive else 0.5 - q)
     return 2 * positive, 0.0
-
-
-def _xlog(count, log: float):
-    """count * log elementwise, with 0 * log 0 = 0."""
-    if log > -math.inf:
-        return count * log
-    return np.where(count > 0, -math.inf, 0.0)
 
 
 def _logsumexp(x) -> float:
@@ -127,27 +114,15 @@ def _log1mexp(x: float) -> float:
     return math.log(-math.expm1(-x)) if x < math.log(2.0) else math.log1p(-math.exp(-x))
 
 
-class _LogGame:
+class _LogGame(_CountKernel):
     """Bias influences and posterior variances of one game (N, p, q) in log space."""
 
     def __init__(self, n: int, p: float, q: float):
-        self.n, self.p, self.q = n, p, q
-        lq, lc = math.log(q), math.log1p(-q)
-        self.log_chance = {(False, False): (-math.inf, 0.0), (True, False): (lq, lc),
-                           (False, True): (lc, lq), (True, True): (0.0, -math.inf)}
-        self.log_prior = (math.log(p), math.log1p(-p))
-        lg = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
-        self.log_comb = lg[n] - lg - lg[::-1]                       # log C(N, k)
-        self.log_comb_others = lg[n - 1] - lg[:n] - lg[n - 1::-1]   # log C(N-1, j)
-        k = np.arange(n + 1.0)
-        # log h^k (1 - h)^(N - k) for k = 0..N; over the N - 1 others only for
-        # 0 < h < 1, the chances of a type whose classes message differently
-        self.kernel = {flags: _xlog(k, lh) + _xlog(n - k, lc)
-                       for flags, (lh, lc) in self.log_chance.items()}
-        self.kernel_others = {(True, False): k[:n] * lq + (n - 1 - k[:n]) * lc,
-                              (False, True): k[:n] * lc + (n - 1 - k[:n]) * lq}
+        super().__init__(n, p, q)
+        lq, lc = self.log_chance[True, False]
         # float error of the largest log term, relative to the parts it sums
-        scale = lg[n] + n * (abs(lq) + abs(lc)) + abs(self.log_prior[0] - self.log_prior[1])
+        scale = (self.log_factorial[n] + n * (abs(lq) + abs(lc))
+                 + abs(self.log_prior[0] - self.log_prior[1]))
         self.tolerance = _MARGIN + 16.0 * sys.float_info.epsilon * (scale + 1.0)
 
     def _parts(self, profile: StrategyProfile) -> list[tuple[int, int, float]]:
@@ -160,7 +135,7 @@ class _LogGame:
             return []
         up = 1 if _rank(high, q) > _rank(low, q) else -1   # sign of post(k+1) - post(k)
         log_odds = (self.log_prior[0] - self.log_prior[1]
-                    + self.kernel[high] - self.kernel[low])
+                    + self.powers(high) - self.powers(low))
         hi, lo = (log_odds[1:], log_odds[:-1]) if up > 0 else (log_odds[:-1], log_odds[1:])
         (lh_high, lc_high), (lh_low, lc_low) = self.log_chance[high], self.log_chance[low]
         step = abs((lh_high - lc_high) - (lh_low - lc_low))   # hi - lo where finite
@@ -170,7 +145,7 @@ class _LogGame:
         for t, (s, flags) in enumerate(((s_high, high), (s_low, low))):
             if s:
                 log_part = _logsumexp(self.log_prior[t] + self.log_comb_others
-                                      + self.kernel_others[flags] + log_jump)
+                                      + self.powers(flags, others=True) + log_jump)
                 parts.append((t, s * up, log_part))
         return parts
 
@@ -233,9 +208,9 @@ class _LogGame:
     def log_posterior_variance(self, profile: StrategyProfile) -> float:
         """log sum_k P(high, k) P(low, k) / P(k), k the count of high messages."""
         high = (self.log_prior[0] + self.log_comb
-                + self.kernel[_senders(profile, ServiceType.HIGH)])
+                + self.powers(_senders(profile, ServiceType.HIGH)))
         low = (self.log_prior[1] + self.log_comb
-               + self.kernel[_senders(profile, ServiceType.LOW)])
+               + self.powers(_senders(profile, ServiceType.LOW)))
         both = np.isfinite(high) & np.isfinite(low)
         if not both.any():
             return -math.inf
@@ -244,8 +219,12 @@ class _LogGame:
 
 
 @functools.lru_cache(maxsize=256)
-def _stable_profiles(n: int, p: float, q: float) -> tuple[StrategyProfile, ...]:
-    return tuple(ALL_PROFILES[i] for i in _LogGame(n, p, q).stable())
+def _stable_profiles(n: int, p: float, q: float) -> tuple[tuple[StrategyProfile, ...], float]:
+    """The stable profiles of one game and the log of their largest posterior
+    variance, both from one ``_LogGame``."""
+    game = _LogGame(n, p, q)
+    stable = tuple(ALL_PROFILES[i] for i in game.stable())
+    return stable, max(map(game.log_posterior_variance, stable), default=-math.inf)
 
 
 def deviation_gains(profile: StrategyProfile, config: GameConfig
@@ -281,7 +260,7 @@ def enumerate_pbe(config: GameConfig) -> list[StrategyProfile]:
     """All stable profiles among the 16 candidates, in canonical order."""
     if config.mean_gap == 0.0:
         return list(ALL_PROFILES)
-    return list(_stable_profiles(config.n_users, config.p_high, config.q_plus))
+    return list(_stable_profiles(config.n_users, config.p_high, config.q_plus)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +344,9 @@ def bayesian_system_loss(config: GameConfig) -> float:
     messages, gap^2 sum_k P(high, k) P(low, k) / P(k).  Its terms are summed
     in log space, so the loss is accurate and finite at any N.
     """
-    profiles = enumerate_pbe(config)
+    profiles, worst = _stable_profiles(config.n_users, config.p_high, config.q_plus)
     if not profiles:
         raise RuntimeError("no equilibrium found; the candidate set is incomplete")
-    game = _LogGame(config.n_users, config.p_high, config.q_plus)
-    worst = max(game.log_posterior_variance(profile) for profile in profiles)
     return config.mean_gap**2 * math.exp(worst)
 
 
@@ -452,8 +429,8 @@ def _sequential_plan_utility(config: GameConfig, plan) -> float:
     utility = 0.0
     for service, bias1 in itertools.product(ServiceType, Bias):
         key = messages(service, bias1, Bias.POSITIVE)
-        post = _posterior(config.p_high, likes[ServiceType.HIGH][key],
-                          likes[ServiceType.LOW][key])
+        post = float(_posterior(config.p_high, likes[ServiceType.HIGH][key],
+                                likes[ServiceType.LOW][key]))
         rating = post * config.mu_high + (1.0 - post) * config.mu_low
         utility += config.type_prob(service) * config.bias_prob(bias1) * rating
     return utility

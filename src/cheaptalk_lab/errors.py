@@ -9,6 +9,10 @@ class DivergentIntegral(CheapTalkError):
     """A separation integral does not converge for the given density pair."""
 
 
+class SeparationOverflow(CheapTalkError):
+    """A separation integral converges, but to a value past the double range."""
+
+
 class QuadratureFailure(CheapTalkError):
     """Adaptive quadrature could not reach the requested tolerance."""
 

@@ -2,17 +2,20 @@
 
 Reviewers observe a binary quality type and message it (possibly untruthfully)
 to the platform; the platform maps the count of high messages to a continuous
-rating.  Given the type the count is binomial, and its pmf (``_count_pmf``)
-yields every quantity here in exact arithmetic over the discrete part of the
-game, so closed-form results can be checked at machine precision.
+rating.  Given the type the count is binomial, and one log-space kernel of it
+(``_CountKernel``: coefficients from lgamma, chances from log q and log1p(-q))
+yields every quantity here and in ``equilibrium``, finite at any N.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
+
+import numpy as np
 
 from .distributions import DistributionPair
 
@@ -160,60 +163,96 @@ def min_expected_cost(config: GameConfig) -> float:
             + (1.0 - config.p_high) * config.pair.low.variance)
 
 
-def high_message_prob(profile: StrategyProfile, config: GameConfig,
-                      given_type: ServiceType) -> float:
-    """Chance a single reviewer messages high, marginalized over his bias."""
-    p = 0.0
-    for bias in Bias:
-        if profile.strategy_for(bias).sends_high(given_type):
-            p += config.bias_prob(bias)
-    return p
+# A reviewer's chance of messaging high under one type, h = q [positive class
+# sends high] + (1 - q) [negative class sends high], is kept as those two flags.
+
+def _senders(profile: StrategyProfile, service: ServiceType) -> tuple[bool, bool]:
+    return (profile.positive.sends_high(service), profile.negative.sends_high(service))
 
 
-def _count_pmf(n: int, h: float) -> list[float]:
-    """Chance of k = 0..n high messages from n reviewers who each message
-    high with chance ``h``."""
-    # exact at the endpoints: blind profiles yield h in {0, 1}
-    if h == 0.0:
-        return [1.0] + [0.0] * n
-    if h == 1.0:
-        return [0.0] * n + [1.0]
-    return [math.comb(n, k) * h**k * (1.0 - h) ** (n - k) for k in range(n + 1)]
+def _xlog(count, log: float):
+    """count * log elementwise, with 0 * log 0 = 0."""
+    if log > -math.inf:
+        return count * log
+    return np.where(count > 0, -math.inf, 0.0)
 
 
-def _likelihoods(profile: StrategyProfile, config: GameConfig) -> tuple[list, list]:
-    """Pmfs of the count of high messages under the high and the low type."""
-    n = config.n_users
-    return (_count_pmf(n, high_message_prob(profile, config, ServiceType.HIGH)),
-            _count_pmf(n, high_message_prob(profile, config, ServiceType.LOW)))
+class _CountKernel:
+    """The count of high messages in one game (N, p, q), in log space.
+
+    Given the type, the count k = 0..N is binomial with log pmf
+    ``log_comb + powers(flags)``, and the count j = 0..N-1 among the others of
+    one reviewer has log pmf ``log_comb_others + powers(flags, others=True)``.
+    h is formed from log q and log1p(-q), never from the float 1 - q, and the
+    binomial coefficients from lgamma, so every term is finite at any N.
+    """
+
+    def __init__(self, n: int, p: float, q: float):
+        self.n, self.p, self.q = n, p, q
+        lq, lc = math.log(q), math.log1p(-q)
+        self.log_chance = {(False, False): (-math.inf, 0.0), (True, False): (lq, lc),
+                           (False, True): (lc, lq), (True, True): (0.0, -math.inf)}
+        self.log_prior = (math.log(p), math.log1p(-p))
+        self.log_factorial = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+        self._powers = {}
+
+    @functools.cached_property
+    def log_comb(self) -> np.ndarray:   # log C(N, k)
+        lg = self.log_factorial
+        return lg[self.n] - lg - lg[::-1]
+
+    @functools.cached_property
+    def log_comb_others(self) -> np.ndarray:   # log C(N-1, j)
+        lg, n = self.log_factorial, self.n
+        return lg[n - 1] - lg[:n] - lg[n - 1::-1]
+
+    def powers(self, flags: tuple[bool, bool], others: bool = False) -> np.ndarray:
+        """log h^k (1 - h)^(m - k) for k = 0..m, m = N, or N - 1 for the others."""
+        if (flags, others) not in self._powers:
+            m = self.n - 1 if others else self.n
+            k = np.arange(m + 1.0)
+            lh, lc = self.log_chance[flags]
+            self._powers[flags, others] = _xlog(k, lh) + _xlog(m - k, lc)
+        return self._powers[flags, others]
+
+    def pmf(self, flags: tuple[bool, bool], others: bool = False) -> np.ndarray:
+        comb = self.log_comb_others if others else self.log_comb
+        return np.exp(comb + self.powers(flags, others))
+
+    def posteriors(self, profile: StrategyProfile) -> np.ndarray:
+        """Posterior chance of the high type after each count k = 0..N."""
+        high = self.powers(_senders(profile, ServiceType.HIGH))   # C(N, k) cancels
+        low = self.powers(_senders(profile, ServiceType.LOW))
+        top = np.maximum(high, low)   # scales the larger likelihood to 1
+        top[top == -math.inf] = 0.0   # impossible under both types
+        return _posterior(self.p, np.exp(high - top), np.exp(low - top))
 
 
-def _posterior(p: float, like_high: float, like_low: float) -> float:
+def _kernel(config: GameConfig) -> _CountKernel:
+    return _CountKernel(config.n_users, config.p_high, config.q_plus)
+
+
+def _posterior(p: float, like_high, like_low):
     """Chance of the high type given its prior ``p`` and an observation's
-    likelihood under each type.  An observation impossible under both keeps
-    the prior: off-path beliefs are unrestricted, and the prior reproduces
-    every published rating rule."""
-    denom = p * like_high + (1.0 - p) * like_low
-    if denom == 0.0:
-        return p
-    return p * like_high / denom
+    likelihood under each type, elementwise.  An observation impossible under
+    both keeps the prior: off-path beliefs are unrestricted, and the prior
+    reproduces every published rating rule."""
+    top = p * like_high
+    denom = top + (1.0 - p) * like_low
+    return np.divide(top, denom, out=np.full_like(denom, p), where=denom != 0.0)
 
 
 def posterior_high(profile: StrategyProfile, config: GameConfig, k: int) -> float:
     """Posterior chance of the high density after seeing k high messages."""
     if not 0 <= k <= config.n_users:
         raise ValueError(f"k={k} outside 0..{config.n_users}")
-    like_high, like_low = _likelihoods(profile, config)
-    return _posterior(config.p_high, like_high[k], like_low[k])
+    return float(_kernel(config).posteriors(profile)[k])
 
 
 def best_response_rule(profile: StrategyProfile, config: GameConfig) -> InferenceRule:
     """Cost-minimizing rating for each message count: the posterior state mean."""
-    actions = []
-    for like_high, like_low in zip(*_likelihoods(profile, config)):
-        post = _posterior(config.p_high, like_high, like_low)
-        actions.append(post * config.mu_high + (1.0 - post) * config.mu_low)
-    return InferenceRule(tuple(actions))
+    post = _kernel(config).posteriors(profile)
+    return InferenceRule(tuple((post * config.mu_high + (1.0 - post) * config.mu_low).tolist()))
 
 
 def expected_user_utility(profile: StrategyProfile, rule: InferenceRule,
@@ -227,14 +266,14 @@ def expected_user_utility(profile: StrategyProfile, rule: InferenceRule,
     """
     if rule.n_users != config.n_users:
         raise ValueError("rule was built for a different number of users")
+    kernel, actions = _kernel(config), np.array(rule.actions)
     strategy = profile.strategy_for(bias)
     total = 0.0
     for service in ServiceType:
-        p_type = config.type_prob(service)
         k_focal = 1 if strategy.sends_high(service) else 0
-        others = _count_pmf(config.n_users - 1, high_message_prob(profile, config, service))
-        for j, p_j in enumerate(others):
-            total += p_type * p_j * bias.weight * rule(k_focal + j)
+        others = kernel.pmf(_senders(profile, service), others=True)
+        total += (config.type_prob(service) * bias.weight
+                  * float(others @ actions[k_focal:k_focal + config.n_users]))
     return total
 
 
@@ -243,10 +282,9 @@ def expected_platform_cost(profile: StrategyProfile, rule: InferenceRule,
     """Expected squared rating error plus state variance under the profile."""
     if rule.n_users != config.n_users:
         raise ValueError("rule was built for a different number of users")
-    like_high, like_low = _likelihoods(profile, config)
+    kernel, actions = _kernel(config), np.array(rule.actions)
     total = 0.0
-    for p_type, like, dist in ((config.p_high, like_high, config.pair.high),
-                               (1.0 - config.p_high, like_low, config.pair.low)):
-        for k, p_k in enumerate(like):
-            total += p_type * p_k * ((rule(k) - dist.mean) ** 2 + dist.variance)
+    for service, dist in ((ServiceType.HIGH, config.pair.high), (ServiceType.LOW, config.pair.low)):
+        like = kernel.pmf(_senders(profile, service))
+        total += config.type_prob(service) * float(like @ ((actions - dist.mean) ** 2 + dist.variance))
     return total

@@ -13,7 +13,8 @@ from cheaptalk_lab.distributions import (DistributionPair, Family,
                                          history_likelihood_ratio,
                                          history_log_likelihood_ratio,
                                          likelihood_ratio, normal_pair)
-from cheaptalk_lab.errors import DivergentIntegral, DivisionOutsideSupport
+from cheaptalk_lab.errors import (DivergentIntegral, DivisionOutsideSupport,
+                                  SeparationOverflow)
 
 from oracles import normal_ratio_integral
 
@@ -266,6 +267,18 @@ class TestAlphaBeta:
                 alpha, beta = alpha_beta(DistributionPair(low, high))
                 assert alpha > 1.0
                 assert beta > 1.0
+
+    @pytest.mark.parametrize("pair", [
+        normal_pair(-1.0, 1.0, 1.995, 1.0),   # converges: 2 v_d - v_n = 0.005
+        normal_pair(-20.0, 20.0),
+        DistributionPair(StateDistribution(Family.LAPLACE, -400.0, 1.0),
+                         StateDistribution(Family.LAPLACE, 400.0, 1.0)),
+        DistributionPair(StateDistribution(Family.LOGISTIC, -800.0, 1.0),
+                         StateDistribution(Family.LOGISTIC, 800.0, 1.0)),
+    ])
+    def test_integrals_past_the_double_range_raise_a_package_error(self, pair):
+        with pytest.raises(SeparationOverflow, match=pair.low.family.value):
+            alpha_beta(pair)
 
     def test_divergence_conditions_for_normals(self):
         with pytest.raises(DivergentIntegral):

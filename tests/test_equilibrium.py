@@ -20,9 +20,10 @@ from cheaptalk_lab.equilibrium import (DeviationWitness, PbeCertificate,
 from cheaptalk_lab.errors import OutOfRegime, UndecidedEquilibrium
 from cheaptalk_lab.game import (ALL_PROFILES, Bias, GameConfig,
                                 PROFILE_LABELS, PureStrategy, SC1, SC2, SC3,
-                                SC4, SC7, best_response_rule,
+                                SC4, SC5, SC7, best_response_rule,
                                 expected_user_utility)
-from cheaptalk_lab.benchmarks import abandon_scheme, majority_vote_loss
+from cheaptalk_lab.benchmarks import (abandon_scheme, majority_vote_loss,
+                                      majority_vote_loss_biased)
 
 from oracles import (closed_form_equilibrium_set, sequential_utilities,
                      three_type_loss_direct)
@@ -164,6 +165,27 @@ class TestInfluenceEngine:
         g = config(n=1030, p=0.3, q=0.5)
         assert labels(enumerate_pbe(g)) == {"SC1", "SC2", "SC3", "SC4"}
         assert math.isfinite(bayesian_system_loss(g))
+
+    @pytest.mark.parametrize("n", [1030, 4096])
+    def test_gains_are_the_utility_changes_past_the_float_binomial(self, n):
+        # C(N, k) exceeds the double range from N = 1030; the rules and
+        # utilities read the log-space count kernel, as the influences do
+        g = config(n=n, p=0.3, q=0.5)
+
+        def utility(prof, bias):
+            return expected_user_utility(prof, best_response_rule(prof, g), bias, g)
+
+        for profile in (SC1, SC2, SC5, SC7):
+            for (bias, alt), gain in deviation_gains(profile, g).items():
+                direct = utility(profile.with_strategy(bias, alt), bias) - utility(profile, bias)
+                assert gain == pytest.approx(direct, rel=0.0, abs=1e-12), (profile, bias, alt)
+
+    @pytest.mark.parametrize("n", [1030, 4096])
+    def test_majority_and_certificate_past_the_float_binomial(self, n):
+        g = config(n=n, p=0.3, q=0.5)
+        assert majority_vote_loss_biased(g) == pytest.approx(
+            majority_vote_loss(g), rel=1e-10, abs=0.0)
+        assert isinstance(is_pbe(SC1, g), PbeCertificate)
 
     @PROPERTY
     @given(n=st.integers(1, 10**4), p=st.floats(0.01, 0.99))

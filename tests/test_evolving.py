@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cheaptalk_lab.benchmarks import abandon_scheme
 from cheaptalk_lab.distributions import (DistributionPair, Family,
@@ -181,6 +182,22 @@ class TestEvolvingLoss:
             losses = [evolving_loss(g, t) for t in range(2, 8)]
             assert all(a > b for a, b in zip(losses, losses[1:]))
             assert losses[0] < abandon_scheme(g)[1]
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(family=st.sampled_from([Family.NORMAL, Family.LAPLACE]),
+           gap=st.floats(0.0, 3.0), scale_low=st.floats(0.5, 2.0),
+           ratio=st.floats(0.75, 1.35), p=st.floats(0.01, 0.99))
+    def test_between_zero_and_abandoning_and_not_rising_in_the_horizon(
+            self, family, gap, scale_low, ratio, p):
+        # densities this close to each other leave the commitment system singular
+        assume(gap >= 1e-3 or abs(ratio - 1.0) >= 1e-3)
+        pair = DistributionPair(StateDistribution(family, -gap / 2, scale_low),
+                                StateDistribution(family, gap / 2, scale_low * ratio))
+        g = GameConfig(1, p, 0.5, pair)
+        losses = [evolving_loss(g, t) for t in range(1, 16)]
+        abandon = abandon_scheme(g)[1]
+        assert all(0.0 <= loss <= abandon for loss in losses), losses
+        assert all(a >= b for a, b in zip(losses, losses[1:])), losses
 
     def test_loss_follows_from_the_separation_sums(self):
         alpha, beta = alpha_beta(FIG_CONFIG.pair)

@@ -7,8 +7,8 @@ import pytest
 from cheaptalk_lab.game import (ALL_PROFILES, Bias, GameConfig, PureStrategy,
                                 SC1, SC2, SC5, SC7, ServiceType,
                                 best_response_rule, expected_platform_cost,
-                                expected_user_utility, high_message_prob,
-                                min_expected_cost, posterior_high)
+                                expected_user_utility, min_expected_cost,
+                                posterior_high, _kernel, _senders)
 from cheaptalk_lab.distributions import normal_pair
 
 from oracles import (brute_force_cost, brute_force_utility,
@@ -32,10 +32,15 @@ def test_profile_constants_are_all_distinct():
 
 
 def test_high_message_prob_examples():
+    # with one reviewer, the chance of one high message is his chance of messaging high
     g = config()
-    assert high_message_prob(SC1, g, ServiceType.HIGH) == pytest.approx(0.5)
-    assert high_message_prob(SC1, g, ServiceType.LOW) == 0.0
-    assert high_message_prob(SC2, g, ServiceType.LOW) == pytest.approx(0.5)
+
+    def high_message_prob(profile, service):
+        return _kernel(g).pmf(_senders(profile, service))[1]
+
+    assert high_message_prob(SC1, ServiceType.HIGH) == pytest.approx(0.5)
+    assert high_message_prob(SC1, ServiceType.LOW) == 0.0
+    assert high_message_prob(SC2, ServiceType.LOW) == pytest.approx(0.5)
 
 
 def test_posterior_examples():

@@ -267,6 +267,21 @@ class TestCli:
         assert code == 1
         assert "converge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("game", [
+        "  scale_low: 1.4124446891825535\n",   # variance 1.995 against 1
+        "  mu_low: -20.0\n  mu_high: 20.0\n",
+    ])
+    def test_separation_past_the_double_range_exits_nonzero(self, tmp_path, capsys, game):
+        bad = write_yaml(
+            tmp_path,
+            "scenario: evolving\ngame:\n" + game
+            + "sweep:\n  axis: horizon\n  values: [2]\n",
+        )
+        code = main(["evolving", "--config", str(bad), "--out", str(tmp_path)])
+        assert code == 1
+        assert "cheaptalk-lab: error:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_missing_config_file_exits_nonzero(self, tmp_path, capsys):
         code = main(["pbe", "--config", str(tmp_path / "nope.yaml")])
         assert code == 1
