@@ -48,6 +48,8 @@ class StateDistribution:
     scale: float
 
     def __post_init__(self):
+        # a str family would match none of the ``is Family.X`` branches
+        object.__setattr__(self, "family", Family(self.family))
         if not math.isfinite(self.location):
             raise ValueError(f"location must be finite, got {self.location}")
         if not 0 < self.scale < math.inf:

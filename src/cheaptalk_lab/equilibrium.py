@@ -238,21 +238,23 @@ def deviation_gains(profile: StrategyProfile, config: GameConfig
 def is_pbe(profile: StrategyProfile, config: GameConfig):
     """Certify ``profile`` as an equilibrium or return the first deviation.
 
-    Biases are scanned negative first and alternatives in declaration order;
-    a deviation counts only when it raises the bias influence, so exact ties
-    are non-deviations.
+    Decided on one game of its own, not ``enumerate_pbe``'s cached set:
+    biases are scanned negative first and alternatives in declaration order;
+    the first deviation that raises the bias influence is the witness, so
+    exact ties are non-deviations.  With none, or a zero gap, it certifies.
     """
     game = _LogGame(config.n_users, config.p_high, config.q_plus)
     i = ALL_PROFILES.index(profile)
     gains = game.gains(i, config.mean_gap)
-    if profile in enumerate_pbe(config):
+    j = next((j for j in range(6) if game.raises(i, j)), None) if config.mean_gap else None
+    if j is None:
         return PbeCertificate(
             profile=profile,
             rule=best_response_rule(profile, config),
             deviations_checked=len(gains),
             max_deviation_gain=max(gains.values()),
         )
-    bias, alt = _alternatives(profile)[next(j for j in range(6) if game.raises(i, j))]
+    bias, alt = _alternatives(profile)[j]
     return DeviationWitness(profile, bias, alt, gains[bias, alt])
 
 

@@ -23,18 +23,18 @@ from .game import GameConfig
 
 # The geometric sums overflow double precision once horizon * gap^2 / sigma^2
 # exceeds about 690 (normal case).  All formulas below are evaluated through
-# the sums' inverses, which underflow gracefully, so large horizons degrade to
-# a loss of exactly 0.0 instead of failing.
+# the sums' logs and inverses, which underflow gracefully, so large horizons
+# degrade to a loss of exactly 0.0 instead of failing.
 
 
-def _log_geometric_sum(ratio: float, horizon: int) -> float:
-    """log(1 + ratio + ... + ratio^(horizon-1)), stable for large ratios."""
-    if ratio == 1.0:
+def _log_geometric_sum(log_r: float, horizon: int) -> float:
+    """log(1 + r + ... + r^(horizon-1)) from log r, finite for any r."""
+    if log_r == 0.0:
         return math.log(horizon)
-    if ratio > 1.0:
-        log_r = math.log(ratio)
-        return horizon * log_r + math.log1p(-math.exp(-horizon * log_r)) - math.log(ratio - 1.0)
-    return math.log((1.0 - ratio**horizon) / (1.0 - ratio))
+    if log_r > 0.0:   # r^(T-1) (1 - r^-T) / (1 - r^-1)
+        return ((horizon - 1) * log_r
+                + math.log(math.expm1(-horizon * log_r) / math.expm1(-log_r)))
+    return math.log(math.expm1(horizon * log_r) / math.expm1(log_r))
 
 
 def _exp(x: float) -> float:
@@ -56,8 +56,8 @@ class _Solution:
 def _solve(p: float, gap: float, alpha: float, beta: float, horizon: int) -> _Solution:
     """Multipliers and per-period loss, computed through inverse sums."""
     t = float(horizon)
-    log_a = _log_geometric_sum(alpha, horizon)
-    log_b = _log_geometric_sum(beta, horizon)
+    log_a = _log_geometric_sum(math.log(alpha), horizon)
+    log_b = _log_geometric_sum(math.log(beta), horizon)
     inv_a = math.exp(-log_a)
     inv_b = math.exp(-log_b)
     inv_ab = math.exp(-(log_a + log_b))
@@ -181,26 +181,15 @@ def evolving_loss(config: GameConfig, horizon: int) -> float:
 def equal_variance_normal_loss(p_high: float, mean_gap: float, variance: float,
                                horizon: int) -> float:
     """Per-period loss for a normal pair with a shared variance."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     d2 = mean_gap**2
     if d2 == 0.0:
         return 0.0
     if horizon == 1:
         return p_high * (1.0 - p_high) * d2
-    big_r = _exp_ratio(d2 / variance, horizon)
+    big_r = _exp(_log_geometric_sum(d2 / variance, horizon) - math.log(horizon))
     return d2 / (big_r - 1.0 + 1.0 / (p_high * (1.0 - p_high)))
-
-
-def _exp_ratio(rate: float, horizon: int) -> float:
-    """(e^(T*rate) - 1) / (T (e^rate - 1)); equals 1 in the zero-rate limit."""
-    if rate == 0.0:
-        return 1.0
-    t = float(horizon)
-    if t * rate < 700.0:
-        return math.expm1(t * rate) / (t * math.expm1(rate))
-    log_num = t * rate + math.log1p(-math.exp(-t * rate))
-    log_den = math.log(t) + rate + math.log1p(-math.exp(-rate))
-    log_ratio = log_num - log_den
-    return math.exp(log_ratio) if log_ratio < 700.0 else math.inf
 
 
 def crossover_threshold(config: GameConfig, horizon: int) -> float:
@@ -211,11 +200,13 @@ def crossover_threshold(config: GameConfig, horizon: int) -> float:
     if not (pair.low.family is Family.NORMAL and pair.high.family is Family.NORMAL
             and pair.low.scale == pair.high.scale):
         raise ValueError("the crossover formula needs an equal-variance normal pair")
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     d2 = config.mean_gap**2
     if d2 == 0.0:
         return 0.0
     p = config.p_high
-    big_r = _exp_ratio(d2 / pair.low.scale**2, horizon)
+    big_r = _exp(_log_geometric_sum(d2 / pair.low.scale**2, horizon) - math.log(horizon))
     return max(math.log2(p * big_r + (1.0 - p)),
                math.log2((1.0 - p) * big_r + p))
 

@@ -51,6 +51,13 @@ _GAME_DEFAULTS = {
     "scale_high": 1.0,
 }
 
+_SECTION_KEYS = {
+    "game": tuple(_GAME_DEFAULTS),
+    "sweep": ("axis", "values"),
+    "output": ("stem", "format"),
+    "options": ("figure", "horizons", "horizon", "profile", "samples", "seed"),
+}
+
 SWEEP_AXES = ("n_users", "horizon", "p_high", "q_plus", "mu_low", "var_high",
               "family")
 
@@ -78,29 +85,25 @@ def load_experiment(path, scenario: str | None = None,
         raw = yaml.safe_load(Path(path).read_text())
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read experiment file {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("experiment file must contain a mapping")
+    _check_keys(raw, ("scenario", *_SECTION_KEYS), "the experiment file")
+    game_section, sweep, output, options = (
+        dict(_check_keys(raw.get(name) or {}, keys, f"section {name!r}"))
+        for name, keys in _SECTION_KEYS.items())
 
     chosen = scenario or raw.get("scenario")
     if chosen not in SCENARIOS:
         raise ConfigError(f"unknown scenario {chosen!r}; expected one of {SCENARIOS}")
 
-    game_section = dict(_GAME_DEFAULTS)
-    game_section.update(raw.get("game") or {})
-
-    sweep = raw.get("sweep") or {}
     axis = sweep.get("axis")
     if axis is not None and axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     values = list(sweep.get("values") or [])
 
-    output = raw.get("output") or {}
     fmt = output.get("format", "csv")
     if fmt not in ("csv", "svg"):
         raise ConfigError("output.format must be 'csv' or 'svg'")
     formats = ("csv",) if fmt == "csv" else ("csv", "svg")
 
-    options = dict(raw.get("options") or {})
     if seed is not None:
         options["seed"] = seed
     if samples is not None:
@@ -108,13 +111,23 @@ def load_experiment(path, scenario: str | None = None,
 
     return ExperimentConfig(
         scenario=chosen,
-        game=game_section,
+        game={**_GAME_DEFAULTS, **game_section},
         sweep_axis=axis,
         sweep_values=values,
         stem=str(output.get("stem", "results")),
         formats=formats,
         options=options,
     )
+
+
+def _check_keys(section, allowed: tuple[str, ...], where: str) -> dict:
+    """``section`` itself, if it is a mapping with no key outside ``allowed``."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must contain a mapping")
+    unknown = [key for key in section if key not in allowed]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}; expected one of {allowed}")
+    return section
 
 
 def _scale_from_variance(family: Family, variance: float) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 from ._rng import Moments, chunked_generators
 from .evolving import IcResiduals, _prefix_log_ratios
 from .game import (GameConfig, InferenceRule, ServiceType,
-                   StrategyProfile, min_expected_cost)
+                   StrategyProfile, _senders, min_expected_cost)
 
 
 @dataclass(frozen=True)
@@ -68,14 +68,11 @@ def simulate_game(config: GameConfig, profile: StrategyProfile,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n = config.n_users
+    if rule.n_users != n:
+        raise ValueError("rule was built for a different number of users")
     actions = np.asarray(rule.actions)
-    sends_high = {
-        service: np.array([
-            profile.negative.sends_high(service),
-            profile.positive.sends_high(service),
-        ])
-        for service in ServiceType
-    }
+    (high_pos, high_neg), (low_pos, low_neg) = (
+        _senders(profile, ServiceType.HIGH), _senders(profile, ServiceType.LOW))
 
     def worker(count, rng):
         is_high = rng.random(count) < config.p_high
@@ -83,11 +80,11 @@ def simulate_game(config: GameConfig, profile: StrategyProfile,
         theta_low = config.pair.low.sample(rng, count)
         theta_high = config.pair.high.sample(rng, count)
 
-        table_h = sends_high[ServiceType.HIGH][is_pos.astype(int)]
-        table_l = sends_high[ServiceType.LOW][is_pos.astype(int)]
-        high_msgs = np.where(is_high[:, None], table_h, table_l)
-        k = high_msgs.sum(axis=1)
-        a = actions[k]
+        # given the type each class sends high or not, so the count of high
+        # messages is pos * n_pos + neg * (N - n_pos)
+        n_pos = np.count_nonzero(is_pos, axis=1)
+        a = actions[np.where(is_high, high_pos, low_pos) * n_pos
+                    + np.where(is_high, high_neg, low_neg) * (n - n_pos)]
         theta = np.where(is_high, theta_high, theta_low)
         cost = (a - theta) ** 2
 

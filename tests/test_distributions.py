@@ -35,6 +35,22 @@ def test_variances_follow_family_formulas():
         4.0 * math.pi**2 / 3.0)
 
 
+def test_a_family_name_becomes_its_member():
+    # kept as a str, "normal" took the logistic variance and the Laplace
+    # separation integral
+    dist = StateDistribution("normal", 0.0, 1.0)
+    assert dist.family is Family.NORMAL
+    assert dist.variance == 1.0
+    pair = DistributionPair(StateDistribution("normal", -1.0, 1.0),
+                            StateDistribution("normal", 1.0, 1.0))
+    assert alpha_beta(pair) == alpha_beta(normal_pair(-1.0, 1.0))
+
+
+def test_an_unknown_family_is_rejected_at_construction():
+    with pytest.raises(ValueError):
+        StateDistribution("gauss", 0.0, 1.0)
+
+
 def test_scale_must_be_positive():
     with pytest.raises(ValueError):
         StateDistribution(Family.NORMAL, 0, 0.0)

@@ -74,6 +74,34 @@ class TestIsPbe:
         for profile in ALL_PROFILES:
             assert isinstance(is_pbe(profile, g), PbeCertificate)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 30])
+    def test_certificates_are_exactly_the_enumerated_set(self, n):
+        # is_pbe decides on its own game, apart from enumerate_pbe's cached
+        # sets; p = 1/2 + 2^-45 with q in {0.1, 0.3} at N = 30 needs the
+        # exact fallback
+        for p in (0.1, 0.3, 0.5, 0.5 + 2.0**-45, 0.7):
+            for q in (0.1, 0.3, 0.5, 0.7):
+                for gap in (0.0, 2.0):
+                    g = config(n=n, p=p, q=q, mu_h=-1.0 + gap)
+                    members = enumerate_pbe(g)
+                    for profile in ALL_PROFILES:
+                        certified = isinstance(is_pbe(profile, g), PbeCertificate)
+                        assert certified == (profile in members), (p, q, gap, profile)
+
+    def test_decides_on_one_game(self, monkeypatch):
+        built = []
+
+        class CountingGame(equilibrium._LogGame):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(equilibrium, "_LogGame", CountingGame)
+        monkeypatch.setattr(equilibrium, "enumerate_pbe", None)
+        assert isinstance(is_pbe(SC1, config(n=5)), PbeCertificate)
+        assert isinstance(is_pbe(SC7, config(n=5)), DeviationWitness)
+        assert built == [(5, 0.3, 0.5)] * 2
+
     def test_gains_match_direct_utility_differences(self):
         g = config(n=2, p=0.6, q=0.3)
         gains = deviation_gains(SC2, g)
@@ -347,6 +375,13 @@ class TestSystemLoss:
             abandon = abandon_scheme(g)[1]
             majority = majority_vote_loss(g)
             assert bayes < abandon < majority
+
+    @PROPERTY
+    @given(n=st.integers(1, 2000), p=st.floats(0.01, 0.99), q=st.floats(0.01, 0.99))
+    def test_dominated_by_the_biased_majority_and_abandoning_at_any_count(self, n, p, q):
+        g = config(n=n, p=p, q=q)
+        assert bayesian_system_loss(g) <= min(majority_vote_loss_biased(g),
+                                              abandon_scheme(g)[1])
 
     def test_zero_gap_means_zero_loss(self):
         g = GameConfig(2, 0.3, 0.5, normal_pair(1.0, 1.0))

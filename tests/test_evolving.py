@@ -10,7 +10,8 @@ from cheaptalk_lab.distributions import (DistributionPair, Family,
                                          normal_pair)
 from cheaptalk_lab.errors import DegenerateHorizon
 from cheaptalk_lab.evolving import (CommitmentSchedule, ConstantSchedule,
-                                    _solve, crossover_threshold,
+                                    _log_geometric_sum, _solve,
+                                    crossover_threshold,
                                     equal_variance_normal_loss, evolving_loss,
                                     solve_schedule, verify_ic)
 from cheaptalk_lab.game import GameConfig
@@ -56,6 +57,15 @@ class TestSolveSchedule:
                 a_low, a_high = s.actions_from_log_ratio(log_ratio)
                 assert FIG_CONFIG.mu_low <= a_low <= FIG_CONFIG.mu_high
                 assert FIG_CONFIG.mu_low <= a_high <= FIG_CONFIG.mu_high
+
+    @pytest.mark.parametrize("log_r", [-30.0, -0.7, -1e-9, 0.0, 1e-9, 0.7, 30.0])
+    def test_log_geometric_sum_matches_the_direct_sum(self, log_r):
+        for horizon in (1, 2, 5, 40):
+            top = max(0.0, (horizon - 1) * log_r)
+            direct = top + math.log(math.fsum(math.exp(k * log_r - top)
+                                              for k in range(horizon)))
+            assert _log_geometric_sum(log_r, horizon) == pytest.approx(
+                direct, rel=1e-13, abs=1e-15)
 
     def test_single_period_is_degenerate(self):
         with pytest.raises(DegenerateHorizon):
@@ -127,6 +137,12 @@ class TestEvolvingLoss:
                         assert evolving_loss(g, horizon) == pytest.approx(
                             equal_variance_normal_loss(p, gap, var, horizon),
                             rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_normal_closed_form_rejects_a_horizon_below_one(self, horizon):
+        # -3 returned 1.06, above the abandoning loss; 0 divided by zero
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            equal_variance_normal_loss(0.3, 2.0, 1.0, horizon)
 
     def test_loss_matches_the_second_moment_derivation(self):
         rng = np.random.default_rng(61)
@@ -225,6 +241,12 @@ class TestCrossover:
         for n in range(1, 9):
             bayes = symmetric_bias_loss(n, FIG_CONFIG.p_high, FIG_CONFIG.mean_gap)
             assert (commit < bayes) == (n <= threshold)
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_rejects_a_horizon_below_one(self, horizon):
+        # -3 returned -0.51; 0 divided by zero
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            crossover_threshold(FIG_CONFIG, horizon)
 
     def test_requires_an_equal_variance_normal_pair(self):
         with pytest.raises(ValueError):

@@ -244,6 +244,22 @@ class TestCli:
         assert "error" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("text, key", [
+        ("scenario: loss_curve\ngame:\n  n_user: 3\n", "n_user"),
+        ("scenario: loss_curve\ngame:\n  p_hgh: 0.9\n", "p_hgh"),
+        ("scenario: loss_curve\noutput:\n  formt: svg\n", "formt"),
+        ("scenario: loss_curve\nsweep:\n  axis: n_users\n  value: [1]\n", "value"),
+        ("scenario: simulate\noptions:\n  sample: 10\n", "sample"),
+        ("scenario: loss_curve\noutputs:\n  stem: x\n", "outputs"),
+    ])
+    def test_unknown_key_exits_nonzero_naming_it(self, tmp_path, capsys, text, key):
+        # such files used to run on the defaults and exit 0
+        bad = write_yaml(tmp_path, text)
+        code = main(["loss_curve", "--config", str(bad), "--out", str(tmp_path)])
+        assert code == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_degenerate_pair_exits_nonzero(self, tmp_path, capsys):
         bad = write_yaml(
             tmp_path,

@@ -80,6 +80,14 @@ class TestSimulateGame:
         with pytest.raises(ValueError):
             simulate_game(g, SC1, rule, 0, seed=1)
 
+    @pytest.mark.parametrize("rule_users", [1, 5])
+    def test_rejects_a_rule_built_for_another_count(self, rule_users):
+        # a longer rule ran and returned a cost; a shorter one raised IndexError
+        g = config(n=2)
+        rule = best_response_rule(SC1, config(n=rule_users))
+        with pytest.raises(ValueError, match="different number of users"):
+            simulate_game(g, SC1, rule, 1_000, seed=1)
+
 
 class TestSimulateEvolving:
     def test_matches_the_closed_form_loss(self):
