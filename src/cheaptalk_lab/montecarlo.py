@@ -1,9 +1,14 @@
 """Seeded simulation of the one-shot game and the multi-period mechanism.
 
 Plain Monte Carlo, no variance reduction, so every estimate is an unbiased
-oracle for the matching closed form.  Draws are partitioned into fixed-size
-chunks with independent substreams and reduced in chunk order; reports are
-therefore bit-identical for a given seed regardless of the worker count.
+oracle for the matching closed form.  A one-shot sample draws the type, the
+focal reviewer's bias, the count of high messages among the other N - 1
+(binomial given the type, as each sends high with the same chance) and the
+state of the realized type only: the same joint law as drawing every
+reviewer's bias, in time and memory independent of N.  Draws are partitioned
+into fixed-size chunks with independent substreams and reduced in chunk
+order; reports are therefore bit-identical for a given seed regardless of
+the worker count.
 """
 
 from __future__ import annotations
@@ -55,15 +60,26 @@ def _run_chunks(chunks, worker, workers: int) -> list[Moments]:
     return [sum(column, Moments()) for column in zip(*parts)]
 
 
+def _realized_states(pair, rng, is_high: np.ndarray, periods=()) -> np.ndarray:
+    """States of each sample's realized density only, high draws before low."""
+    theta = np.empty(is_high.shape + periods)
+    n_high = int(np.count_nonzero(is_high))
+    theta[is_high] = pair.high.sample(rng, (n_high,) + periods)
+    theta[~is_high] = pair.low.sample(rng, (is_high.size - n_high,) + periods)
+    return theta
+
+
 def simulate_game(config: GameConfig, profile: StrategyProfile,
                   rule: InferenceRule, samples: int, seed: int,
                   workers: int = 1) -> SimulationReport:
     """Play the one-shot game ``samples`` times and report empirical moments.
 
-    Each sample draws the quality type, every reviewer's bias, the messages
-    the profile prescribes, the platform's rating from ``rule``, and a state
-    realization; it accumulates the squared rating error and the first
-    reviewer's signed rating (bucketed by his bias).
+    Each sample draws the quality type, the first reviewer's bias, the count
+    of high messages among the other reviewers, Binomial(N - 1, h) with h
+    the chance of one reviewer messaging high under the type, and a state of
+    the realized type.  The rating is ``rule`` at that count plus the first
+    reviewer's message; each sample adds the squared rating error and the
+    first reviewer's signed rating (bucketed by that reviewer's bias).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -71,24 +87,19 @@ def simulate_game(config: GameConfig, profile: StrategyProfile,
     if rule.n_users != n:
         raise ValueError("rule was built for a different number of users")
     actions = np.asarray(rule.actions)
-    (high_pos, high_neg), (low_pos, low_neg) = (
-        _senders(profile, ServiceType.HIGH), _senders(profile, ServiceType.LOW))
+    q = config.q_plus
+    high, low = _senders(profile, ServiceType.HIGH), _senders(profile, ServiceType.LOW)
+    # h = q [positive class sends high] + (1 - q) [negative class sends high];
+    # q + (1 - q) rounds to exactly 1
+    h_high, h_low = (q * pos + (1.0 - q) * neg for pos, neg in (high, low))
 
     def worker(count, rng):
         is_high = rng.random(count) < config.p_high
-        is_pos = rng.random((count, n)) < config.q_plus
-        theta_low = config.pair.low.sample(rng, count)
-        theta_high = config.pair.high.sample(rng, count)
-
-        # given the type each class sends high or not, so the count of high
-        # messages is pos * n_pos + neg * (N - n_pos)
-        n_pos = np.count_nonzero(is_pos, axis=1)
-        a = actions[np.where(is_high, high_pos, low_pos) * n_pos
-                    + np.where(is_high, high_neg, low_neg) * (n - n_pos)]
-        theta = np.where(is_high, theta_high, theta_low)
-        cost = (a - theta) ** 2
-
-        focal_pos = is_pos[:, 0]
+        focal_pos = rng.random(count) < q
+        others = rng.binomial(n - 1, np.where(is_high, h_high, h_low))
+        focal = np.where(is_high, np.where(focal_pos, *high), np.where(focal_pos, *low))
+        a = actions[others + focal]
+        cost = (a - _realized_states(config.pair, rng, is_high)) ** 2
         return Moments.of(cost), Moments.of(a[focal_pos]), Moments.of(-a[~focal_pos])
 
     cost, pos, neg = _run_chunks(chunked_generators(seed, samples), worker, workers)
@@ -122,9 +133,7 @@ def simulate_evolving(config: GameConfig, schedule, episodes: int, seed: int,
 
     def worker(count, rng):
         is_high = rng.random(count) < config.p_high
-        theta_low = pair.low.sample(rng, (count, horizon))
-        theta_high = pair.high.sample(rng, (count, horizon))
-        theta = np.where(is_high[:, None], theta_high, theta_low)
+        theta = _realized_states(pair, rng, is_high, (horizon,))
 
         a_low, a_high = schedule.actions_from_log_ratio(
             _prefix_log_ratios(pair, theta[:, : horizon - 1]))

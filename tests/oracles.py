@@ -2,8 +2,9 @@
 
 Everything here recomputes expected values through a route different from the
 library's: full enumeration instead of binomial grouping, published closed
-forms instead of generic Bayes, direct quadrature instead of algebra, and a
-numerical linear solve instead of the rational multiplier formulas.
+forms instead of generic Bayes, direct quadrature instead of algebra, a
+numerical linear solve instead of the rational multiplier formulas, and a
+per-reviewer game simulation instead of the binomial count of high messages.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from scipy import integrate
 
 from cheaptalk_lab.game import (Bias, GameConfig, InferenceRule, PureStrategy,
                                 ServiceType)
+from cheaptalk_lab.montecarlo import SimulationReport
 
 C = math.comb
 
@@ -63,6 +65,53 @@ def brute_force_majority_loss(config: GameConfig) -> float:
         total += w * (config.p_high * (a - config.mu_high) ** 2
                       + (1.0 - config.p_high) * (a - config.mu_low) ** 2)
     return total
+
+
+# ---------------------------------------------------------------------------
+# per-reviewer Monte Carlo of the one-shot game
+
+
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
+
+
+def per_reviewer_simulation(config: GameConfig, profile, rule: InferenceRule,
+                            samples: int, seed: int) -> SimulationReport:
+    """Play the one-shot game drawing every reviewer's bias and message.
+
+    Each sample draws the type, all N biases as a (samples, N) matrix and
+    both states; every reviewer messages by the strategy of its bias, and
+    the high messages are counted reviewer by reviewer.  Memory grows with
+    N, so this is for small games only.
+    """
+    rng = np.random.default_rng(seed)
+    is_high = rng.random(samples) < config.p_high
+    is_pos = rng.random((samples, config.n_users)) < config.q_plus
+    theta = np.where(is_high, config.pair.high.sample(rng, samples),
+                     config.pair.low.sample(rng, samples))
+
+    def sends(service, bias):
+        return profile.strategy_for(bias).sends_high(service)
+
+    high_msgs = np.where(
+        is_high[:, None],
+        np.where(is_pos, sends(ServiceType.HIGH, Bias.POSITIVE),
+                 sends(ServiceType.HIGH, Bias.NEGATIVE)),
+        np.where(is_pos, sends(ServiceType.LOW, Bias.POSITIVE),
+                 sends(ServiceType.LOW, Bias.NEGATIVE)))
+    a = np.asarray(rule.actions)[np.count_nonzero(high_msgs, axis=1)]
+    focal_pos = is_pos[:, 0]
+    mean_cost, se_cost = _mean_stderr((a - theta) ** 2)
+    mean_pos, se_pos = _mean_stderr(a[focal_pos])
+    mean_neg, se_neg = _mean_stderr(-a[~focal_pos])
+    return SimulationReport(
+        samples=samples, seed=seed,
+        mean_cost=mean_cost, stderr_cost=se_cost,
+        mean_utility_negative=mean_neg, stderr_utility_negative=se_neg,
+        count_negative=int(samples - focal_pos.sum()),
+        mean_utility_positive=mean_pos, stderr_utility_positive=se_pos,
+        count_positive=int(focal_pos.sum()),
+    )
 
 
 # ---------------------------------------------------------------------------

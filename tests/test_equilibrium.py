@@ -383,6 +383,14 @@ class TestSystemLoss:
         assert bayesian_system_loss(g) <= min(majority_vote_loss_biased(g),
                                               abandon_scheme(g)[1])
 
+    @settings(PROPERTY, max_examples=200)
+    @given(n=st.integers(1, 299), p=st.floats(0.01, 0.99))
+    def test_equal_shares_loss_does_not_rise_with_the_count(self, n, p):
+        # only at q = 1/2: otherwise it can rise, e.g. p = q = 0.01 gives
+        # 0.0199 at N = 1 and 0.0388 at N = 2
+        assert bayesian_system_loss(config(n=n + 1, p=p)) <= \
+            bayesian_system_loss(config(n=n, p=p))
+
     def test_zero_gap_means_zero_loss(self):
         g = GameConfig(2, 0.3, 0.5, normal_pair(1.0, 1.0))
         assert bayesian_system_loss(g) == pytest.approx(0.0, abs=1e-14)

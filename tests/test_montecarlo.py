@@ -1,12 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cheaptalk_lab._rng import CHUNK_SIZE
 from cheaptalk_lab.distributions import normal_pair
 from cheaptalk_lab.evolving import ConstantSchedule, solve_schedule
-from cheaptalk_lab.game import (Bias, GameConfig, SC1, SC2, SC5,
+from cheaptalk_lab.game import (Bias, GameConfig, SC1, SC2, SC5, SC7,
                                 best_response_rule, expected_platform_cost,
                                 expected_user_utility, min_expected_cost)
 from cheaptalk_lab.montecarlo import simulate_evolving, simulate_game
+
+from oracles import per_reviewer_simulation
+
+# seeds and sample counts in [1, 3 * CHUNK_SIZE + 1], for worker-count checks;
+# the chunk count is drawn first so that most draws span several chunks
+WORKER_PROPERTY = settings(derandomize=True, deadline=None, max_examples=15)
+SEEDS = st.integers(0, 2**32 - 1)
+SAMPLES = st.integers(0, 3).flatmap(lambda full: st.integers(
+    full * CHUNK_SIZE + 1, min((full + 1) * CHUNK_SIZE, 3 * CHUNK_SIZE + 1)))
 
 
 def config(n=1, p=0.3, q=0.5, var_h=1.0):
@@ -88,6 +101,50 @@ class TestSimulateGame:
         with pytest.raises(ValueError, match="different number of users"):
             simulate_game(g, SC1, rule, 1_000, seed=1)
 
+    @WORKER_PROPERTY
+    @given(seed=SEEDS, samples=SAMPLES, n=st.integers(1, 6),
+           profile=st.sampled_from([SC1, SC2, SC5, SC7]))
+    def test_reports_are_bit_identical_across_worker_counts(self, seed, samples,
+                                                             n, profile):
+        g = config(n=n, q=0.4)
+        rule = best_response_rule(profile, g)
+        # repr tells every float bit apart and treats nan stderrs as equal
+        reports = {repr(simulate_game(g, profile, rule, samples, seed, workers=w))
+                   for w in (1, 2, 3)}
+        assert len(reports) == 1
+
+    def test_peak_memory_does_not_grow_with_the_reviewer_count(self):
+        peaks = []
+        for n in (2, 10**4):
+            g = config(n=n)
+            rule = best_response_rule(SC1, g)
+            simulate_game(g, SC1, rule, 65_536, seed=5)   # warm-up
+            tracemalloc.start()
+            try:
+                simulate_game(g, SC1, rule, 65_536, seed=5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], peaks
+
+    def test_binomial_count_agrees_with_per_reviewer_draws(self):
+        # the oracle draws every reviewer's bias; the two samplers share only
+        # the config and its state samplers, so this checks the binomial count
+        for profile in (SC1, SC2, SC5, SC7):
+            for n in (1, 2, 5):
+                for q in (0.3, 0.5):
+                    g = config(n=n, q=q, var_h=1.5)
+                    rule = best_response_rule(profile, g)
+                    collapsed = simulate_game(g, profile, rule, 100_000, seed=41)
+                    oracle = per_reviewer_simulation(g, profile, rule, 100_000, seed=43)
+                    for field in ("cost", "utility_negative", "utility_positive"):
+                        a = getattr(collapsed, f"mean_{field}")
+                        b = getattr(oracle, f"mean_{field}")
+                        se = np.hypot(getattr(collapsed, f"stderr_{field}"),
+                                      getattr(oracle, f"stderr_{field}"))
+                        # 1e-12 covers the rounding of constant ratings (se 0)
+                        assert abs(a - b) <= 4.0 * se + 1e-12, (profile, n, q, field)
+
 
 class TestSimulateEvolving:
     def test_matches_the_closed_form_loss(self):
@@ -122,3 +179,13 @@ class TestSimulateEvolving:
         threaded = simulate_evolving(g, schedule, 60_000, seed=37, workers=3)
         assert a == b
         assert a == threaded
+
+    @WORKER_PROPERTY
+    @given(seed=SEEDS, samples=SAMPLES, horizon=st.integers(2, 3))
+    def test_reports_are_bit_identical_across_worker_counts(self, seed, samples,
+                                                             horizon):
+        g = config()
+        schedule = solve_schedule(g, horizon)
+        reports = {repr(simulate_evolving(g, schedule, samples, seed, workers=w))
+                   for w in (1, 2, 3)}
+        assert len(reports) == 1
