@@ -5,7 +5,10 @@ rating it will post after an initial low or high message.  The announced pair
 is tilted toward the message's opposite mean by a history weight driven by
 the likelihood ratio, calibrated so that misreporting never pays in
 expectation for either bias.  Both the calibration and its per-period loss
-are closed-form in the two separation integrals of the density pair.
+are closed-form in the two separation integrals of the density pair.  The
+actions are affine in the history ratio r and in 1/r, so the Monte Carlo
+checks read a history's truthfulness sum from its sums of r and 1/r, taken in
+one pass over the horizon (``_history_sums``).
 """
 
 from __future__ import annotations
@@ -84,8 +87,27 @@ def _solve(p: float, gap: float, alpha: float, beta: float, horizon: int) -> _So
     return _Solution(lam_low, lam_high, loss, log_a, log_b)
 
 
+def _times(k: float, x: np.ndarray) -> np.ndarray:
+    """k * x, or zeros for k = 0 even where x is inf (never 0 * inf)."""
+    return k * x if k else np.zeros_like(x)
+
+
+class _AffineActions:
+    """Actions a_low = c_low + k_low r, a_high = c_high - k_high / r of ``coefficients``."""
+
+    def actions_from_log_ratio(self, log_ratio):
+        """Committed (low-message, high-message) ratings; vectorized."""
+        c_low, k_low, c_high, k_high = self.coefficients
+        ratio = np.exp(np.asarray(log_ratio, dtype=float))
+        a_low, a_high = c_low + _times(k_low, ratio), c_high - _times(k_high, 1.0 / ratio)
+        return (float(a_low), float(a_high)) if ratio.ndim == 0 else (a_low, a_high)
+
+    def actions(self, history) -> tuple[float, float]:
+        return self.actions_from_log_ratio(history_log_likelihood_ratio(self.pair, history))
+
+
 @dataclass(frozen=True)
-class CommitmentSchedule:
+class CommitmentSchedule(_AffineActions):
     """Solved multi-period commitment: multipliers, sums, and action maps."""
 
     horizon: int
@@ -98,28 +120,15 @@ class CommitmentSchedule:
     pair: DistributionPair
     p_high: float
 
-    def actions_from_log_ratio(self, log_ratio):
-        """Committed (low-message, high-message) ratings; vectorized."""
-        log_ratio = np.asarray(log_ratio, dtype=float)
-        ratio = np.exp(log_ratio)
-        inv_ratio = np.exp(-log_ratio)
-        a_low = (self.pair.mu_low
-                 + (ratio * self.lambda_high + self.lambda_low)
-                 / (2.0 * (1.0 - self.p_high)))
-        a_high = (self.pair.mu_high
-                  - (self.lambda_high + self.lambda_low * inv_ratio)
-                  / (2.0 * self.p_high))
-        if log_ratio.ndim == 0:
-            return float(a_low), float(a_high)
-        return a_low, a_high
-
-    def actions(self, history) -> tuple[float, float]:
-        return self.actions_from_log_ratio(
-            history_log_likelihood_ratio(self.pair, history))
+    @property
+    def coefficients(self) -> tuple[float, float, float, float]:
+        low, high = 2.0 * (1.0 - self.p_high), 2.0 * self.p_high   # the multipliers' divisors
+        return (self.pair.mu_low + self.lambda_low / low, self.lambda_high / low,
+                self.pair.mu_high - self.lambda_high / high, self.lambda_low / high)
 
 
 @dataclass(frozen=True)
-class ConstantSchedule:
+class ConstantSchedule(_AffineActions):
     """History-independent committed actions (one-shot pattern over T periods)."""
 
     horizon: int
@@ -127,15 +136,9 @@ class ConstantSchedule:
     a_low: float
     a_high: float
 
-    def actions_from_log_ratio(self, log_ratio):
-        log_ratio = np.asarray(log_ratio, dtype=float)
-        if log_ratio.ndim == 0:
-            return self.a_low, self.a_high
-        return (np.full(log_ratio.shape, self.a_low),
-                np.full(log_ratio.shape, self.a_high))
-
-    def actions(self, history) -> tuple[float, float]:
-        return self.a_low, self.a_high
+    @property
+    def coefficients(self) -> tuple[float, float, float, float]:
+        return self.a_low, 0.0, self.a_high, 0.0
 
 
 def solve_schedule(config: GameConfig, horizon: int) -> CommitmentSchedule:
@@ -263,40 +266,48 @@ class IcResiduals:
         )
 
 
-def _prefix_log_ratios(pair: DistributionPair, histories) -> np.ndarray:
-    """Log likelihood ratio of every prefix of each row's history.
-
-    A (rows, k) array of states gives (rows, k + 1) log ratios, the empty
-    prefix (log ratio 0) first.
-    """
-    steps = log_likelihood_ratio(pair, histories)
-    return np.concatenate(
-        [np.zeros((len(histories), 1)), np.cumsum(steps, axis=1)], axis=1)
+def _history_sums(schedule, states: np.ndarray, high: bool | None = None):
+    """One pass over each row of ``states``, (count, T - 1) or (count, T): the IC
+    difference sum_t (a_low - a_high)(r_t) = T (c_low - c_high) + k_low sum r_t
+    + k_high sum 1/r_t, r_t the ratio of the first t states (r_0 = 1), and,
+    given the message ``high``, the squared error of that message's actions."""
+    horizon = schedule.horizon
+    c_low, k_low, c_high, k_high = schedule.coefficients
+    steps = log_likelihood_ratio(schedule.pair, states[:, : horizon - 1])
+    count = len(states)
+    sum_r, sum_inv, log_r = np.ones(count), np.ones(count), np.zeros(count)   # r_0 = 1
+    c, k = (c_high, -k_high) if high else (c_low, k_low)   # action c + k/r or c + k r
+    error = None if high is None else (states[:, 0] - (c + k)) ** 2
+    for t in range(1, horizon):
+        log_r += steps[:, t - 1]
+        ratio = np.exp(log_r)
+        inv = 1.0 / ratio
+        sum_r += ratio
+        sum_inv += inv
+        if error is not None:
+            error += (states[:, t] - c - _times(k, inv if high else ratio)) ** 2
+    diff = horizon * (c_low - c_high) + _times(k_low, sum_r) + _times(k_high, sum_inv)
+    return diff, error
 
 
 def _difference_sums(schedule, dist, episodes: int, seed_seq) -> Moments:
-    """Moments of sum_k (a_low - a_high)(h_{k-1}) over histories drawn from
-    ``dist``."""
+    """Moments of sum_t (a_low - a_high)(r_t) over histories drawn from ``dist``."""
     acc = Moments()
     for count, rng in chunked_generators(seed_seq, episodes):
         draws = dist.sample(rng, (count, schedule.horizon - 1))
-        a_low, a_high = schedule.actions_from_log_ratio(
-            _prefix_log_ratios(schedule.pair, draws))
-        acc += Moments.of(np.sum(a_low - a_high, axis=1))
+        acc += Moments.of(_history_sums(schedule, draws)[0])
     return acc
 
 
 def verify_ic(schedule, mc_episodes: int, seed: int) -> IcResiduals:
     """Estimate all four truthfulness residuals of a schedule by simulation.
 
-    ``schedule`` may be any object exposing ``horizon``, ``pair`` and
-    ``actions_from_log_ratio``.  Histories are simulated separately under
-    each density with independent deterministic substreams.
+    ``schedule`` may be any object exposing ``horizon``, ``pair`` and the
+    ``coefficients`` of its affine actions.  Histories are simulated separately
+    under each density with independent deterministic substreams.
     """
-    root = np.random.SeedSequence(seed)
-    low_seq, high_seq = root.spawn(2)
-    pair = schedule.pair
+    low_seq, high_seq = np.random.SeedSequence(seed).spawn(2)
     return IcResiduals._from_moments(
-        _difference_sums(schedule, pair.low, mc_episodes, low_seq),
-        _difference_sums(schedule, pair.high, mc_episodes, high_seq),
+        _difference_sums(schedule, schedule.pair.low, mc_episodes, low_seq),
+        _difference_sums(schedule, schedule.pair.high, mc_episodes, high_seq),
         mc_episodes, seed)

@@ -152,6 +152,13 @@ class InferenceRule:
     def __call__(self, k: int) -> float:
         return self.actions[k]
 
+    @functools.cached_property
+    def action_array(self) -> np.ndarray:
+        """``actions`` as a read-only float array, built once per rule."""
+        array = np.array(self.actions, dtype=float)
+        array.flags.writeable = False
+        return array
+
     @property
     def n_users(self) -> int:
         return len(self.actions) - 1
@@ -266,7 +273,7 @@ def expected_user_utility(profile: StrategyProfile, rule: InferenceRule,
     """
     if rule.n_users != config.n_users:
         raise ValueError("rule was built for a different number of users")
-    kernel, actions = _kernel(config), np.array(rule.actions)
+    kernel, actions = _kernel(config), rule.action_array
     strategy = profile.strategy_for(bias)
     total = 0.0
     for service in ServiceType:
@@ -282,7 +289,7 @@ def expected_platform_cost(profile: StrategyProfile, rule: InferenceRule,
     """Expected squared rating error plus state variance under the profile."""
     if rule.n_users != config.n_users:
         raise ValueError("rule was built for a different number of users")
-    kernel, actions = _kernel(config), np.array(rule.actions)
+    kernel, actions = _kernel(config), rule.action_array
     total = 0.0
     for service, dist in ((ServiceType.HIGH, config.pair.high), (ServiceType.LOW, config.pair.low)):
         like = kernel.pmf(_senders(profile, service))

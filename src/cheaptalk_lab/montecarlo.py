@@ -5,10 +5,11 @@ oracle for the matching closed form.  A one-shot sample draws the type, the
 focal reviewer's bias, the count of high messages among the other N - 1
 (binomial given the type, as each sends high with the same chance) and the
 state of the realized type only: the same joint law as drawing every
-reviewer's bias, in time and memory independent of N.  Draws are partitioned
-into fixed-size chunks with independent substreams and reduced in chunk
-order; reports are therefore bit-identical for a given seed regardless of
-the worker count.
+reviewer's bias, in time and memory independent of N.  Commitment episodes
+are drawn as one block of histories per type, never joined into one array.
+Draws are partitioned into fixed-size chunks with independent substreams and
+reduced in chunk order; reports are therefore bit-identical for a given seed
+regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import Moments, chunked_generators
-from .evolving import IcResiduals, _prefix_log_ratios
+from .evolving import CommitmentSchedule, IcResiduals, _history_sums
 from .game import (GameConfig, InferenceRule, ServiceType,
                    StrategyProfile, _senders, min_expected_cost)
 
@@ -60,12 +61,12 @@ def _run_chunks(chunks, worker, workers: int) -> list[Moments]:
     return [sum(column, Moments()) for column in zip(*parts)]
 
 
-def _realized_states(pair, rng, is_high: np.ndarray, periods=()) -> np.ndarray:
+def _realized_states(pair, rng, is_high: np.ndarray) -> np.ndarray:
     """States of each sample's realized density only, high draws before low."""
-    theta = np.empty(is_high.shape + periods)
+    theta = np.empty(is_high.shape)
     n_high = int(np.count_nonzero(is_high))
-    theta[is_high] = pair.high.sample(rng, (n_high,) + periods)
-    theta[~is_high] = pair.low.sample(rng, (is_high.size - n_high,) + periods)
+    theta[is_high] = pair.high.sample(rng, n_high)
+    theta[~is_high] = pair.low.sample(rng, is_high.size - n_high)
     return theta
 
 
@@ -86,7 +87,7 @@ def simulate_game(config: GameConfig, profile: StrategyProfile,
     n = config.n_users
     if rule.n_users != n:
         raise ValueError("rule was built for a different number of users")
-    actions = np.asarray(rule.actions)
+    actions = rule.action_array
     q = config.q_plus
     high, low = _senders(profile, ServiceType.HIGH), _senders(profile, ServiceType.LOW)
     # h = q [positive class sends high] + (1 - q) [negative class sends high];
@@ -122,27 +123,28 @@ def simulate_evolving(config: GameConfig, schedule, episodes: int, seed: int,
 
     Each episode draws the quality type once, then one state per period; the
     platform posts the committed action for the truthful message and incurs
-    the squared error.  Episode histories double as samples for the four
-    truthfulness residuals (histories conditional on the type are exactly
-    the matching density's product measure).
+    the squared error.  A chunk draws its high-type histories, then its
+    low-type ones, as two blocks it never joins.  The histories double as
+    samples for the four truthfulness residuals, being the matching density's
+    product measure given the type.  ``config`` must be the schedule's game.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    horizon = schedule.horizon
-    pair = schedule.pair
+    if config.n_users != 1:
+        raise ValueError("the commitment mechanism serves a single reviewer")
+    if config.pair != schedule.pair or (isinstance(schedule, CommitmentSchedule)
+                                        and config.p_high != schedule.p_high):
+        raise ValueError("schedule was built for a different pair or prior")
+    horizon, pair = schedule.horizon, schedule.pair
 
     def worker(count, rng):
-        is_high = rng.random(count) < config.p_high
-        theta = _realized_states(pair, rng, is_high, (horizon,))
-
-        a_low, a_high = schedule.actions_from_log_ratio(
-            _prefix_log_ratios(pair, theta[:, : horizon - 1]))
-        a = np.where(is_high[:, None], a_high, a_low)
-        period_cost = np.mean((a - theta) ** 2, axis=1)
-
-        diff_sum = np.sum(a_low - a_high, axis=1)
-        return (Moments.of(period_cost), Moments.of(diff_sum[~is_high]),
-                Moments.of(diff_sum[is_high]))
+        n_high = int(np.count_nonzero(rng.random(count) < config.p_high))
+        high_states = pair.high.sample(rng, (n_high, horizon))
+        low_states = pair.low.sample(rng, (count - n_high, horizon))
+        diff_high, error_high = _history_sums(schedule, high_states, high=True)
+        diff_low, error_low = _history_sums(schedule, low_states, high=False)
+        cost = Moments.of(error_high / horizon) + Moments.of(error_low / horizon)
+        return cost, Moments.of(diff_low), Moments.of(diff_high)
 
     cost, low, high = _run_chunks(chunked_generators(seed, episodes), worker, workers)
     mean_cost, se_cost = cost.mean_stderr()

@@ -3,8 +3,10 @@
 Everything here recomputes expected values through a route different from the
 library's: full enumeration instead of binomial grouping, published closed
 forms instead of generic Bayes, direct quadrature instead of algebra, a
-numerical linear solve instead of the rational multiplier formulas, and a
-per-reviewer game simulation instead of the binomial count of high messages.
+numerical linear solve instead of the rational multiplier formulas, a
+per-reviewer game simulation instead of the binomial count of high messages,
+and the commitment mechanism's every per-period action instead of the
+history kernel's sums of r and 1/r.
 """
 
 from __future__ import annotations
@@ -15,9 +17,11 @@ import math
 import numpy as np
 from scipy import integrate
 
+from cheaptalk_lab._rng import Moments, chunked_generators
+from cheaptalk_lab.evolving import IcResiduals
 from cheaptalk_lab.game import (Bias, GameConfig, InferenceRule, PureStrategy,
-                                ServiceType)
-from cheaptalk_lab.montecarlo import SimulationReport
+                                ServiceType, min_expected_cost)
+from cheaptalk_lab.montecarlo import EvolvingReport, SimulationReport
 
 C = math.comb
 
@@ -381,6 +385,73 @@ def cost_by_quadrature_two_periods(schedule) -> float:
         hi = max(pair.mu_low, pair.mu_high) + width
         total += weight * integrate.quad(period_two, lo, hi, limit=300)[0]
     return total / 2.0
+
+
+# ---------------------------------------------------------------------------
+# per-period Monte Carlo of the commitment mechanism (same draws as the library)
+
+
+def prefix_log_ratios(pair, histories) -> np.ndarray:
+    """Log likelihood ratio of every prefix of each row's history.
+
+    A (rows, k) array of states gives (rows, k + 1) log ratios, the empty
+    prefix (log ratio 0) first.
+    """
+    from cheaptalk_lab.distributions import log_likelihood_ratio
+
+    steps = log_likelihood_ratio(pair, histories)
+    return np.concatenate(
+        [np.zeros((len(histories), 1)), np.cumsum(steps, axis=1)], axis=1)
+
+
+def per_period_evolving(config: GameConfig, schedule, episodes: int,
+                        seed: int) -> EvolvingReport:
+    """``simulate_evolving`` through every period's committed action pair.
+
+    Each chunk scatters the high-type and low-type state draws into one
+    (count, T) array by the type mask, forms both actions of every period
+    from the prefix log ratios and keeps the realized message's by
+    ``np.where``; the IC sums add a_low - a_high period by period.
+    """
+    horizon, pair = schedule.horizon, schedule.pair
+    cost, low, high = Moments(), Moments(), Moments()
+    for count, rng in chunked_generators(seed, episodes):
+        is_high = rng.random(count) < config.p_high
+        theta = np.empty((count, horizon))
+        n_high = int(np.count_nonzero(is_high))
+        theta[is_high] = pair.high.sample(rng, (n_high, horizon))
+        theta[~is_high] = pair.low.sample(rng, (count - n_high, horizon))
+        a_low, a_high = schedule.actions_from_log_ratio(
+            prefix_log_ratios(pair, theta[:, : horizon - 1]))
+        a = np.where(is_high[:, None], a_high, a_low)
+        cost += Moments.of(np.mean((a - theta) ** 2, axis=1))
+        diff_sum = np.sum(a_low - a_high, axis=1)
+        low += Moments.of(diff_sum[~is_high])
+        high += Moments.of(diff_sum[is_high])
+    mean_cost, se_cost = cost.mean_stderr()
+    return EvolvingReport(
+        episodes=episodes, seed=seed, horizon=horizon,
+        mean_period_cost=mean_cost, stderr_period_cost=se_cost,
+        loss_estimate=mean_cost - min_expected_cost(config),
+        ic=IcResiduals._from_moments(low, high, episodes, seed),
+    )
+
+
+def per_period_ic(schedule, episodes: int, seed: int) -> IcResiduals:
+    """``verify_ic`` through every period's committed action pair."""
+    def sums(dist, seed_seq):
+        acc = Moments()
+        for count, rng in chunked_generators(seed_seq, episodes):
+            draws = dist.sample(rng, (count, schedule.horizon - 1))
+            a_low, a_high = schedule.actions_from_log_ratio(
+                prefix_log_ratios(schedule.pair, draws))
+            acc += Moments.of(np.sum(a_low - a_high, axis=1))
+        return acc
+
+    low_seq, high_seq = np.random.SeedSequence(seed).spawn(2)
+    return IcResiduals._from_moments(sums(schedule.pair.low, low_seq),
+                                     sums(schedule.pair.high, high_seq),
+                                     episodes, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,14 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cheaptalk_lab._rng import CHUNK_SIZE
-from cheaptalk_lab.distributions import normal_pair
-from cheaptalk_lab.evolving import ConstantSchedule, solve_schedule
+from cheaptalk_lab.distributions import (DistributionPair, Family,
+                                         StateDistribution, normal_pair)
+from cheaptalk_lab.evolving import ConstantSchedule, solve_schedule, verify_ic
 from cheaptalk_lab.game import (Bias, GameConfig, SC1, SC2, SC5, SC7,
                                 best_response_rule, expected_platform_cost,
                                 expected_user_utility, min_expected_cost)
 from cheaptalk_lab.montecarlo import simulate_evolving, simulate_game
 
-from oracles import per_reviewer_simulation
+from oracles import per_period_evolving, per_period_ic, per_reviewer_simulation
 
 # seeds and sample counts in [1, 3 * CHUNK_SIZE + 1], for worker-count checks;
 # the chunk count is drawn first so that most draws span several chunks
@@ -127,6 +129,21 @@ class TestSimulateGame:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], peaks
 
+    def test_warm_peak_memory_holds_no_per_call_copy_of_the_rule(self):
+        # each call built an (N + 1)-float array of the rule: 120 KiB here
+        peaks = []
+        for n in (2, 15_000):
+            g = config(n=n)
+            rule = best_response_rule(SC1, g)
+            simulate_game(g, SC1, rule, 65_536, seed=5)   # warm-up
+            tracemalloc.start()
+            try:
+                simulate_game(g, SC1, rule, 65_536, seed=5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], peaks
+
     def test_binomial_count_agrees_with_per_reviewer_draws(self):
         # the oracle draws every reviewer's bias; the two samplers share only
         # the config and its state samplers, so this checks the binomial count
@@ -189,3 +206,96 @@ class TestSimulateEvolving:
         reports = {repr(simulate_evolving(g, schedule, samples, seed, workers=w))
                    for w in (1, 2, 3)}
         assert len(reports) == 1
+
+    @pytest.mark.parametrize("mismatch", [
+        GameConfig(2, 0.3, 0.5, normal_pair(-1.0, 1.0)),
+        GameConfig(1, 0.3, 0.5, normal_pair(-3.0, 3.0, 1.0, 2.0)),
+        GameConfig(1, 0.4, 0.5, normal_pair(-1.0, 1.0)),
+    ], ids=["users", "pair", "prior"])
+    def test_rejects_a_config_the_schedule_was_not_built_for(self, mismatch):
+        # the foreign pair reported a loss estimate of -0.297
+        schedule = solve_schedule(config(), 3)
+        with pytest.raises(ValueError):
+            simulate_evolving(mismatch, schedule, 1_000, seed=1)
+
+    def test_constant_schedule_runs_under_any_prior(self):
+        g = config(p=0.6)
+        schedule = ConstantSchedule(horizon=2, pair=g.pair, a_low=-0.5, a_high=0.5)
+        assert simulate_evolving(g, schedule, 1_000, seed=1).episodes == 1_000
+
+
+def _pair(family, scale_high):
+    return DistributionPair(StateDistribution(family, -1.0, 1.0),
+                            StateDistribution(family, 1.0, scale_high))
+
+
+ORACLE_PAIRS = {"normal": normal_pair(-1.0, 1.0, 1.0, 1.3),
+                "laplace": _pair(Family.LAPLACE, 1.2),
+                "logistic": _pair(Family.LOGISTIC, 1.2)}
+ORACLE_CASES = [(name, horizon, kind)
+                for name in ORACLE_PAIRS for horizon in (1, 2, 3, 8)
+                for kind in ("solved", "constant")
+                if horizon > 1 or kind == "constant"]
+
+
+def _oracle_schedule(name, horizon, kind):
+    g = GameConfig(1, 0.3, 0.5, ORACLE_PAIRS[name])
+    if kind == "solved":
+        return g, solve_schedule(g, horizon)
+    return g, ConstantSchedule(horizon=horizon, pair=g.pair, a_low=-0.4, a_high=0.7)
+
+
+def _assert_same_estimate(got, want, stderr):
+    # 1e-9 of the stderr; the few ulps cover T * c against a sum of T copies
+    # of c, where a constant residual has stderr 0
+    assert abs(got - want) <= 1e-9 * stderr + 4 * np.spacing(abs(want)), (got, want)
+
+
+class TestHistoryKernel:
+    """The history kernel's sums of r and 1/r against every period's actions,
+    on the same draws; 1_001 episodes fill one chunk, 2 * CHUNK_SIZE + 17
+    span three."""
+
+    @pytest.mark.parametrize("episodes", [1_001, 2 * CHUNK_SIZE + 17])
+    @pytest.mark.parametrize("name,horizon,kind", ORACLE_CASES)
+    def test_simulate_evolving_matches_the_per_period_oracle(self, name, horizon,
+                                                             kind, episodes):
+        g, schedule = _oracle_schedule(name, horizon, kind)
+        got = simulate_evolving(g, schedule, episodes, seed=3)
+        want = per_period_evolving(g, schedule, episodes, seed=3)
+        se = want.stderr_period_cost
+        _assert_same_estimate(got.mean_period_cost, want.mean_period_cost, se)
+        _assert_same_estimate(got.stderr_period_cost, se, se)
+        _assert_same_estimate(got.loss_estimate, want.loss_estimate, se)
+        for a, b in zip(got.ic.as_list(), want.ic.as_list()):
+            _assert_same_estimate(a.value, b.value, b.stderr)
+            _assert_same_estimate(a.stderr, b.stderr, b.stderr)
+
+    @pytest.mark.parametrize("episodes", [1_001, 2 * CHUNK_SIZE + 17])
+    @pytest.mark.parametrize("name,horizon,kind", ORACLE_CASES)
+    def test_verify_ic_matches_the_per_period_oracle(self, name, horizon, kind,
+                                                     episodes):
+        _, schedule = _oracle_schedule(name, horizon, kind)
+        got = verify_ic(schedule, episodes, seed=4)
+        want = per_period_ic(schedule, episodes, seed=4)
+        for a, b in zip(got.as_list(), want.as_list()):
+            _assert_same_estimate(a.value, b.value, b.stderr)
+            _assert_same_estimate(a.stderr, b.stderr, b.stderr)
+
+    @pytest.mark.parametrize("a_low,a_high", [(0.0, 0.0), (-20.0, 20.0)])
+    def test_constant_schedule_survives_an_overflowing_ratio(self, a_low, a_high):
+        # r overflows to inf and 1/r to 0 from the first period on; a zero
+        # coefficient must never meet them as 0 * inf
+        horizon = 8
+        pair = normal_pair(-20.0, 20.0)
+        g = GameConfig(1, 0.3, 0.5, pair)
+        schedule = ConstantSchedule(horizon=horizon, pair=pair,
+                                    a_low=a_low, a_high=a_high)
+        gap = horizon * (a_low - a_high)
+        with np.errstate(over="ignore", divide="ignore", invalid="raise"):
+            report = simulate_evolving(g, schedule, 2_000, seed=8)
+            residuals = verify_ic(schedule, 2_000, seed=9)
+        assert math.isfinite(report.mean_period_cost)
+        for ic in (report.ic, residuals):
+            assert [r.value for r in ic.as_list()] == [gap, -gap, -gap, gap]
+            assert [r.stderr for r in ic.as_list()] == [0.0] * 4
