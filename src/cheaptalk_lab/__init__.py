@@ -4,8 +4,9 @@ A platform rates a service whose quality density is one of two candidates,
 based on unverifiable messages from reviewers who privately prefer the rating
 high or low.  The package provides:
 
-- ``distributions``: the candidate densities, likelihood ratios, and the
-  separation integrals behind the commitment mechanism;
+- ``distributions``: the candidate densities and every fact of their
+  families, the log likelihood ratio, and the separation integrals behind
+  the commitment mechanism;
 - ``game``: posteriors, best-response rating rules, and exact payoffs of the
   one-shot messaging game;
 - ``benchmarks``: majority voting and blind abandoning;
@@ -19,8 +20,7 @@ high or low.  The package provides:
 """
 
 from .distributions import (DistributionPair, Family, StateDistribution,
-                            alpha_beta, history_likelihood_ratio,
-                            likelihood_ratio, normal_pair)
+                            alpha_beta, log_likelihood_ratio, normal_pair)
 from .game import (ALL_PROFILES, Bias, GameConfig, InferenceRule,
                    PROFILE_LABELS, PROFILES_BY_LABEL, PureStrategy, SC1, SC2,
                    SC3, SC4, SC5, SC6, SC7, SC8, SC9, SC10, SC11, SC12, SC13,

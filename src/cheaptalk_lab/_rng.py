@@ -9,6 +9,7 @@ reports are bit-identical across worker counts.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,24 +17,27 @@ import numpy as np
 CHUNK_SIZE = 1 << 15
 
 
-def chunked_generators(entropy, total: int, chunk_size: int = CHUNK_SIZE
-                       ) -> list[tuple[int, np.random.Generator]]:
+def chunked_generators(entropy, total: int) -> list[tuple[int, np.random.Generator]]:
     """Ordered (count, generator) pairs covering ``total`` draws."""
     if total < 1:
         raise ValueError("total must be >= 1")
-    if isinstance(entropy, np.random.SeedSequence):
-        root = entropy
+    if not isinstance(entropy, np.random.SeedSequence):
+        entropy = np.random.SeedSequence(entropy)
+    children = entropy.spawn((total + CHUNK_SIZE - 1) // CHUNK_SIZE)
+    return [(min(CHUNK_SIZE, total - i * CHUNK_SIZE), np.random.default_rng(child))
+            for i, child in enumerate(children)]
+
+
+def run_chunks(entropy, total: int, worker, workers: int = 1) -> list[Moments]:
+    """Run ``worker(count, rng)`` on each chunk of ``total`` draws, on
+    ``workers`` threads, and add its tuples of moments in chunk order."""
+    chunks = chunked_generators(entropy, total)
+    if workers <= 1:
+        parts = [worker(count, rng) for count, rng in chunks]
     else:
-        root = np.random.SeedSequence(entropy)
-    n_chunks = (total + chunk_size - 1) // chunk_size
-    children = root.spawn(n_chunks)
-    out = []
-    done = 0
-    for child in children:
-        count = min(chunk_size, total - done)
-        done += count
-        out.append((count, np.random.default_rng(child)))
-    return out
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(lambda chunk: worker(*chunk), chunks))
+    return [sum(column, Moments()) for column in zip(*parts)]
 
 
 @dataclass(frozen=True)

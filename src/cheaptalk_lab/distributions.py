@@ -1,9 +1,13 @@
-"""Service-state densities and the separation integrals built on them.
+"""Service-state densities: family facts, likelihood ratios and separation integrals.
 
 The service state is a continuous quantity whose density is one of two
 candidates (a "low" and a "high" one).  Three location-scale families are
 supported; all have full support on the real line, so the two candidates of a
-pair automatically share their support.
+pair automatically share their support.  Everything that depends on the
+family lives here: the log density, the variance per squared scale (also read
+backwards by ``StateDistribution.from_variance``), the numpy sampler of the
+family's name and the tail decay.  ``log_likelihood_ratio`` is the one
+likelihood ratio; a history's ratio is the sum of its states' log ratios.
 
 The separation integrals are closed forms for normal pairs (any variances)
 and Laplace pairs.  Only logistic and mixed-family pairs are integrated
@@ -32,7 +36,12 @@ QUAD_REL_TOL = 1e-10
 class Family(str, Enum):
     NORMAL = "normal"
     LAPLACE = "laplace"
-    LOGISTIC = "logistic"
+    LOGISTIC = "logistic"   # each value names its numpy ``Generator`` sampler
+
+
+# variance per squared scale: sigma^2, 2 b^2 and s^2 pi^2 / 3
+_VARIANCE_PER_SQUARED_SCALE = {Family.NORMAL: 1.0, Family.LAPLACE: 2.0,
+                               Family.LOGISTIC: math.pi**2 / 3.0}
 
 
 @dataclass(frozen=True)
@@ -55,17 +64,22 @@ class StateDistribution:
         if not 0 < self.scale < math.inf:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
+    @classmethod
+    def from_variance(cls, family: Family, location: float,
+                      variance: float) -> "StateDistribution":
+        """The density of ``family`` with the given mean and variance."""
+        if not variance > 0:
+            raise ValueError(f"variance must be positive, got {variance}")
+        family = Family(family)
+        return cls(family, location, math.sqrt(variance / _VARIANCE_PER_SQUARED_SCALE[family]))
+
     @property
     def mean(self) -> float:
         return self.location
 
     @property
     def variance(self) -> float:
-        if self.family is Family.NORMAL:
-            return self.scale**2
-        if self.family is Family.LAPLACE:
-            return 2.0 * self.scale**2
-        return self.scale**2 * math.pi**2 / 3.0
+        return self.scale**2 * _VARIANCE_PER_SQUARED_SCALE[self.family]
 
     def log_density(self, theta):
         """Log density, vectorized over ``theta``."""
@@ -84,12 +98,8 @@ class StateDistribution:
         return np.exp(self.log_density(theta))
 
     def sample(self, rng: np.random.Generator, size=None):
-        """Draw from the density using an explicit generator state."""
-        if self.family is Family.NORMAL:
-            return rng.normal(self.location, self.scale, size)
-        if self.family is Family.LAPLACE:
-            return rng.laplace(self.location, self.scale, size)
-        return rng.logistic(self.location, self.scale, size)
+        """Draw from the density with the generator's sampler of the family's name."""
+        return getattr(rng, self.family.value)(self.location, self.scale, size)
 
     def _tail(self) -> tuple[float, float]:
         """(quadratic, linear) exponential decay coefficients of the log tail."""
@@ -125,37 +135,16 @@ class DistributionPair:
 def normal_pair(mu_low: float, mu_high: float, var_low: float = 1.0,
                 var_high: float = 1.0) -> DistributionPair:
     """Convenience constructor for a pair of normal densities."""
-    return DistributionPair(
-        StateDistribution(Family.NORMAL, mu_low, math.sqrt(var_low)),
-        StateDistribution(Family.NORMAL, mu_high, math.sqrt(var_high)),
-    )
+    return DistributionPair(StateDistribution.from_variance(Family.NORMAL, mu_low, var_low),
+                            StateDistribution.from_variance(Family.NORMAL, mu_high, var_high))
 
 
-def log_likelihood_ratio(pair: DistributionPair, theta: float) -> float:
+def log_likelihood_ratio(pair: DistributionPair, theta):
+    """Log of the high to the low density at ``theta``, vectorized; a history of
+    independent states has the sum of its states' log ratios."""
     if not np.all(np.isfinite(theta)):
         raise DivisionOutsideSupport(f"state {theta!r} is outside the support")
     return pair.high.log_density(theta) - pair.low.log_density(theta)
-
-
-def likelihood_ratio(pair: DistributionPair, theta: float) -> float:
-    """Ratio of the high to the low density at ``theta``."""
-    return math.exp(log_likelihood_ratio(pair, theta))
-
-
-def history_log_likelihood_ratio(pair: DistributionPair, history) -> float:
-    """Log ratio of the joint densities of independent draws.
-
-    Computed as a sum of per-observation log ratios so long histories do not
-    overflow.  The empty history has log ratio 0.
-    """
-    hist = np.asarray(history, dtype=float)
-    if hist.size == 0:
-        return 0.0
-    return float(np.sum(log_likelihood_ratio(pair, hist)))
-
-
-def history_likelihood_ratio(pair: DistributionPair, history) -> float:
-    return math.exp(history_log_likelihood_ratio(pair, history))
 
 
 def _check_converges(num: StateDistribution, den: StateDistribution) -> tuple[float, float]:

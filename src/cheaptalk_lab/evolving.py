@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import Moments, chunked_generators
-from .distributions import (DistributionPair, Family, alpha_beta,
-                            history_log_likelihood_ratio, log_likelihood_ratio)
+from ._rng import Moments, run_chunks
+from .distributions import DistributionPair, Family, alpha_beta, log_likelihood_ratio
 from .errors import DegenerateHorizon
 from .game import GameConfig
 
@@ -103,7 +102,7 @@ class _AffineActions:
         return (float(a_low), float(a_high)) if ratio.ndim == 0 else (a_low, a_high)
 
     def actions(self, history) -> tuple[float, float]:
-        return self.actions_from_log_ratio(history_log_likelihood_ratio(self.pair, history))
+        return self.actions_from_log_ratio(np.sum(log_likelihood_ratio(self.pair, history)))
 
 
 @dataclass(frozen=True)
@@ -270,33 +269,28 @@ def _history_sums(schedule, states: np.ndarray, high: bool | None = None):
     """One pass over each row of ``states``, (count, T - 1) or (count, T): the IC
     difference sum_t (a_low - a_high)(r_t) = T (c_low - c_high) + k_low sum r_t
     + k_high sum 1/r_t, r_t the ratio of the first t states (r_0 = 1), and,
-    given the message ``high``, the squared error of that message's actions."""
+    given the message ``high``, the squared error of that message's actions.
+    With both k = 0 no action reads the history, and no ratio is taken."""
     horizon = schedule.horizon
     c_low, k_low, c_high, k_high = schedule.coefficients
-    steps = log_likelihood_ratio(schedule.pair, states[:, : horizon - 1])
+    moves = bool(k_low or k_high)
+    steps = log_likelihood_ratio(schedule.pair, states[:, : horizon - 1]) if moves else None
     count = len(states)
     sum_r, sum_inv, log_r = np.ones(count), np.ones(count), np.zeros(count)   # r_0 = 1
+    ratio = inv = sum_r   # read only through a zero k while nothing moves
     c, k = (c_high, -k_high) if high else (c_low, k_low)   # action c + k/r or c + k r
     error = None if high is None else (states[:, 0] - (c + k)) ** 2
     for t in range(1, horizon):
-        log_r += steps[:, t - 1]
-        ratio = np.exp(log_r)
-        inv = 1.0 / ratio
-        sum_r += ratio
-        sum_inv += inv
+        if moves:
+            log_r += steps[:, t - 1]
+            ratio = np.exp(log_r)
+            inv = 1.0 / ratio
+            sum_r += ratio
+            sum_inv += inv
         if error is not None:
             error += (states[:, t] - c - _times(k, inv if high else ratio)) ** 2
     diff = horizon * (c_low - c_high) + _times(k_low, sum_r) + _times(k_high, sum_inv)
     return diff, error
-
-
-def _difference_sums(schedule, dist, episodes: int, seed_seq) -> Moments:
-    """Moments of sum_t (a_low - a_high)(r_t) over histories drawn from ``dist``."""
-    acc = Moments()
-    for count, rng in chunked_generators(seed_seq, episodes):
-        draws = dist.sample(rng, (count, schedule.horizon - 1))
-        acc += Moments.of(_history_sums(schedule, draws)[0])
-    return acc
 
 
 def verify_ic(schedule, mc_episodes: int, seed: int) -> IcResiduals:
@@ -306,8 +300,11 @@ def verify_ic(schedule, mc_episodes: int, seed: int) -> IcResiduals:
     ``coefficients`` of its affine actions.  Histories are simulated separately
     under each density with independent deterministic substreams.
     """
-    low_seq, high_seq = np.random.SeedSequence(seed).spawn(2)
-    return IcResiduals._from_moments(
-        _difference_sums(schedule, schedule.pair.low, mc_episodes, low_seq),
-        _difference_sums(schedule, schedule.pair.high, mc_episodes, high_seq),
-        mc_episodes, seed)
+    def differences(dist):   # moments of sum_t (a_low - a_high)(r_t) under ``dist``
+        return lambda count, rng: (Moments.of(_history_sums(
+            schedule, dist.sample(rng, (count, schedule.horizon - 1)))[0]),)
+
+    low_entropy, high_entropy = np.random.SeedSequence(seed).spawn(2)
+    (low,) = run_chunks(low_entropy, mc_episodes, differences(schedule.pair.low))
+    (high,) = run_chunks(high_entropy, mc_episodes, differences(schedule.pair.high))
+    return IcResiduals._from_moments(low, high, mc_episodes, seed)

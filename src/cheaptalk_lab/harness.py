@@ -130,16 +130,6 @@ def _check_keys(section, allowed: tuple[str, ...], where: str) -> dict:
     return section
 
 
-def _scale_from_variance(family: Family, variance: float) -> float:
-    if variance <= 0:
-        raise ConfigError("variance must be positive")
-    if family is Family.NORMAL:
-        return math.sqrt(variance)
-    if family is Family.LAPLACE:
-        return math.sqrt(variance / 2.0)
-    return math.sqrt(3.0 * variance) / math.pi
-
-
 def _integer(value) -> int:
     """A whole config value: 2 and 2.0 pass; 2.5, true and "2" are refused."""
     if type(value) in (int, float) and float(value).is_integer():
@@ -182,7 +172,11 @@ def _apply_axis(section: dict, axis: str, value) -> dict:
     if axis == "horizon":
         return section
     if axis == "var_high":
-        return dict(section, scale_high=_scale_from_variance(Family(section["family"]), value))
+        try:
+            high = StateDistribution.from_variance(section["family"], 0.0, value)   # for its scale
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        return dict(section, scale_high=high.scale)
     return dict(section, **{"n_users" if axis == "count" else axis: value})
 
 

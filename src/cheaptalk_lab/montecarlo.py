@@ -14,12 +14,11 @@ regardless of the worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import Moments, chunked_generators
+from ._rng import Moments, run_chunks
 from .evolving import CommitmentSchedule, IcResiduals, _history_sums
 from .game import (GameConfig, InferenceRule, ServiceType,
                    StrategyProfile, _senders, min_expected_cost)
@@ -48,17 +47,6 @@ class EvolvingReport:
     stderr_period_cost: float
     loss_estimate: float
     ic: IcResiduals
-
-
-def _run_chunks(chunks, worker, workers: int) -> list[Moments]:
-    """Run ``worker`` per chunk; sum its tuples of moments in chunk order."""
-    if workers <= 1:
-        parts = [worker(count, rng) for count, rng in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(worker, count, rng) for count, rng in chunks]
-            parts = [f.result() for f in futures]
-    return [sum(column, Moments()) for column in zip(*parts)]
 
 
 def _realized_states(pair, rng, is_high: np.ndarray) -> np.ndarray:
@@ -103,7 +91,7 @@ def simulate_game(config: GameConfig, profile: StrategyProfile,
         cost = (a - _realized_states(config.pair, rng, is_high)) ** 2
         return Moments.of(cost), Moments.of(a[focal_pos]), Moments.of(-a[~focal_pos])
 
-    cost, pos, neg = _run_chunks(chunked_generators(seed, samples), worker, workers)
+    cost, pos, neg = run_chunks(seed, samples, worker, workers)
     mean_cost, se_cost = cost.mean_stderr()
     mean_pos, se_pos = pos.mean_stderr()
     mean_neg, se_neg = neg.mean_stderr()
@@ -146,7 +134,7 @@ def simulate_evolving(config: GameConfig, schedule, episodes: int, seed: int,
         cost = Moments.of(error_high / horizon) + Moments.of(error_low / horizon)
         return cost, Moments.of(diff_low), Moments.of(diff_high)
 
-    cost, low, high = _run_chunks(chunked_generators(seed, episodes), worker, workers)
+    cost, low, high = run_chunks(seed, episodes, worker, workers)
     mean_cost, se_cost = cost.mean_stderr()
     return EvolvingReport(
         episodes=episodes, seed=seed, horizon=horizon,

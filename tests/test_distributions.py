@@ -10,9 +10,7 @@ from scipy import integrate
 
 from cheaptalk_lab.distributions import (DistributionPair, Family,
                                          StateDistribution, alpha_beta,
-                                         history_likelihood_ratio,
-                                         history_log_likelihood_ratio,
-                                         likelihood_ratio, normal_pair)
+                                         log_likelihood_ratio, normal_pair)
 from cheaptalk_lab.errors import (DivergentIntegral, DivisionOutsideSupport,
                                   SeparationOverflow)
 
@@ -99,22 +97,38 @@ def test_density_matches_moments_by_quadrature():
     assert var == pytest.approx(dist.variance, rel=1e-9, abs=0.0)
 
 
+class TestFromVariance:
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("variance", [1e-6, 0.3, 2.0 / 3.0, 1.0, 1.5, 7.0, 1e6])
+    def test_round_trips_the_variance(self, family, variance):
+        dist = StateDistribution.from_variance(family, 0.7, variance)
+        assert dist.family is family and dist.location == 0.7
+        assert dist.variance == pytest.approx(variance, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("variance", [0.0, -1.0, math.nan])
+    def test_rejects_a_variance_that_is_not_positive(self, variance):
+        with pytest.raises(ValueError):
+            StateDistribution.from_variance(Family.LAPLACE, 0.0, variance)
+
+
 class TestLikelihoodRatio:
     def test_symmetric_midpoint(self):
         pair = normal_pair(-1, 1)
-        assert likelihood_ratio(pair, 0.0) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+        assert math.exp(log_likelihood_ratio(pair, 0.0)) == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     def test_matches_exponential_form(self):
         pair = normal_pair(-1, 1)
-        assert likelihood_ratio(pair, 1.0) == pytest.approx(math.exp(2), rel=1e-12, abs=0.0)
-        assert likelihood_ratio(pair, -1.0) == pytest.approx(math.exp(-2), rel=1e-12, abs=0.0)
+        assert math.exp(log_likelihood_ratio(pair, 1.0)) == pytest.approx(
+            math.exp(2), rel=1e-12, abs=0.0)
+        assert math.exp(log_likelihood_ratio(pair, -1.0)) == pytest.approx(
+            math.exp(-2), rel=1e-12, abs=0.0)
 
     def test_rejects_nonfinite_state(self):
         pair = normal_pair(-1, 1)
         with pytest.raises(DivisionOutsideSupport):
-            likelihood_ratio(pair, math.inf)
+            log_likelihood_ratio(pair, math.inf)
         with pytest.raises(DivisionOutsideSupport):
-            history_log_likelihood_ratio(pair, [0.0, math.nan])
+            np.sum(log_likelihood_ratio(pair, [0.0, math.nan]))
 
     def test_history_ratio_is_product_of_pointwise_ratios(self):
         rng = np.random.default_rng(11)
@@ -123,14 +137,14 @@ class TestLikelihoodRatio:
             StateDistribution(Family.LAPLACE, 0.8, 0.9),
         )
         thetas = rng.normal(0, 2, size=9)
-        product = math.prod(likelihood_ratio(pair, t) for t in thetas)
-        assert history_likelihood_ratio(pair, thetas) == pytest.approx(
+        product = math.prod(math.exp(log_likelihood_ratio(pair, t)) for t in thetas)
+        assert math.exp(np.sum(log_likelihood_ratio(pair, thetas))) == pytest.approx(
             product, rel=1e-10, abs=0.0)
-        assert history_log_likelihood_ratio(pair, []) == 0.0
+        assert np.sum(log_likelihood_ratio(pair, [])) == 0.0
 
     def test_long_history_stays_finite_in_log_space(self):
         pair = normal_pair(-1, 1)
-        log_ratio = history_log_likelihood_ratio(pair, [1.0] * 500)
+        log_ratio = np.sum(log_likelihood_ratio(pair, [1.0] * 500))
         assert log_ratio == pytest.approx(1000.0, rel=1e-12, abs=0.0)
 
 
@@ -337,6 +351,12 @@ class TestSampling:
             a = dist.sample(np.random.default_rng(9), 1000)
             b = dist.sample(np.random.default_rng(9), 1000)
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_sample_is_the_generator_method_of_the_family_name(self, family):
+        dist = StateDistribution(family, -0.4, 1.3)
+        expected = getattr(np.random.default_rng(17), family.value)(-0.4, 1.3, (5, 3))
+        np.testing.assert_array_equal(dist.sample(np.random.default_rng(17), (5, 3)), expected)
 
     def test_sample_moments_match_declared_moments(self):
         rng = np.random.default_rng(103)

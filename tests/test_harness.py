@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from cheaptalk_lab import harness
+from cheaptalk_lab import (DistributionPair, Family, GameConfig,
+                           StateDistribution, evolving_loss, harness)
 from cheaptalk_lab.cli import main
 from cheaptalk_lab.harness import (ConfigError, load_experiment, run,
                                    write_csv)
@@ -83,6 +84,16 @@ class TestConfigParsing:
             run(cfg, out_dir=tmp_path)
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("game,value", [
+        ("", "0.0"), ("", "-1.0"), ("", ".nan"), ("game:\n  family: cauchy\n", "1.0")],
+        ids=["zero", "negative", "nan", "unknown_family"])
+    def test_invalid_high_variance_rejected(self, tmp_path, game, value):
+        text = f"scenario: evolving\n{game}sweep:\n  axis: var_high\n  values: [{value}]\n"
+        cfg = load_experiment(write_yaml(tmp_path, text))
+        with pytest.raises(ConfigError):
+            run(cfg, out_dir=tmp_path)
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_whole_float_counts_are_accepted(self, tmp_path):
         path = write_yaml(tmp_path, "scenario: loss_curve\n"
                           "sweep:\n  axis: n_users\n  values: [1.0, 2]\n")
@@ -130,6 +141,21 @@ class TestScenarios:
         assert header[0] == "var_high"
         assert [float(r[0]) for r in rows] == [1.0, 1.5, 1.8]
         assert all(math.isfinite(float(cell)) for r in rows for cell in r)
+
+    @pytest.mark.parametrize("family,variances", [
+        (Family.LAPLACE, [1.0, 2.0, 3.0]), (Family.LOGISTIC, [2.0, 3.0, 5.0])])
+    def test_high_variance_sweep_builds_the_family_of_the_game(self, tmp_path,
+                                                                family, variances):
+        path = write_yaml(tmp_path, f"scenario: evolving\ngame:\n  family: {family.value}\n"
+                          f"sweep:\n  axis: var_high\n  values: {variances}\n")
+        (path,) = run(load_experiment(path), out_dir=tmp_path)
+        header, rows = read_csv(path)
+        assert header == ["var_high", "loss_T2", "loss_T4", "loss_T6", "abandon_loss"]
+        for v, row in zip(variances, rows):
+            pair = DistributionPair(StateDistribution(family, -1.0, 1.0),
+                                    StateDistribution.from_variance(family, 1.0, v))
+            g = GameConfig(n_users=1, p_high=0.3, q_plus=0.5, pair=pair)
+            assert row[1:4] == [f"{evolving_loss(g, t):.9g}" for t in (2, 4, 6)]
 
     def test_figure6_bayesian_columns_fall_beyond_three_reviewers(self, tmp_path):
         cfg = load_experiment(CONFIG_DIR / "figure6.yaml")

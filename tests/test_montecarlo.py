@@ -284,15 +284,16 @@ class TestHistoryKernel:
 
     @pytest.mark.parametrize("a_low,a_high", [(0.0, 0.0), (-20.0, 20.0)])
     def test_constant_schedule_survives_an_overflowing_ratio(self, a_low, a_high):
-        # r overflows to inf and 1/r to 0 from the first period on; a zero
-        # coefficient must never meet them as 0 * inf
+        # r would overflow to inf and 1/r to 0 from the first period on; a
+        # constant schedule takes no ratio, and a zero coefficient never meets
+        # them as 0 * inf
         horizon = 8
         pair = normal_pair(-20.0, 20.0)
         g = GameConfig(1, 0.3, 0.5, pair)
         schedule = ConstantSchedule(horizon=horizon, pair=pair,
                                     a_low=a_low, a_high=a_high)
         gap = horizon * (a_low - a_high)
-        with np.errstate(over="ignore", divide="ignore", invalid="raise"):
+        with np.errstate(invalid="raise"):
             report = simulate_evolving(g, schedule, 2_000, seed=8)
             residuals = verify_ic(schedule, 2_000, seed=9)
         assert math.isfinite(report.mean_period_cost)
