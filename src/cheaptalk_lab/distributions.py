@@ -6,8 +6,11 @@ supported; all have full support on the real line, so the two candidates of a
 pair automatically share their support.  Everything that depends on the
 family lives here: the log density, the variance per squared scale (also read
 backwards by ``StateDistribution.from_variance``), the numpy sampler of the
-family's name and the tail decay.  ``log_likelihood_ratio`` is the one
-likelihood ratio; a history's ratio is the sum of its states' log ratios.
+family's name and the tail decay.  Each family's log density is one formula
+of the standardized state, evaluated with ``math`` on a float (the quadrature
+integrand creates no numpy object) and in place on a fresh array of an array
+(never writing to its input).  ``log_likelihood_ratio`` is the one likelihood
+ratio; a history's ratio is the sum of its states' log ratios.
 
 The separation integrals are closed forms for normal pairs (any variances)
 and Laplace pairs.  Only logistic and mixed-family pairs are integrated
@@ -21,6 +24,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -42,6 +46,45 @@ class Family(str, Enum):
 # variance per squared scale: sigma^2, 2 b^2 and s^2 pi^2 / 3
 _VARIANCE_PER_SQUARED_SCALE = {Family.NORMAL: 1.0, Family.LAPLACE: 2.0,
                                Family.LOGISTIC: math.pi**2 / 3.0}
+
+
+# Log density of each family at the standardized state z = (theta - location) /
+# scale.  A formula reads its functions from ``m``: the ``math`` module for a
+# float z, ``_IN_PLACE`` for an array z, which it then overwrites and returns.
+
+def _normal_log_density(z, scale, m):
+    z *= z
+    z *= -0.5
+    z -= math.log(scale)
+    z -= _LOG_SQRT_2PI
+    return z
+
+
+def _laplace_log_density(z, scale, m):
+    z = m.fabs(z)
+    z *= -1.0
+    z -= math.log(2.0 * scale)
+    return z
+
+
+def _logistic_log_density(z, scale, m):
+    # symmetric form a - log s - 2 log(1 + e^a), a = -|z|, stable for large |z|
+    z = m.fabs(z)
+    z *= -1.0
+    softplus = m.log1p(m.exp(z))
+    softplus *= 2.0
+    z -= math.log(scale)
+    z -= softplus
+    return z
+
+
+_LOG_DENSITY = {Family.NORMAL: _normal_log_density, Family.LAPLACE: _laplace_log_density,
+                Family.LOGISTIC: _logistic_log_density}
+
+# the ``math`` functions of the formulas on arrays: in place, but for ``exp``,
+# whose argument the logistic formula reads again
+_IN_PLACE = SimpleNamespace(fabs=lambda x: np.abs(x, out=x), exp=np.exp,
+                            log1p=lambda x: np.log1p(x, out=x))
 
 
 @dataclass(frozen=True)
@@ -82,17 +125,15 @@ class StateDistribution:
         return self.scale**2 * _VARIANCE_PER_SQUARED_SCALE[self.family]
 
     def log_density(self, theta):
-        """Log density, vectorized over ``theta``."""
-        z = (np.asarray(theta, dtype=float) - self.location) / self.scale
-        if self.family is Family.NORMAL:
-            out = -0.5 * z**2 - math.log(self.scale) - _LOG_SQRT_2PI
-        elif self.family is Family.LAPLACE:
-            out = -np.abs(z) - math.log(2.0 * self.scale)
-        else:
-            # symmetric form of the logistic density, stable for large |z|
-            a = -np.abs(z)
-            out = a - math.log(self.scale) - 2.0 * np.log1p(np.exp(a))
-        return out if out.ndim else float(out)
+        """Log density by the family's one formula: a float for a scalar
+        ``theta``, evaluated with ``math``, and an array for an array,
+        evaluated in place on a new array; ``theta`` is never written to."""
+        formula = _LOG_DENSITY[self.family]
+        if isinstance(theta, (float, int)) or np.ndim(theta) == 0:
+            return formula((float(theta) - self.location) / self.scale, self.scale, math)
+        z = np.subtract(theta, self.location, dtype=float)
+        z /= self.scale
+        return formula(z, self.scale, _IN_PLACE)
 
     def density(self, theta):
         return np.exp(self.log_density(theta))
@@ -144,7 +185,9 @@ def log_likelihood_ratio(pair: DistributionPair, theta):
     independent states has the sum of its states' log ratios."""
     if not np.all(np.isfinite(theta)):
         raise DivisionOutsideSupport(f"state {theta!r} is outside the support")
-    return pair.high.log_density(theta) - pair.low.log_density(theta)
+    ratio = pair.high.log_density(theta)
+    ratio -= pair.low.log_density(theta)
+    return ratio
 
 
 def _check_converges(num: StateDistribution, den: StateDistribution) -> tuple[float, float]:
@@ -183,8 +226,13 @@ def _ratio_integral(num: StateDistribution, den: StateDistribution) -> float:
         width = max(width, 60.0 / rate)
     lo, hi = centers[0] - width, centers[-1] + width
 
+    # the float path of ``log_density``, without its dispatch, at every node
+    (f_num, m_num, s_num), (f_den, m_den, s_den) = (
+        (_LOG_DENSITY[d.family], d.location, d.scale) for d in (num, den))
+
     def integrand(t):
-        return math.exp(2.0 * num.log_density(t) - den.log_density(t))
+        return math.exp(2.0 * f_num((t - m_num) / s_num, s_num, math)
+                        - f_den((t - m_den) / s_den, s_den, math))
 
     def run(a, b):
         value, abserr = integrate.quad(

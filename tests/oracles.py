@@ -5,8 +5,9 @@ library's: full enumeration instead of binomial grouping, published closed
 forms instead of generic Bayes, direct quadrature instead of algebra, a
 numerical linear solve instead of the rational multiplier formulas, a
 per-reviewer game simulation instead of the binomial count of high messages,
-and the commitment mechanism's every per-period action instead of the
-history kernel's sums of r and 1/r.
+the commitment mechanism's every per-period action instead of the history
+kernel's sums of r and 1/r, and scipy.stats' log densities instead of the
+library's.
 """
 
 from __future__ import annotations
@@ -340,15 +341,25 @@ def loss_by_moment_sums(p: float, lam_low: float, lam_high: float,
     return (high_part + low_part) / t
 
 
+def log_ratio(pair, theta):
+    """Log of the high to the low density at ``theta``, from scipy.stats."""
+    # on demand: the benchmark loads this file for its closed forms
+    from scipy import stats
+
+    def logpdf(dist):
+        family = {"normal": stats.norm, "laplace": stats.laplace,
+                  "logistic": stats.logistic}[dist.family.value]
+        return family.logpdf(theta, dist.location, dist.scale)
+    return logpdf(pair.high) - logpdf(pair.low)
+
+
 def ic_sums_by_quadrature(schedule) -> tuple[float, float]:
     """Two-period truthfulness sums integrated directly against the densities."""
     assert schedule.horizon == 2
     pair = schedule.pair
 
     def diff(theta):
-        from cheaptalk_lab.distributions import log_likelihood_ratio
-        a_low, a_high = schedule.actions_from_log_ratio(
-            log_likelihood_ratio(pair, theta))
+        a_low, a_high = schedule.actions_from_log_ratio(log_ratio(pair, theta))
         return a_low - a_high
 
     a_low0, a_high0 = schedule.actions_from_log_ratio(0.0)
@@ -368,7 +379,6 @@ def cost_by_quadrature_two_periods(schedule) -> float:
     assert schedule.horizon == 2
     pair = schedule.pair
     p = schedule.p_high
-    from cheaptalk_lab.distributions import log_likelihood_ratio
 
     total = 0.0
     for dist, weight, pick in ((pair.high, p, 1), (pair.low, 1.0 - p, 0)):
@@ -376,8 +386,7 @@ def cost_by_quadrature_two_periods(schedule) -> float:
         total += weight * ((a0 - dist.mean) ** 2 + dist.variance)
 
         def period_two(theta):
-            a1 = schedule.actions_from_log_ratio(
-                log_likelihood_ratio(pair, theta))[pick]
+            a1 = schedule.actions_from_log_ratio(log_ratio(pair, theta))[pick]
             return ((a1 - dist.mean) ** 2 + dist.variance) * dist.density(theta)
 
         width = 14.0 * max(pair.low.scale, pair.high.scale)
@@ -397,9 +406,7 @@ def prefix_log_ratios(pair, histories) -> np.ndarray:
     A (rows, k) array of states gives (rows, k + 1) log ratios, the empty
     prefix (log ratio 0) first.
     """
-    from cheaptalk_lab.distributions import log_likelihood_ratio
-
-    steps = log_likelihood_ratio(pair, histories)
+    steps = log_ratio(pair, histories)
     return np.concatenate(
         [np.zeros((len(histories), 1)), np.cumsum(steps, axis=1)], axis=1)
 

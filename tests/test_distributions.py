@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from cheaptalk_lab.distributions import (DistributionPair, Family,
@@ -130,12 +132,14 @@ class TestLikelihoodRatio:
         with pytest.raises(DivisionOutsideSupport):
             np.sum(log_likelihood_ratio(pair, [0.0, math.nan]))
 
-    def test_history_ratio_is_product_of_pointwise_ratios(self):
+    @pytest.mark.parametrize("low,high", [
+        (Family.NORMAL, Family.NORMAL), (Family.LAPLACE, Family.LAPLACE),
+        (Family.LOGISTIC, Family.LOGISTIC), (Family.LOGISTIC, Family.NORMAL),
+    ], ids=["normal", "laplace", "logistic", "logistic-normal"])
+    def test_history_ratio_is_product_of_pointwise_ratios(self, low, high):
         rng = np.random.default_rng(11)
-        pair = DistributionPair(
-            StateDistribution(Family.LAPLACE, -0.5, 1.1),
-            StateDistribution(Family.LAPLACE, 0.8, 0.9),
-        )
+        pair = DistributionPair(StateDistribution(low, -0.5, 1.1),
+                                StateDistribution(high, 0.8, 0.9))
         thetas = rng.normal(0, 2, size=9)
         product = math.prod(math.exp(log_likelihood_ratio(pair, t)) for t in thetas)
         assert math.exp(np.sum(log_likelihood_ratio(pair, thetas))) == pytest.approx(
@@ -146,6 +150,64 @@ class TestLikelihoodRatio:
         pair = normal_pair(-1, 1)
         log_ratio = np.sum(log_likelihood_ratio(pair, [1.0] * 500))
         assert log_ratio == pytest.approx(1000.0, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("low,high", list(itertools.product(Family, repeat=2)),
+                             ids=lambda family: family.value)
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(mu_low=st.floats(-5.0, 5.0), gap=st.floats(0.0, 5.0),
+           scales=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+           offsets=st.lists(st.tuples(st.booleans(), st.floats(-40.0, 40.0)),
+                            min_size=1, max_size=12))
+    def test_array_ratio_is_the_difference_of_scalar_densities(
+            self, low, high, mu_low, gap, scales, offsets):
+        pair = DistributionPair(StateDistribution(low, mu_low, scales[0]),
+                                StateDistribution(high, mu_low + gap, scales[1]))
+        # states within 40 scales of either density's location
+        dists = (pair.low, pair.high)
+        thetas = [dists[at_high].location + u * dists[at_high].scale
+                  for at_high, u in offsets]
+        got = log_likelihood_ratio(pair, np.array(thetas))
+        for value, theta in zip(got, thetas):
+            want = pair.high.log_density(theta) - pair.low.log_density(theta)
+            assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), (theta, value, want)
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("theta", [0.3, -7, np.float64(2.5), np.int64(3),
+                                       np.array(0.3)])
+    def test_a_scalar_state_gives_a_python_float(self, family, theta):
+        pair = DistributionPair(StateDistribution(family, -1.0, 1.0),
+                                StateDistribution(family, 1.0, 1.5))
+        assert type(pair.low.log_density(theta)) is float
+        assert type(log_likelihood_ratio(pair, theta)) is float
+        assert log_likelihood_ratio(pair, theta) == pytest.approx(
+            log_likelihood_ratio(pair, np.array([theta]))[0], rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_the_states_are_never_written_to(self, family):
+        pair = DistributionPair(StateDistribution(family, -1.0, 1.0),
+                                StateDistribution(family, 1.0, 1.5))
+        states = np.random.default_rng(2).normal(0.0, 3.0, size=(50, 4))
+        kept = states.copy()
+        ratio = log_likelihood_ratio(pair, states[:, :3])
+        assert np.array_equal(states, kept)
+        assert not np.shares_memory(ratio, states)
+        for dist in (pair.low, pair.high):
+            assert not np.shares_memory(dist.log_density(states), states)
+        assert np.array_equal(states, kept)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_read_only_and_integer_states_are_accepted(self, family):
+        pair = DistributionPair(StateDistribution(family, -1.0, 1.0),
+                                StateDistribution(family, 1.0, 1.5))
+        row = np.arange(-3, 4)
+        want = [log_likelihood_ratio(pair, float(t)) for t in row]
+        read_only = np.broadcast_to(row.astype(float), (2, row.size))
+        assert not read_only.flags.writeable
+        np.testing.assert_allclose(log_likelihood_ratio(pair, read_only),
+                                   [want, want], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(log_likelihood_ratio(pair, row), want,
+                                   rtol=1e-12, atol=1e-12)
+        assert np.array_equal(row, np.arange(-3, 4))
 
 
 class TestAlphaBeta:

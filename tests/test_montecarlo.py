@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from cheaptalk_lab._rng import CHUNK_SIZE
 from cheaptalk_lab.distributions import (DistributionPair, Family,
                                          StateDistribution, normal_pair)
-from cheaptalk_lab.evolving import ConstantSchedule, solve_schedule, verify_ic
+from cheaptalk_lab.evolving import (ConstantSchedule, _history_sums, solve_schedule,
+                                    verify_ic)
 from cheaptalk_lab.game import (Bias, GameConfig, SC1, SC2, SC5, SC7,
                                 best_response_rule, expected_platform_cost,
                                 expected_user_utility, min_expected_cost)
@@ -281,6 +282,16 @@ class TestHistoryKernel:
         for a, b in zip(got.as_list(), want.as_list()):
             _assert_same_estimate(a.value, b.value, b.stderr)
             _assert_same_estimate(a.stderr, b.stderr, b.stderr)
+
+    @pytest.mark.parametrize("name", list(ORACLE_PAIRS))
+    def test_the_states_are_never_written_to(self, name):
+        # the kernel reads every state again for the squared error after
+        # taking the history's log ratios
+        _, schedule = _oracle_schedule(name, 3, "solved")
+        states = schedule.pair.low.sample(np.random.default_rng(6), (500, 3))
+        kept = states.copy()
+        _history_sums(schedule, states, high=False)
+        assert np.array_equal(states, kept)
 
     @pytest.mark.parametrize("a_low,a_high", [(0.0, 0.0), (-20.0, 20.0)])
     def test_constant_schedule_survives_an_overflowing_ratio(self, a_low, a_high):
