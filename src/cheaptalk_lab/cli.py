@@ -1,4 +1,5 @@
-"""Command-line entry point: ``cheaptalk-lab <scenario> --config <file>``."""
+"""Command-line entry point: ``cheaptalk-lab <scenario> --config <file>``, one
+parser, built at import, whose options are the same for every scenario."""
 
 from __future__ import annotations
 
@@ -8,28 +9,21 @@ import sys
 from .errors import CheapTalkError
 from .harness import SCENARIOS, load_experiment, run
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cheaptalk-lab",
-        description="Evaluate rating-game equilibria, benchmarks, commitment "
-                    "mechanisms, and seeded simulations from an experiment file.",
-    )
-    sub = parser.add_subparsers(dest="scenario", required=True)
-    for name in SCENARIOS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="YAML experiment file")
-        p.add_argument("--out", default=None,
-                       help=f"output directory (default: $CHEAPTALK_LAB_OUT or cwd)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override options.seed")
-        p.add_argument("--samples", type=int, default=None,
-                       help="override options.samples")
-    return parser
+_PARSER = argparse.ArgumentParser(
+    prog="cheaptalk-lab",
+    description="Evaluate rating-game equilibria, benchmarks, commitment "
+                "mechanisms, and seeded simulations from an experiment file.",
+)
+_PARSER.add_argument("scenario", choices=SCENARIOS)
+_PARSER.add_argument("--config", required=True, help="YAML experiment file")
+_PARSER.add_argument("--out", default=None,
+                     help="output directory (default: $CHEAPTALK_LAB_OUT or cwd)")
+_PARSER.add_argument("--seed", type=int, default=None, help="override options.seed")
+_PARSER.add_argument("--samples", type=int, default=None, help="override options.samples")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_experiment(args.config, scenario=args.scenario,
                               seed=args.seed, samples=args.samples)

@@ -115,7 +115,8 @@ def _log1mexp(x: float) -> float:
 
 
 class _LogGame(_CountKernel):
-    """Bias influences and posterior variances of one game (N, p, q) in log space."""
+    """One game (N, p, q) in log space: bias influences, the table of class
+    deviations that raise them, their utility gains, and posterior variances."""
 
     def __init__(self, n: int, p: float, q: float):
         super().__init__(n, p, q)
@@ -174,30 +175,23 @@ class _LogGame(_CountKernel):
         scaled[..., 2:] *= -signs[:, None]
         return scaled.sum(axis=2), size, top
 
-    def raises(self, i: int, j: int) -> bool:
-        """Whether the j-th class deviation of profile i raises its influence,
-        decided exactly."""
+    @functools.cached_property
+    def raised(self) -> np.ndarray:
+        """Whether each class deviation raises the profile's influence, shape
+        (16, 6), decided exactly: by the float sign where the margin is clear,
+        two exact zeros never, and by ``_exact`` otherwise."""
         value, size, _ = self.deviations
-        if abs(value[i, j]) > self.tolerance * size[i, j]:
-            return bool(value[i, j] > 0.0)
-        if size[i, j] == 0.0:   # two exact zeros
-            return False
-        from . import _exact   # loads decimal; only when floats cannot decide
-
-        a, b = ALL_PROFILES[_TARGETS[i, j]], ALL_PROFILES[i]
+        raised = value > 0.0
         signs = self.influences[0]
-        return _exact.exceeds(a if signs[_TARGETS[i, j]].any() else None,
-                              b if signs[i].any() else None,
-                              (PROFILE_LABELS[a], PROFILE_LABELS[b]),
-                              self.n, self.p, self.q, abs(value[i, j]) / size[i, j])
+        for i, j in zip(*np.nonzero((np.abs(value) <= self.tolerance * size) & (size > 0.0))):
+            from . import _exact   # loads decimal; only when floats cannot decide
 
-    def stable(self) -> list[int]:
-        value, size, _ = self.deviations
-        clear = np.abs(value) > self.tolerance * size
-        raised = (clear & (value > 0.0)).any(axis=1)
-        unsure = ~clear & (size > 0.0)
-        return [i for i in range(16) if not raised[i]
-                and not any(self.raises(i, j) for j in np.flatnonzero(unsure[i]))]
+            a, b = ALL_PROFILES[_TARGETS[i, j]], ALL_PROFILES[i]
+            raised[i, j] = _exact.exceeds(a if signs[_TARGETS[i, j]].any() else None,
+                                          b if signs[i].any() else None,
+                                          (PROFILE_LABELS[a], PROFILE_LABELS[b]),
+                                          self.n, self.p, self.q, abs(value[i, j]) / size[i, j])
+        return raised
 
     def gains(self, i: int, mean_gap: float) -> dict[tuple[Bias, PureStrategy], float]:
         value, _, top = self.deviations
@@ -223,16 +217,8 @@ def _stable_profiles(n: int, p: float, q: float) -> tuple[tuple[StrategyProfile,
     """The stable profiles of one game and the log of their largest posterior
     variance, both from one ``_LogGame``."""
     game = _LogGame(n, p, q)
-    stable = tuple(ALL_PROFILES[i] for i in game.stable())
+    stable = tuple(ALL_PROFILES[i] for i in np.flatnonzero(~game.raised.any(axis=1)))
     return stable, max(map(game.log_posterior_variance, stable), default=-math.inf)
-
-
-def deviation_gains(profile: StrategyProfile, config: GameConfig
-                    ) -> dict[tuple[Bias, PureStrategy], float]:
-    """Utility change for every class deviation from ``profile``: gap (1 - q)
-    times the influence change for the positive class, gap q for the negative."""
-    game = _LogGame(config.n_users, config.p_high, config.q_plus)
-    return game.gains(ALL_PROFILES.index(profile), config.mean_gap)
 
 
 def is_pbe(profile: StrategyProfile, config: GameConfig):
@@ -246,7 +232,7 @@ def is_pbe(profile: StrategyProfile, config: GameConfig):
     game = _LogGame(config.n_users, config.p_high, config.q_plus)
     i = ALL_PROFILES.index(profile)
     gains = game.gains(i, config.mean_gap)
-    j = next((j for j in range(6) if game.raises(i, j)), None) if config.mean_gap else None
+    j = next(iter(np.flatnonzero(game.raised[i])), None) if config.mean_gap else None
     if j is None:
         return PbeCertificate(
             profile=profile,

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
+from . import benchmarks
 from ._rng import Moments, run_chunks
 from .distributions import DistributionPair, Family, alpha_beta, log_likelihood_ratio
 from .errors import DegenerateHorizon
@@ -46,17 +48,16 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class _Solution:
-    lambda_low: float
-    lambda_high: float
-    loss: float
-    log_s_alpha: float
-    log_s_beta: float
+def _check_horizon(horizon) -> int:
+    """``horizon`` as an int, if it is a whole number of periods, at least one."""
+    if not isinstance(horizon, Integral) or isinstance(horizon, bool) or horizon < 1:
+        raise ValueError(f"horizon must be >= 1 and an integer, got {horizon!r}")
+    return int(horizon)   # a numpy unsigned horizon would wrap in -horizon
 
 
-def _solve(p: float, gap: float, alpha: float, beta: float, horizon: int) -> _Solution:
-    """Multipliers and per-period loss, computed through inverse sums."""
+def _solve(p: float, gap: float, alpha: float, beta: float, horizon: int) -> tuple:
+    """(lambda_low, lambda_high, per-period loss, log s_alpha, log s_beta),
+    computed through the inverses of the two geometric sums s_alpha, s_beta."""
     t = float(horizon)
     log_a = _log_geometric_sum(math.log(alpha), horizon)
     log_b = _log_geometric_sum(math.log(beta), horizon)
@@ -83,7 +84,7 @@ def _solve(p: float, gap: float, alpha: float, beta: float, horizon: int) -> _So
     lam_high = 2.0 * (1.0 - p) ** 2 * p * t * gap * (t * inv_ab - inv_b) / den
     loss = ((1.0 - p) * p * t * gap**2
             * ((p - 1.0) * inv_b - p * inv_a + t * inv_ab) / den)
-    return _Solution(lam_low, lam_high, loss, log_a, log_b)
+    return lam_low, lam_high, loss, log_a, log_b
 
 
 def _times(k: float, x: np.ndarray) -> np.ndarray:
@@ -135,6 +136,9 @@ class ConstantSchedule(_AffineActions):
     a_low: float
     a_high: float
 
+    def __post_init__(self):
+        _check_horizon(self.horizon)
+
     @property
     def coefficients(self) -> tuple[float, float, float, float]:
         return self.a_low, 0.0, self.a_high, 0.0
@@ -142,49 +146,40 @@ class ConstantSchedule(_AffineActions):
 
 def solve_schedule(config: GameConfig, horizon: int) -> CommitmentSchedule:
     """Solve the truthful commitment for one reviewer over ``horizon`` periods."""
+    horizon = _check_horizon(horizon)
     if config.n_users != 1:
         raise ValueError("the commitment mechanism serves a single reviewer")
-    if horizon < 2:
+    if horizon == 1:
         raise DegenerateHorizon(
             "a one-period commitment pins both actions to the prior mean; "
             "use at least two periods"
         )
     alpha, beta = alpha_beta(config.pair)
-    sol = _solve(config.p_high, config.mean_gap, alpha, beta, horizon)
-    return CommitmentSchedule(
-        horizon=horizon,
-        lambda_low=sol.lambda_low,
-        lambda_high=sol.lambda_high,
-        s_alpha=_exp(sol.log_s_alpha),
-        s_beta=_exp(sol.log_s_beta),
-        alpha=alpha,
-        beta=beta,
-        pair=config.pair,
-        p_high=config.p_high,
-    )
+    lam_low, lam_high, _, log_a, log_b = _solve(
+        config.p_high, config.mean_gap, alpha, beta, horizon)
+    return CommitmentSchedule(horizon, lam_low, lam_high, _exp(log_a), _exp(log_b),
+                              alpha, beta, config.pair, config.p_high)
 
 
 def evolving_loss(config: GameConfig, horizon: int) -> float:
     """Per-period system loss of the solved commitment mechanism.
 
-    A single period cannot separate the messages, so ``horizon=1`` routes to
-    the blind-abandoning loss.
+    A single period cannot separate the messages, and with a zero mean gap
+    there is nothing to separate, so both route to the blind-abandoning loss
+    (0.0 for a zero gap, where the commitment system is singular).
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    p = config.p_high
-    if horizon == 1:
-        return p * (1.0 - p) * config.mean_gap**2
+    horizon = _check_horizon(horizon)
+    if horizon == 1 or config.mean_gap == 0.0:
+        return benchmarks.abandon_scheme(config)[1]
     alpha, beta = alpha_beta(config.pair)
     # + 0.0 turns a loss that underflows to -0.0 into +0.0 and changes no other bit
-    return _solve(p, config.mean_gap, alpha, beta, horizon).loss + 0.0
+    return _solve(config.p_high, config.mean_gap, alpha, beta, horizon)[2] + 0.0
 
 
 def equal_variance_normal_loss(p_high: float, mean_gap: float, variance: float,
                                horizon: int) -> float:
     """Per-period loss for a normal pair with a shared variance."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    horizon = _check_horizon(horizon)
     d2 = mean_gap**2
     if d2 == 0.0:
         return 0.0
@@ -202,8 +197,7 @@ def crossover_threshold(config: GameConfig, horizon: int) -> float:
     if not (pair.low.family is Family.NORMAL and pair.high.family is Family.NORMAL
             and pair.low.scale == pair.high.scale):
         raise ValueError("the crossover formula needs an equal-variance normal pair")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    horizon = _check_horizon(horizon)
     d2 = config.mean_gap**2
     if d2 == 0.0:
         return 0.0

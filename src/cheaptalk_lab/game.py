@@ -31,10 +31,6 @@ class Bias(Enum):
     NEGATIVE = -1
     POSITIVE = 1
 
-    @property
-    def weight(self) -> int:
-        return self.value
-
 
 class PureStrategy(Enum):
     """Deterministic map from the observed type to the sent message."""
@@ -279,7 +275,7 @@ def expected_user_utility(profile: StrategyProfile, rule: InferenceRule,
     for service in ServiceType:
         k_focal = 1 if strategy.sends_high(service) else 0
         others = kernel.pmf(_senders(profile, service), others=True)
-        total += (config.type_prob(service) * bias.weight
+        total += (config.type_prob(service) * bias.value
                   * float(others @ actions[k_focal:k_focal + config.n_users]))
     return total
 

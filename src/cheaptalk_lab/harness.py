@@ -103,6 +103,9 @@ def load_experiment(path, scenario: str | None = None,
     if fmt not in ("csv", "svg"):
         raise ConfigError("output.format must be 'csv' or 'svg'")
     formats = ("csv",) if fmt == "csv" else ("csv", "svg")
+    stem = str(output.get("stem", "results"))
+    if stem in ("", "..") or stem != Path(stem).name:   # a file name inside the output directory
+        raise ConfigError(f"output.stem must be a plain file name, got {stem!r}")
 
     if seed is not None:
         options["seed"] = seed
@@ -114,7 +117,7 @@ def load_experiment(path, scenario: str | None = None,
         game={**_GAME_DEFAULTS, **game_section},
         sweep_axis=axis,
         sweep_values=values,
-        stem=str(output.get("stem", "results")),
+        stem=stem,
         formats=formats,
         options=options,
     )

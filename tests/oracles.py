@@ -41,7 +41,7 @@ def brute_force_utility(profile, rule, bias, config: GameConfig) -> float:
             w = math.prod(config.bias_prob(b) for b in combo)
             k = k_focal + sum(
                 profile.strategy_for(b).sends_high(service) for b in combo)
-            total += p_type * w * bias.weight * rule(k)
+            total += p_type * w * bias.value * rule(k)
     return total
 
 

@@ -12,7 +12,7 @@ from cheaptalk_lab import _exact, equilibrium
 from cheaptalk_lab.distributions import normal_pair
 from cheaptalk_lab.equilibrium import (DeviationWitness, PbeCertificate,
                                        bayesian_system_loss, bias_thresholds,
-                                       deviation_gains, enumerate_pbe, is_pbe,
+                                       enumerate_pbe, is_pbe,
                                        max_loss_reduction_one_user,
                                        one_user_loss, p1_high, p1_low,
                                        sequential_two_user_check,
@@ -35,6 +35,13 @@ GOLDEN_LOW = (3.0 - math.sqrt(5.0)) / 2.0
 
 def config(n=1, p=0.3, q=0.5, mu_l=-1.0, mu_h=1.0, var_l=1.0, var_h=1.0):
     return GameConfig(n, p, q, normal_pair(mu_l, mu_h, var_l, var_h))
+
+
+def deviation_gains(profile, g):
+    """Utility change of every class deviation from ``profile``, read from the
+    game's deviation table."""
+    game = equilibrium._LogGame(g.n_users, g.p_high, g.q_plus)
+    return game.gains(ALL_PROFILES.index(profile), g.mean_gap)
 
 
 def labels(profiles):
@@ -87,6 +94,21 @@ class TestIsPbe:
                     for profile in ALL_PROFILES:
                         certified = isinstance(is_pbe(profile, g), PbeCertificate)
                         assert certified == (profile in members), (p, q, gap, profile)
+
+    def test_the_witness_is_the_first_raising_deviation(self):
+        # biases negative first, alternatives in declaration order
+        for n in (1, 2, 3):
+            for p in (0.1, 0.3, 0.7):
+                for q in (0.2, 0.6):
+                    g = config(n=n, p=p, q=q)
+                    for profile in ALL_PROFILES:
+                        result = is_pbe(profile, g)
+                        first = next((key for key, gain in deviation_gains(profile, g).items()
+                                      if gain > 1e-12), None)
+                        if first is None:
+                            assert isinstance(result, PbeCertificate), (g, profile)
+                        else:
+                            assert (result.bias, result.alternative) == first, (g, profile)
 
     def test_decides_on_one_game(self, monkeypatch):
         built = []
@@ -188,6 +210,12 @@ class TestInfluenceEngine:
         with pytest.raises(UndecidedEquilibrium, match=r"SC\d+ or SC\d+"):
             enumerate_pbe(config(n=30, p=0.5 + 2.0**-45, q=0.1))
         equilibrium._stable_profiles.cache_clear()
+
+    def test_an_undecidable_comparison_raises_in_is_pbe(self, monkeypatch):
+        # the deviation table is decided whole, so any profile of that game raises
+        monkeypatch.setattr(_exact, "MAX_DIGITS", 10)
+        with pytest.raises(UndecidedEquilibrium, match=r"SC\d+ or SC\d+"):
+            is_pbe(SC1, config(n=30, p=0.5 + 2.0**-45, q=0.1))
 
     def test_large_counts_do_not_overflow(self):
         g = config(n=1030, p=0.3, q=0.5)

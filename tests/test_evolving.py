@@ -217,7 +217,7 @@ class TestEvolvingLoss:
 
     def test_loss_follows_from_the_separation_sums(self):
         alpha, beta = alpha_beta(FIG_CONFIG.pair)
-        assert _solve(0.3, 2.0, alpha, beta, 2).loss == pytest.approx(
+        assert _solve(0.3, 2.0, alpha, beta, 2)[2] == pytest.approx(
             evolving_loss(FIG_CONFIG, 2), rel=1e-12, abs=0.0)
 
 
@@ -303,3 +303,61 @@ class TestVerifyIc:
         a = verify_ic(s, 10_000, seed=9)
         b = verify_ic(s, 10_000, seed=9)
         assert a == b
+
+
+ENTRY_POINTS = {
+    "evolving_loss": lambda t: evolving_loss(FIG_CONFIG, t),
+    "equal_variance_normal_loss": lambda t: equal_variance_normal_loss(0.3, 2.0, 1.0, t),
+    "crossover_threshold": lambda t: crossover_threshold(FIG_CONFIG, t),
+    "solve_schedule": lambda t: solve_schedule(FIG_CONFIG, t),
+    "ConstantSchedule": lambda t: ConstantSchedule(horizon=t, pair=FIG_CONFIG.pair,
+                                                   a_low=0.0, a_high=0.0),
+}
+
+
+class TestHorizonCheck:
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("horizon", [2.5, 3.0, True], ids=repr)
+    def test_a_horizon_that_is_not_a_whole_number_is_refused(self, entry, horizon):
+        # 2.5 gave a loss of 0.0238 and a threshold of 6.85; True the
+        # one-period loss; schedules of 2.5 and 3.0 failed later in the
+        # Monte Carlo with a TypeError
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            ENTRY_POINTS[entry](horizon)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("horizon", [np.int64(3), np.int32(3), np.uint8(3)], ids=repr)
+    def test_numpy_integers_are_horizons(self, entry, horizon):
+        assert repr(ENTRY_POINTS[entry](horizon)).replace(repr(horizon), "3") == repr(
+            ENTRY_POINTS[entry](3))
+
+    def test_a_zero_horizon_is_refused_before_the_degenerate_one(self):
+        with pytest.raises(ValueError, match="horizon must be >= 1") as caught:
+            solve_schedule(FIG_CONFIG, 0)
+        assert not isinstance(caught.value, DegenerateHorizon)
+        with pytest.raises(DegenerateHorizon):
+            solve_schedule(FIG_CONFIG, 1)
+
+
+class TestZeroGap:
+    IDENTICAL = GameConfig(1, 0.3, 0.5, normal_pair(0.5, 0.5))
+
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 8, 40])
+    def test_identical_densities_cost_nothing_at_any_horizon(self, horizon):
+        # horizons from 2 raised DegenerateHorizon: the 2 x 2 system is singular
+        loss = evolving_loss(self.IDENTICAL, horizon)
+        assert math.copysign(1.0, loss) == 1.0 and loss == 0.0
+        assert loss == equal_variance_normal_loss(0.3, 0.0, 1.0, horizon)
+        assert crossover_threshold(self.IDENTICAL, horizon) == 0.0
+
+    @pytest.mark.parametrize("var_h", [0.5, 1.5])
+    @pytest.mark.parametrize("family", list(Family))
+    def test_equal_means_with_unequal_scales_keep_their_bits(self, family, var_h):
+        pair = DistributionPair(StateDistribution(family, 0.5, 1.0),
+                                StateDistribution(family, 0.5, math.sqrt(var_h)))
+        g = GameConfig(1, 0.3, 0.5, pair)
+        alpha, beta = alpha_beta(pair)
+        for horizon in (2, 3, 8):
+            # the solved loss these games reported before a zero gap was routed
+            solved = _solve(0.3, 0.0, alpha, beta, horizon)[2] + 0.0
+            assert evolving_loss(g, horizon).hex() == solved.hex() == (0.0).hex()

@@ -287,16 +287,30 @@ class TestCli:
         assert not list(tmp_path.glob("*.csv"))
 
     def test_degenerate_pair_exits_nonzero(self, tmp_path, capsys):
+        # means 1e-7 apart; identical ones cost nothing (test_identical_pair_costs_nothing)
         bad = write_yaml(
             tmp_path,
             "scenario: evolving\n"
-            "game:\n  mu_low: 1.0\n  mu_high: 1.0\n"
+            "game:\n  mu_low: 1.0\n  mu_high: 1.0000001\n"
             "sweep:\n  axis: horizon\n  values: [2]\n",
         )
         code = main(["evolving", "--config", str(bad), "--out", str(tmp_path)])
         assert code == 1
         assert "singular" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_identical_pair_costs_nothing(self, tmp_path, capsys):
+        # this pair's singular commitment system used to exit 1
+        path = write_yaml(
+            tmp_path,
+            "scenario: evolving\n"
+            "game:\n  mu_low: 1.0\n  mu_high: 1.0\n"
+            "sweep:\n  axis: horizon\n  values: [1, 2, 5]\n",
+        )
+        assert main(["evolving", "--config", str(path), "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "results.csv")
+        assert header == ["horizon", "evolving_loss", "abandon_loss"]
+        assert [row[1:] for row in rows] == [["0", "0"]] * 3
 
     def test_divergent_pair_exits_nonzero(self, tmp_path, capsys):
         bad = write_yaml(
@@ -328,3 +342,42 @@ class TestCli:
         code = main(["pbe", "--config", str(tmp_path / "nope.yaml")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+    def test_every_config_reproduces_its_golden_csv_through_argv(self, config, tmp_path,
+                                                                  capsys):
+        scenario = load_experiment(config).scenario
+        code = main([scenario, "--config", str(config), "--out", str(tmp_path)])
+        assert code == 0
+        csv_path = tmp_path / f"{config.stem}.csv"
+        assert capsys.readouterr().out == f"{csv_path}\n"
+        golden = CONFIG_DIR.parent / "tests" / "golden" / f"{config.stem}.csv"
+        assert csv_path.read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        [], ["nonsense", "--config", "x.yaml"], ["pbe"], ["--config", "x.yaml"]],
+        ids=["no_scenario", "unknown_scenario", "no_config", "config_only"])
+    def test_a_malformed_command_line_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        assert "usage: cheaptalk-lab" in capsys.readouterr().err
+
+
+class TestOutputStem:
+    @pytest.mark.parametrize("stem", ["../escaped", "sub/x", "", ".", ".."])
+    def test_a_stem_that_is_not_a_plain_name_is_refused(self, tmp_path, capsys, stem):
+        # "../escaped" wrote escaped.csv beside the output directory and "" the
+        # hidden file .csv inside it, both exiting 0
+        path = write_yaml(tmp_path, f"scenario: loss_curve\noutput:\n  stem: {stem!r}\n")
+        with pytest.raises(ConfigError, match="output.stem"):
+            load_experiment(path)
+        out = tmp_path / "out"
+        assert main(["loss_curve", "--config", str(path), "--out", str(out)]) == 1
+        assert "output.stem" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["exp.yaml"]
+
+    def test_a_plain_stem_names_the_file(self, tmp_path):
+        path = write_yaml(tmp_path, "scenario: loss_curve\noutput:\n  stem: curve.v2\n")
+        (written,) = run(load_experiment(path), out_dir=tmp_path / "out")
+        assert written == tmp_path / "out" / "curve.v2.csv"
