@@ -19,8 +19,6 @@ CHUNK_SIZE = 1 << 15
 
 def chunked_generators(entropy, total: int) -> list[tuple[int, np.random.Generator]]:
     """Ordered (count, generator) pairs covering ``total`` draws."""
-    if total < 1:
-        raise ValueError("total must be >= 1")
     if not isinstance(entropy, np.random.SeedSequence):
         entropy = np.random.SeedSequence(entropy)
     children = entropy.spawn((total + CHUNK_SIZE - 1) // CHUNK_SIZE)

@@ -1,5 +1,7 @@
 """Command-line entry point: ``cheaptalk-lab <scenario> --config <file>``, one
-parser, built at import, whose options are the same for every scenario."""
+parser, built at import, whose options are the same for every scenario.  The
+scenarios are ``harness.SCENARIOS``: each table's name, Figures 2-6 as
+``fig2``-``fig6``, and ``simulate``."""
 
 from __future__ import annotations
 

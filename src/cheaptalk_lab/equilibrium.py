@@ -57,8 +57,8 @@ import numpy as np
 from .errors import OutOfRegime
 from .game import (ALL_PROFILES, PROFILE_LABELS, Bias, GameConfig,
                    InferenceRule, PureStrategy, SC1, ServiceType,
-                   StrategyProfile, _CountKernel, _posterior, _senders,
-                   best_response_rule, expected_user_utility)
+                   StrategyProfile, _CountKernel, _check_count, _posterior,
+                   _senders, best_response_rule, expected_user_utility)
 
 GOLDEN_LOW = (3.0 - math.sqrt(5.0)) / 2.0   # small positive-share regime ends here
 GOLDEN_HIGH = (math.sqrt(5.0) - 1.0) / 2.0  # large positive-share regime starts here
@@ -301,6 +301,7 @@ def bias_thresholds(q_plus: float) -> BiasThresholds:
 
 def symmetric_bias_loss(n_users: int, p_high: float, mean_gap: float) -> float:
     """Worst-equilibrium loss for equally likely biases, any reviewer count."""
+    n_users = _check_count("n_users", n_users)
     p = p_high
     s = math.ldexp(1.0, -n_users)   # both ratios scaled by 2^-N, exactly
     scaled = math.ldexp((1.0 - p) * p * mean_gap**2, -n_users)

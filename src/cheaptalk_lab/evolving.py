@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from . import benchmarks
 from ._rng import Moments, run_chunks
 from .distributions import DistributionPair, Family, alpha_beta, log_likelihood_ratio
 from .errors import DegenerateHorizon
-from .game import GameConfig
+from .game import GameConfig, _check_count
 
 # The geometric sums overflow double precision once horizon * gap^2 / sigma^2
 # exceeds about 690 (normal case).  All formulas below are evaluated through
@@ -46,13 +45,6 @@ def _exp(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
-
-
-def _check_horizon(horizon) -> int:
-    """``horizon`` as an int, if it is a whole number of periods, at least one."""
-    if not isinstance(horizon, Integral) or isinstance(horizon, bool) or horizon < 1:
-        raise ValueError(f"horizon must be >= 1 and an integer, got {horizon!r}")
-    return int(horizon)   # a numpy unsigned horizon would wrap in -horizon
 
 
 def _solve(p: float, gap: float, alpha: float, beta: float, horizon: int) -> tuple:
@@ -137,7 +129,7 @@ class ConstantSchedule(_AffineActions):
     a_high: float
 
     def __post_init__(self):
-        _check_horizon(self.horizon)
+        _check_count("horizon", self.horizon)
 
     @property
     def coefficients(self) -> tuple[float, float, float, float]:
@@ -146,7 +138,7 @@ class ConstantSchedule(_AffineActions):
 
 def solve_schedule(config: GameConfig, horizon: int) -> CommitmentSchedule:
     """Solve the truthful commitment for one reviewer over ``horizon`` periods."""
-    horizon = _check_horizon(horizon)
+    horizon = _check_count("horizon", horizon)
     if config.n_users != 1:
         raise ValueError("the commitment mechanism serves a single reviewer")
     if horizon == 1:
@@ -166,23 +158,28 @@ def evolving_loss(config: GameConfig, horizon: int) -> float:
 
     A single period cannot separate the messages, and with a zero mean gap
     there is nothing to separate, so both route to the blind-abandoning loss
-    (0.0 for a zero gap, where the commitment system is singular).
+    (0.0 for a zero gap).  So do densities too close for the commitment
+    system to be solved in floats: the abandoning loss is the limit of the
+    loss as the densities meet.
     """
-    horizon = _check_horizon(horizon)
+    horizon = _check_count("horizon", horizon)
     if horizon == 1 or config.mean_gap == 0.0:
         return benchmarks.abandon_scheme(config)[1]
     alpha, beta = alpha_beta(config.pair)
-    # + 0.0 turns a loss that underflows to -0.0 into +0.0 and changes no other bit
-    return _solve(config.p_high, config.mean_gap, alpha, beta, horizon)[2] + 0.0
+    try:
+        loss = _solve(config.p_high, config.mean_gap, alpha, beta, horizon)[2]
+    except DegenerateHorizon:
+        return benchmarks.abandon_scheme(config)[1]
+    return loss + 0.0   # turns a loss that underflows to -0.0 into +0.0, no other bit
 
 
 def equal_variance_normal_loss(p_high: float, mean_gap: float, variance: float,
                                horizon: int) -> float:
     """Per-period loss for a normal pair with a shared variance."""
-    horizon = _check_horizon(horizon)
+    horizon = _check_count("horizon", horizon)
+    if not 0.0 < variance < math.inf:
+        raise ValueError(f"variance must be positive and finite, got {variance!r}")
     d2 = mean_gap**2
-    if d2 == 0.0:
-        return 0.0
     if horizon == 1:
         return p_high * (1.0 - p_high) * d2
     big_r = _exp(_log_geometric_sum(d2 / variance, horizon) - math.log(horizon))
@@ -197,10 +194,8 @@ def crossover_threshold(config: GameConfig, horizon: int) -> float:
     if not (pair.low.family is Family.NORMAL and pair.high.family is Family.NORMAL
             and pair.low.scale == pair.high.scale):
         raise ValueError("the crossover formula needs an equal-variance normal pair")
-    horizon = _check_horizon(horizon)
+    horizon = _check_count("horizon", horizon)
     d2 = config.mean_gap**2
-    if d2 == 0.0:
-        return 0.0
     p = config.p_high
     big_r = _exp(_log_geometric_sum(d2 / pair.low.scale**2, horizon) - math.log(horizon))
     return max(math.log2(p * big_r + (1.0 - p)),
@@ -298,6 +293,7 @@ def verify_ic(schedule, mc_episodes: int, seed: int) -> IcResiduals:
         return lambda count, rng: (Moments.of(_history_sums(
             schedule, dist.sample(rng, (count, schedule.horizon - 1)))[0]),)
 
+    mc_episodes = _check_count("mc_episodes", mc_episodes)
     low_entropy, high_entropy = np.random.SeedSequence(seed).spawn(2)
     (low,) = run_chunks(low_entropy, mc_episodes, differences(schedule.pair.low))
     (high,) = run_chunks(high_entropy, mc_episodes, differences(schedule.pair.high))

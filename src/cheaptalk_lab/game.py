@@ -97,6 +97,13 @@ PROFILE_LABELS = {p: f"SC{i}" for i, p in enumerate(ALL_PROFILES, start=1)}
 PROFILES_BY_LABEL = {label: p for p, label in PROFILE_LABELS.items()}
 
 
+def _check_count(name: str, value) -> int:
+    """``value`` as an int, if it is a whole number, not a bool, at least one."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
+    return int(value)   # a numpy unsigned count would wrap in arithmetic
+
+
 @dataclass(frozen=True)
 class GameConfig:
     """Full parameterization of one game instance."""
@@ -107,10 +114,7 @@ class GameConfig:
     pair: DistributionPair
 
     def __post_init__(self):
-        if isinstance(self.n_users, bool) or not isinstance(self.n_users, numbers.Integral):
-            raise ValueError(f"n_users must be an integer, got {self.n_users!r}")
-        if self.n_users < 1:
-            raise ValueError("n_users must be >= 1")
+        _check_count("n_users", self.n_users)
         if not 0.0 < self.p_high < 1.0:
             raise ValueError("p_high must lie in (0, 1)")
         if not 0.0 < self.q_plus < 1.0:

@@ -7,8 +7,8 @@ column is the swept value.  Floats are formatted at nine significant digits
 and the body carries no timestamps, so reruns are byte-identical.  Files are
 staged in a temporary name and renamed, so failed runs leave nothing behind.
 
-Every scenario but ``simulate``, and each figure named by ``options.figure``,
-is one entry of a spec table: a default sweep, overrides of the config's
+Every scenario but ``simulate`` names one entry of a spec table, Figures 2-6
+included as ``fig2``-``fig6``: a default sweep, overrides of the config's
 ``game`` section, and columns, each a quantity from a small registry with
 optional game overrides and a fixed horizon.  A ``sweep`` section replaces
 the default sweep.  Each swept value gives a row, and every cell is computed
@@ -35,9 +35,6 @@ from .distributions import DistributionPair, Family, StateDistribution
 from .errors import CheapTalkError
 from .game import PROFILE_LABELS, PROFILES_BY_LABEL, Bias, GameConfig
 
-SCENARIOS = ("pbe", "loss_curve", "benchmark", "evolving", "compare",
-             "simulate", "figure")
-
 OUTPUT_DIR_ENV = "CHEAPTALK_LAB_OUT"
 
 _GAME_DEFAULTS = {
@@ -55,7 +52,7 @@ _SECTION_KEYS = {
     "game": tuple(_GAME_DEFAULTS),
     "sweep": ("axis", "values"),
     "output": ("stem", "format"),
-    "options": ("figure", "horizons", "horizon", "profile", "samples", "seed"),
+    "options": ("horizons", "horizon", "profile", "samples", "seed"),
 }
 
 SWEEP_AXES = ("n_users", "horizon", "p_high", "q_plus", "mu_low", "var_high",
@@ -297,16 +294,12 @@ _SPECS = {
         dict(p_high=0.3, scale_low=1.0, scale_high=math.sqrt(1.5))),
 }
 
+SCENARIOS = (*_SPECS, "simulate")
+
 
 def _build_table(cfg: ExperimentConfig):
     """Evaluate a table spec; every cell is computed on its own row's game."""
-    name = cfg.scenario
-    if name == "figure":
-        name = str(cfg.options.get("figure", "fig6"))
-        figures = sorted(key for key in _SPECS if key.startswith("fig"))
-        if name not in figures:
-            raise ConfigError(f"unknown figure {name!r}; expected one of {figures}")
-    spec = _SPECS[name]
+    spec = _SPECS[cfg.scenario]
     if cfg.sweep_axis is not None and not cfg.sweep_values:
         raise ConfigError("sweep.values must be a non-empty list")
     axis = cfg.sweep_axis or spec.axis
@@ -316,7 +309,7 @@ def _build_table(cfg: ExperimentConfig):
     if axis == "horizon" and not reads_row_horizon:
         raise ConfigError(f"axis {axis!r} does not modify the game")
     if reads_row_horizon and axis not in ("horizon", "count"):
-        raise ConfigError(f"axis {axis!r} sets no horizon for {name}")
+        raise ConfigError(f"axis {axis!r} sets no horizon for {cfg.scenario}")
 
     base = dict(cfg.game, **spec.game)
     rows = []

@@ -21,7 +21,7 @@ import numpy as np
 from ._rng import Moments, run_chunks
 from .evolving import CommitmentSchedule, IcResiduals, _history_sums
 from .game import (GameConfig, InferenceRule, ServiceType,
-                   StrategyProfile, _senders, min_expected_cost)
+                   StrategyProfile, _check_count, _senders, min_expected_cost)
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,7 @@ def simulate_game(config: GameConfig, profile: StrategyProfile,
     reviewer's message; each sample adds the squared rating error and the
     first reviewer's signed rating (bucketed by that reviewer's bias).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples, workers = _check_count("samples", samples), _check_count("workers", workers)
     n = config.n_users
     if rule.n_users != n:
         raise ValueError("rule was built for a different number of users")
@@ -116,8 +115,7 @@ def simulate_evolving(config: GameConfig, schedule, episodes: int, seed: int,
     samples for the four truthfulness residuals, being the matching density's
     product measure given the type.  ``config`` must be the schedule's game.
     """
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
+    episodes, workers = _check_count("episodes", episodes), _check_count("workers", workers)
     if config.n_users != 1:
         raise ValueError("the commitment mechanism serves a single reviewer")
     if config.pair != schedule.pair or (isinstance(schedule, CommitmentSchedule)

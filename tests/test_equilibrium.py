@@ -319,6 +319,11 @@ class TestThresholds:
         with pytest.raises(OutOfRegime):
             p1_low(0.3)
 
+    @pytest.mark.parametrize("q", [0.0, 1.0, -0.5, 1.5])
+    def test_threshold_record_needs_a_share_inside_the_unit_interval(self, q):
+        with pytest.raises(ValueError):
+            bias_thresholds(q)
+
     def test_threshold_record(self):
         t = bias_thresholds(0.1)
         assert t.p1_low is None
@@ -339,6 +344,12 @@ class TestSystemLoss:
         assert symmetric_bias_loss(2, 0.3, 2.0) == pytest.approx(
             0.84 / 1.9, rel=1e-12, abs=0.0)
         assert symmetric_bias_loss(1, 0.3, 0.0) == 0.0
+
+    @pytest.mark.parametrize("n", [-3, 0, True, 2.5], ids=repr)
+    def test_symmetric_closed_form_needs_a_reviewer_count(self, n):
+        # -3 gave 2.17 and 0 gave 0.84, the abandoning loss; True gave N = 1's 0.646
+        with pytest.raises(ValueError, match="n_users must be >= 1"):
+            symmetric_bias_loss(n, 0.3, 2.0)
 
     def test_generic_enumeration_matches_the_closed_form(self):
         for n in (1, 2, 3, 13, 26, 39):
@@ -498,3 +509,7 @@ class TestThreeTypeLoss:
     def test_rejects_single_reviewer(self):
         with pytest.raises(ValueError):
             three_type_loss(1, 2.0)
+
+    def test_rejects_a_negative_gap(self):
+        with pytest.raises(ValueError, match="delta must be nonnegative"):
+            three_type_loss(3, -2.0)

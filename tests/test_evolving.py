@@ -144,6 +144,12 @@ class TestEvolvingLoss:
         with pytest.raises(ValueError, match="horizon must be >= 1"):
             equal_variance_normal_loss(0.3, 2.0, 1.0, horizon)
 
+    @pytest.mark.parametrize("variance", [0.0, -1.0, math.nan, math.inf])
+    def test_normal_closed_form_rejects_a_variance_that_is_not_positive(self, variance):
+        # 0.0 divided by zero; -1.0 returned 0.975, above the abandoning loss
+        with pytest.raises(ValueError, match="variance must be positive"):
+            equal_variance_normal_loss(0.3, 2.0, variance, 3)
+
     def test_loss_matches_the_second_moment_derivation(self):
         rng = np.random.default_rng(61)
         for _ in range(10):
@@ -166,6 +172,7 @@ class TestEvolvingLoss:
 
     def test_single_period_routes_to_the_abandoning_loss(self):
         assert evolving_loss(FIG_CONFIG, 1) == pytest.approx(0.84, abs=1e-12)
+        assert equal_variance_normal_loss(0.3, 2.0, 1.0, 1) == pytest.approx(0.84, abs=1e-12)
 
     def test_strictly_decreasing_in_the_horizon(self):
         losses = [evolving_loss(FIG_CONFIG, t) for t in range(2, 13)]
@@ -349,6 +356,16 @@ class TestZeroGap:
         assert math.copysign(1.0, loss) == 1.0 and loss == 0.0
         assert loss == equal_variance_normal_loss(0.3, 0.0, 1.0, horizon)
         assert crossover_threshold(self.IDENTICAL, horizon) == 0.0
+
+    @pytest.mark.parametrize("horizon", [2, 3])
+    @pytest.mark.parametrize("gap", [1e-6, 1e-7, 1e-8])
+    def test_nearly_identical_densities_cost_the_abandoning_loss(self, gap, horizon):
+        # the commitment system is singular in floats here, and the loss raised
+        # DegenerateHorizon; the abandoning loss is its limit as the gap closes
+        g = GameConfig(1, 0.3, 0.5, normal_pair(1.0, 1.0 + gap))
+        with pytest.raises(DegenerateHorizon):
+            solve_schedule(g, horizon)
+        assert evolving_loss(g, horizon) == abandon_scheme(g)[1]
 
     @pytest.mark.parametrize("var_h", [0.5, 1.5])
     @pytest.mark.parametrize("family", list(Family))

@@ -237,7 +237,7 @@ def test_utility_rejects_mismatched_rule():
         expected_platform_cost(SC1, rule, g)
 
 
-@pytest.mark.parametrize("n_users", [2.5, 2.0, True, "3"])
+@pytest.mark.parametrize("n_users", [2.5, 2.0, True, "3", 0])
 def test_reviewer_count_must_be_an_integer(n_users):
     with pytest.raises(ValueError):
         GameConfig(n_users, 0.3, 0.5, normal_pair(-1.0, 1.0))

@@ -39,8 +39,10 @@ class TestConfigParsing:
         assert cfg.options["seed"] == 7
         assert cfg.options["samples"] == 500
 
-    def test_unknown_scenario_rejected(self, tmp_path):
-        path = write_yaml(tmp_path, "scenario: nonsense\n")
+    @pytest.mark.parametrize("scenario", ["nonsense", "figure"])
+    def test_unknown_scenario_rejected(self, tmp_path, scenario):
+        # "figure" read its table from options.figure, defaulting to fig6
+        path = write_yaml(tmp_path, f"scenario: {scenario}\n")
         with pytest.raises(ConfigError):
             load_experiment(path)
 
@@ -54,9 +56,7 @@ class TestConfigParsing:
         "scenario: pbe\nsweep:\n  axis: horizon\n  values: [2]\n",
         "scenario: compare\nsweep:\n  axis: p_high\n  values: [0.3]\n",
         "scenario: evolving\nsweep:\n  axis: p_high\n  values: []\n",
-        "scenario: figure\noptions:\n  figure: pbe\n",
-        "scenario: figure\nsweep:\n  axis: p_high\n  values: [0.3]\n"
-        "options:\n  figure: fig3\n",
+        "scenario: fig3\nsweep:\n  axis: p_high\n  values: [0.3]\n",
         "scenario: benchmark\ngame:\n  mu_low: .nan\n",
         "scenario: pbe\ngame:\n  n_users: 2.5\n",
         "scenario: loss_curve\nsweep:\n  axis: n_users\n  values: [2.5, 3.9]\n",
@@ -71,13 +71,15 @@ class TestConfigParsing:
         "scenario: evolving\nsweep:\n  axis: var_high\n  values: [true]\n",
         "scenario: benchmark\ngame:\n  mu_low: true\n  mu_high: 2.0\n",
         "scenario: benchmark\ngame:\n  p_high: '0.3'\n",
+        "scenario: benchmark\ngame:\n  family: cauchy\n",
+        "scenario: simulate\noptions:\n  profile: SC17\n",
     ], ids=["horizon_axis_unused", "compare_axis", "empty_values",
-            "unknown_figure", "figure_needs_horizon_sweep", "nan_mean",
+            "figure_needs_horizon_sweep", "nan_mean",
             "fractional_n_users", "fractional_sweep_values",
             "fractional_horizons", "fractional_horizon", "fractional_samples",
             "fractional_seed", "text_sweep_value", "bool_sweep_value",
             "quoted_sweep_value", "bool_variance", "bool_game_mean",
-            "quoted_game_prior"])
+            "quoted_game_prior", "unknown_family", "unknown_profile"])
     def test_invalid_tables_rejected(self, tmp_path, text):
         cfg = load_experiment(write_yaml(tmp_path, text))
         with pytest.raises(ConfigError):
@@ -181,6 +183,14 @@ class TestScenarios:
         for n, (b, e) in enumerate(zip(bayes, evolving), start=1):
             assert (e < b) == (n <= threshold)
 
+    def test_compare_on_a_laplace_pair_has_no_crossover(self, tmp_path):
+        # the crossover formula needs an equal-variance normal pair
+        path = write_yaml(tmp_path, "scenario: compare\ngame:\n  family: laplace\n"
+                          "sweep:\n  axis: n_users\n  values: [1, 2]\n")
+        (path,) = run(load_experiment(path), out_dir=tmp_path)
+        header, rows = read_csv(path)
+        assert [r[header.index("crossover_threshold")] for r in rows] == ["nan", "nan"]
+
     def test_simulate_scenario_reports_small_z_scores(self, tmp_path):
         cfg = load_experiment(CONFIG_DIR / "simulate_sc1.yaml", samples=50_000)
         (path,) = run(cfg, out_dir=tmp_path)
@@ -244,6 +254,11 @@ class TestOutputs:
             run(cfg, out_dir=tmp_path)
         assert not list(tmp_path.iterdir())
 
+    def test_a_failed_write_leaves_no_temporary_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            harness._write_atomic(tmp_path / "x.csv", None)   # not text
+        assert not list(tmp_path.iterdir())
+
     def test_default_output_dir_comes_from_the_environment(self, tmp_path,
                                                            monkeypatch):
         monkeypatch.setenv("CHEAPTALK_LAB_OUT", str(tmp_path / "envout"))
@@ -277,6 +292,7 @@ class TestCli:
         ("scenario: loss_curve\nsweep:\n  axis: n_users\n  value: [1]\n", "value"),
         ("scenario: simulate\noptions:\n  sample: 10\n", "sample"),
         ("scenario: loss_curve\noutputs:\n  stem: x\n", "outputs"),
+        ("scenario: fig6\noptions:\n  figure: fig2\n", "figure"),
     ])
     def test_unknown_key_exits_nonzero_naming_it(self, tmp_path, capsys, text, key):
         # such files used to run on the defaults and exit 0
@@ -286,18 +302,19 @@ class TestCli:
         assert repr(key) in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
-    def test_degenerate_pair_exits_nonzero(self, tmp_path, capsys):
-        # means 1e-7 apart; identical ones cost nothing (test_identical_pair_costs_nothing)
-        bad = write_yaml(
+    def test_nearly_identical_pair_costs_the_abandoning_loss(self, tmp_path):
+        # means 1e-7 apart leave the commitment system singular in floats;
+        # this config used to exit 1
+        path = write_yaml(
             tmp_path,
             "scenario: evolving\n"
             "game:\n  mu_low: 1.0\n  mu_high: 1.0000001\n"
             "sweep:\n  axis: horizon\n  values: [2]\n",
         )
-        code = main(["evolving", "--config", str(bad), "--out", str(tmp_path)])
-        assert code == 1
-        assert "singular" in capsys.readouterr().err
-        assert not list(tmp_path.glob("*.csv"))
+        assert main(["evolving", "--config", str(path), "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "results.csv")
+        assert header == ["horizon", "evolving_loss", "abandon_loss"]
+        assert [row[1] for row in rows] == [row[2] for row in rows]
 
     def test_identical_pair_costs_nothing(self, tmp_path, capsys):
         # this pair's singular commitment system used to exit 1
@@ -338,6 +355,16 @@ class TestCli:
         assert "cheaptalk-lab: error:" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("text, message", [
+        ("scenario: loss_curve\ngame: 3\n", "section 'game' must contain a mapping"),
+        ("scenario: loss_curve\noutput:\n  format: png\n", "output.format must be"),
+    ], ids=["section_not_a_mapping", "unknown_format"])
+    def test_a_malformed_section_exits_nonzero(self, tmp_path, capsys, text, message):
+        bad = write_yaml(tmp_path, text)
+        assert main(["loss_curve", "--config", str(bad), "--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_missing_config_file_exits_nonzero(self, tmp_path, capsys):
         code = main(["pbe", "--config", str(tmp_path / "nope.yaml")])
         assert code == 1
@@ -355,8 +382,9 @@ class TestCli:
         assert csv_path.read_bytes() == golden.read_bytes()
 
     @pytest.mark.parametrize("argv", [
-        [], ["nonsense", "--config", "x.yaml"], ["pbe"], ["--config", "x.yaml"]],
-        ids=["no_scenario", "unknown_scenario", "no_config", "config_only"])
+        [], ["nonsense", "--config", "x.yaml"], ["pbe"], ["--config", "x.yaml"],
+        ["figure", "--config", "x.yaml"]],
+        ids=["no_scenario", "unknown_scenario", "no_config", "config_only", "figure"])
     def test_a_malformed_command_line_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as caught:
             main(argv)

@@ -252,6 +252,35 @@ def _assert_same_estimate(got, want, stderr):
     assert abs(got - want) <= 1e-9 * stderr + 4 * np.spacing(abs(want)), (got, want)
 
 
+COUNT_GAME = config()
+COUNT_RULE = best_response_rule(SC1, COUNT_GAME)
+COUNT_SCHEDULE = solve_schedule(COUNT_GAME, 2)
+COUNT_ENTRY_POINTS = {   # name of the count -> the call with that count
+    "samples": lambda c: simulate_game(COUNT_GAME, SC1, COUNT_RULE, c, 1),
+    "workers (game)": lambda c: simulate_game(COUNT_GAME, SC1, COUNT_RULE, 10, 1, workers=c),
+    "episodes": lambda c: simulate_evolving(COUNT_GAME, COUNT_SCHEDULE, c, 1),
+    "workers (evolving)": lambda c: simulate_evolving(COUNT_GAME, COUNT_SCHEDULE, 10, 1,
+                                                      workers=c),
+    "mc_episodes": lambda c: verify_ic(COUNT_SCHEDULE, c, 1),
+}
+
+
+class TestCountCheck:
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    @pytest.mark.parametrize("count", [0, -3, 2.5, 1.0, True], ids=repr)
+    def test_a_count_that_is_not_a_whole_number_from_one_is_refused(self, entry, count):
+        # True ran one sample; 2.5 and 1.0 failed inside numpy with a TypeError;
+        # no worker count was refused
+        name = entry.split()[0]
+        with pytest.raises(ValueError, match=f"{name} must be >= 1 and an integer"):
+            COUNT_ENTRY_POINTS[entry](count)
+
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    @pytest.mark.parametrize("count", [np.int64(3), np.uint8(3)], ids=repr)
+    def test_numpy_integers_are_counts(self, entry, count):
+        assert repr(COUNT_ENTRY_POINTS[entry](count)) == repr(COUNT_ENTRY_POINTS[entry](3))
+
+
 class TestHistoryKernel:
     """The history kernel's sums of r and 1/r against every period's actions,
     on the same draws; 1_001 episodes fill one chunk, 2 * CHUNK_SIZE + 17
