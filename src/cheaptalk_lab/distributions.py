@@ -7,20 +7,17 @@ pair automatically share their support.  Everything that depends on the
 family lives here: the log density, the variance per squared scale (also read
 backwards by ``StateDistribution.from_variance``), the numpy sampler of the
 family's name and the tail decay.  Each family's log density is one formula
-of the standardized state, evaluated with ``math`` on a float (the quadrature
-integrand creates no numpy object) and in place on a fresh array of an array
-(never writing to its input).  ``log_likelihood_ratio`` is the one likelihood
-ratio; a history's ratio is the sum of its states' log ratios.
+of the standardized state, evaluated with ``math`` on a float and in place on
+a fresh array of an array (never writing to its input).
+``log_likelihood_ratio`` is the one likelihood ratio; a history's ratio is the
+sum of its states' log ratios.
 
-The separation integrals are closed forms for normal pairs (any variances)
-and Laplace pairs.  Only logistic and mixed-family pairs are integrated
-numerically; that quadrature loads scipy on its first call and is cached per
-(numerator, denominator) pair.
+The separation integrals are closed forms for every pair of one family, of
+any locations and scales; a pair that mixes two families raises.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -28,13 +25,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import (DivergentIntegral, DivisionOutsideSupport, QuadratureFailure,
-                     SeparationOverflow)
+from .errors import DivergentIntegral, DivisionOutsideSupport, SeparationOverflow
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-# Relative tolerance requested from the adaptive integrator.
-QUAD_REL_TOL = 1e-10
 
 
 class Family(str, Enum):
@@ -209,55 +202,8 @@ def _check_converges(num: StateDistribution, den: StateDistribution) -> tuple[fl
     return quad, rate
 
 
-@functools.lru_cache(maxsize=64)
-def _ratio_integral(num: StateDistribution, den: StateDistribution) -> float:
-    """Adaptive quadrature of the squared-ratio integral num^2/den over the line."""
-    from scipy import integrate   # on demand: closed-form pairs never load scipy
-
-    quad_coeff, rate = _check_converges(num, den)
-
-    centers = sorted({num.location, den.location})
-    base = 12.0 * max(num.scale, den.scale)
-    # widen until the truncated exponential tail is negligible (~e^-60)
-    width = base
-    if quad_coeff > 0:
-        width = max(width, math.sqrt(60.0 / quad_coeff))
-    else:
-        width = max(width, 60.0 / rate)
-    lo, hi = centers[0] - width, centers[-1] + width
-
-    # the float path of ``log_density``, without its dispatch, at every node
-    (f_num, m_num, s_num), (f_den, m_den, s_den) = (
-        (_LOG_DENSITY[d.family], d.location, d.scale) for d in (num, den))
-
-    def integrand(t):
-        return math.exp(2.0 * f_num((t - m_num) / s_num, s_num, math)
-                        - f_den((t - m_den) / s_den, s_den, math))
-
-    def run(a, b):
-        value, abserr = integrate.quad(
-            integrand, a, b, points=centers, limit=500,
-            epsabs=1e-13, epsrel=QUAD_REL_TOL / 10.0,
-        )
-        return value, abserr
-
-    value, abserr = run(lo, hi)
-    # doubling the truncation width must not change the estimate; growth
-    # signals a divergent (or far-from-converged) integral
-    wide, wide_err = run(lo - width, hi + width)
-    if wide - value > 1e-8 * max(abs(wide), 1.0):
-        raise DivergentIntegral(
-            "integral estimate keeps growing with the truncation width"
-        )
-    if wide_err > 1e-9 * max(abs(wide), 1.0):
-        raise QuadratureFailure(
-            f"estimated quadrature error {wide_err:.3e} exceeds tolerance"
-        )
-    return wide
-
-
 def _closed_form_integral(num: StateDistribution, den: StateDistribution) -> float:
-    """The squared-ratio integral num^2/den of a normal or a Laplace pair."""
+    """The squared-ratio integral num^2/den of two densities of one family."""
     _, tail_rate = _check_converges(num, den)
     if num.family is Family.NORMAL:
         # v_d / sqrt(v_n (2 v_d - v_n)) * exp((m_n - m_d)^2 / (2 v_d - v_n)),
@@ -267,6 +213,17 @@ def _closed_form_integral(num: StateDistribution, den: StateDistribution) -> flo
         spread = 2.0 * v_den - v_num
         return (math.exp((num.location - den.location) ** 2 / spread)
                 * math.sqrt(v_den / v_num * (v_den / spread)))
+    if num.family is Family.LOGISTIC:
+        # 1/g(z) = e^z + 2 + e^-z for the standard logistic density g, and g^2
+        # integrates against e^(cu) to B(2 + c, 2 - c); so, with r = s_n / s_d,
+        # (s_d/s_n) (2 cosh((m_n - m_d)/s_d) B(2 + r, 2 - r) + 1/3), where B(2 + r,
+        # 2 - r) = r (1 + r) pi |1 - r| / (6 |sin(pi r)|), the sine taken at its
+        # smallest angle: r, or |1 - r| or 2 - r from exact differences of scales
+        s_n, s_d = num.scale, den.scale
+        r, off = s_n / s_d, abs(s_d - s_n) / s_d
+        angle = min(off, r, (2.0 * s_d - s_n) / s_d)
+        beta = r * (1.0 + r) / 6.0 * (math.pi * off / math.sin(math.pi * angle) if off else 1.0)
+        return (2.0 * math.cosh((num.location - den.location) / s_d) * beta + 1.0 / 3.0) / r
     # (c / 2b^2) * integral of exp(-2|t - m|/b + |t - n|/c): two tails of rate
     # 2/b - 1/c beyond the locations and, between them, a piece of rate 2/b + 1/c;
     # the exponent is d/c at m and -2d/b at n, d being the locations' distance
@@ -282,16 +239,16 @@ def alpha_beta(pair: DistributionPair) -> tuple[float, float]:
     """The two squared-ratio separation integrals of the pair.
 
     Both equal 1 exactly when the densities coincide and exceed 1 otherwise.
-    Normal pairs of any variances and Laplace pairs use exact closed forms;
-    logistic and mixed-family pairs are integrated numerically, once per pair.
-    Raises ``DivergentIntegral`` when an integral does not converge and
-    ``SeparationOverflow`` when one converges past the double range.
+    Every pair of one family has exact closed forms; a pair of two families
+    raises ``ValueError``.  Raises ``DivergentIntegral`` when an integral does
+    not converge and ``SeparationOverflow`` when one converges past the double
+    range.
     """
     low, high = pair.low, pair.high
-    closed = low.family is high.family and low.family is not Family.LOGISTIC
-    integral = _closed_form_integral if closed else _ratio_integral
+    if low.family is not high.family:
+        raise ValueError(f"a {low.family.value} and {high.family.value} pair: the families differ")
     try:
-        alpha, beta = integral(low, high), integral(high, low)
+        alpha, beta = _closed_form_integral(low, high), _closed_form_integral(high, low)
     except OverflowError:
         alpha = beta = math.inf
     if math.isinf(alpha) or math.isinf(beta):

@@ -13,10 +13,6 @@ class SeparationOverflow(CheapTalkError):
     """A separation integral converges, but to a value past the double range."""
 
 
-class QuadratureFailure(CheapTalkError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-
 class DivisionOutsideSupport(CheapTalkError):
     """Likelihood ratio requested at a point outside the common support."""
 

@@ -77,7 +77,8 @@ class ExperimentConfig:
 def load_experiment(path, scenario: str | None = None,
                     seed: int | None = None,
                     samples: int | None = None) -> ExperimentConfig:
-    """Parse an experiment file; CLI overrides win over file values."""
+    """Parse an experiment file.  A ``scenario`` argument must be the file's,
+    if it names one; ``seed`` and ``samples`` win over the file's options."""
     try:
         raw = yaml.safe_load(Path(path).read_text())
     except (OSError, yaml.YAMLError) as exc:
@@ -87,7 +88,10 @@ def load_experiment(path, scenario: str | None = None,
         dict(_check_keys(raw.get(name) or {}, keys, f"section {name!r}"))
         for name, keys in _SECTION_KEYS.items())
 
-    chosen = scenario or raw.get("scenario")
+    named = raw.get("scenario")
+    chosen = scenario or named
+    if named is not None and named != chosen:
+        raise ConfigError(f"scenario {chosen!r} does not match the file's {named!r}")
     if chosen not in SCENARIOS:
         raise ConfigError(f"unknown scenario {chosen!r}; expected one of {SCENARIOS}")
 

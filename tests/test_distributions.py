@@ -11,12 +11,14 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from cheaptalk_lab.distributions import (DistributionPair, Family,
-                                         StateDistribution, alpha_beta,
-                                         log_likelihood_ratio, normal_pair)
+                                         StateDistribution, _closed_form_integral,
+                                         alpha_beta, log_likelihood_ratio,
+                                         normal_pair)
 from cheaptalk_lab.errors import (DivergentIntegral, DivisionOutsideSupport,
                                   SeparationOverflow)
 
-from oracles import normal_ratio_integral
+from oracles import (logistic_ratio_integral, normal_ratio_integral,
+                     ratio_integral_by_quadrature)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -212,9 +214,11 @@ class TestLikelihoodRatio:
 
 class TestAlphaBeta:
     def test_identical_densities_give_one(self):
-        alpha, beta = alpha_beta(normal_pair(0.3, 0.3, 1.2, 1.2))
-        assert alpha == pytest.approx(1.0, rel=1e-12, abs=0.0)
-        assert beta == pytest.approx(1.0, rel=1e-12, abs=0.0)
+        for family in Family:
+            alpha, beta = alpha_beta(DistributionPair(StateDistribution(family, 0.3, 1.2),
+                                                      StateDistribution(family, 0.3, 1.2)))
+            assert alpha == pytest.approx(1.0, rel=1e-12, abs=0.0)
+            assert beta == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     def test_equal_variance_normal_closed_form(self):
         alpha, beta = alpha_beta(normal_pair(-1, 1, 1, 1))
@@ -222,10 +226,8 @@ class TestAlphaBeta:
         assert beta == alpha
 
     def test_quadrature_path_reproduces_the_equal_variance_closed_form(self):
-        # the public entry point uses the closed form for every normal pair,
-        # so drive the integrator directly on randomized equal-variance pairs
-        from cheaptalk_lab.distributions import _ratio_integral
-
+        # the quadrature the closed forms are checked against, itself checked
+        # on randomized equal-variance pairs
         rng = np.random.default_rng(19)
         for _ in range(8):
             mu_l = rng.uniform(-2, 0)
@@ -234,14 +236,14 @@ class TestAlphaBeta:
             low = StateDistribution(Family.NORMAL, mu_l, sigma)
             high = StateDistribution(Family.NORMAL, mu_h, sigma)
             want = math.exp((mu_h - mu_l) ** 2 / sigma**2)
-            assert _ratio_integral(low, high) == pytest.approx(want, rel=1e-8, abs=0.0)
-            assert _ratio_integral(high, low) == pytest.approx(want, rel=1e-8, abs=0.0)
+            assert ratio_integral_by_quadrature(low, high) == pytest.approx(
+                want, rel=1e-8, abs=0.0)
+            assert ratio_integral_by_quadrature(high, low) == pytest.approx(
+                want, rel=1e-8, abs=0.0)
 
     def test_quadrature_matches_closed_form_on_random_normal_pairs(self):
         # the closed form against the quadrature it replaced, and against the
         # oracle's own closed form
-        from cheaptalk_lab.distributions import _ratio_integral
-
         rng = np.random.default_rng(23)
         for _ in range(8):
             mu_l = rng.uniform(-2, 0)
@@ -251,33 +253,38 @@ class TestAlphaBeta:
             pair = normal_pair(mu_l, mu_h, var_l, var_h)
             alpha, beta = alpha_beta(pair)
             assert alpha == pytest.approx(
-                _ratio_integral(pair.low, pair.high), rel=1e-12, abs=0.0)
+                ratio_integral_by_quadrature(pair.low, pair.high), rel=1e-12, abs=0.0)
             assert beta == pytest.approx(
-                _ratio_integral(pair.high, pair.low), rel=1e-12, abs=0.0)
+                ratio_integral_by_quadrature(pair.high, pair.low), rel=1e-12, abs=0.0)
             assert alpha == pytest.approx(
                 normal_ratio_integral(mu_l, var_l, mu_h, var_h), rel=1e-12, abs=0.0)
             assert beta == pytest.approx(
                 normal_ratio_integral(mu_h, var_h, mu_l, var_l), rel=1e-12, abs=0.0)
 
     def test_quadrature_matches_closed_form_on_random_laplace_pairs(self):
-        from cheaptalk_lab.distributions import _ratio_integral
+        self.check_random_pairs_against_quadrature(Family.LAPLACE)
 
+    def test_quadrature_matches_closed_form_on_random_logistic_pairs(self):
+        self.check_random_pairs_against_quadrature(Family.LOGISTIC)
+
+    @staticmethod
+    def check_random_pairs_against_quadrature(family):
         rng = np.random.default_rng(29)
-        pairs = [DistributionPair(StateDistribution(Family.LAPLACE, 0.4, 1.0),
-                                  StateDistribution(Family.LAPLACE, 0.4, 1.3))]
+        pairs = [DistributionPair(StateDistribution(family, 0.4, 1.0),
+                                  StateDistribution(family, 0.4, 1.3))]
         for _ in range(8):
             mu_l = rng.uniform(-2, 0)
             scale_l = rng.uniform(0.5, 1.5)
             pairs.append(DistributionPair(
-                StateDistribution(Family.LAPLACE, mu_l, scale_l),
-                StateDistribution(Family.LAPLACE, mu_l + rng.uniform(0, 3),
+                StateDistribution(family, mu_l, scale_l),
+                StateDistribution(family, mu_l + rng.uniform(0, 3),
                                   scale_l * rng.uniform(0.6, 1.6))))
         for pair in pairs:
             alpha, beta = alpha_beta(pair)
             assert alpha == pytest.approx(
-                _ratio_integral(pair.low, pair.high), rel=1e-12, abs=0.0)
+                ratio_integral_by_quadrature(pair.low, pair.high), rel=1e-12, abs=0.0)
             assert beta == pytest.approx(
-                _ratio_integral(pair.high, pair.low), rel=1e-12, abs=0.0)
+                ratio_integral_by_quadrature(pair.high, pair.low), rel=1e-12, abs=0.0)
 
     def test_unequal_variance_normal_golden_values(self):
         pair = normal_pair(-1, 1, 1.0, 1.5)
@@ -306,39 +313,53 @@ class TestAlphaBeta:
         pair = DistributionPair(StateDistribution(Family.LOGISTIC, -1, 1.0),
                                 StateDistribution(Family.LOGISTIC, 1, 1.5))
         alpha, beta = alpha_beta(pair)
-        assert alpha == pytest.approx(1.8627897661148847, rel=1e-8, abs=0.0)
-        assert beta == pytest.approx(5.146924865753686, rel=1e-8, abs=0.0)
+        assert alpha == pytest.approx(1.8627897661148847, rel=1e-12, abs=0.0)
+        assert beta == pytest.approx(5.146924865753686, rel=1e-12, abs=0.0)
 
-    def test_a_logistic_pair_is_integrated_once(self, monkeypatch):
-        from scipy import integrate
+    @pytest.mark.parametrize("r", [1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-6,
+                                   1.5, 1.9, 1.999, 1.999999])
+    def test_logistic_closed_form_matches_mpmath(self, r):
+        # r is the numerator's scale over the denominator's; the numerator
+        # sits t denominator scales below (alpha) or above (beta) it
+        s_den = 1.3
+        for t in (0.0, 1.0, 5.0):
+            for shift in (-t * s_den, t * s_den):
+                num = StateDistribution(Family.LOGISTIC, 0.2 + shift, r * s_den)
+                den = StateDistribution(Family.LOGISTIC, 0.2, s_den)
+                want = logistic_ratio_integral(num.location, num.scale,
+                                               den.location, den.scale)
+                assert _closed_form_integral(num, den) == pytest.approx(
+                    want, rel=1e-12, abs=0.0), (t, shift)
 
-        from cheaptalk_lab.distributions import _ratio_integral
+    @pytest.mark.parametrize("gap", [1e-6, 0.3, 2.0, 9.0])
+    def test_equal_scale_logistic_pairs_have_the_sinh_form(self, gap):
+        scale = 0.7
+        alpha, beta = alpha_beta(DistributionPair(
+            StateDistribution(Family.LOGISTIC, -0.4, scale),
+            StateDistribution(Family.LOGISTIC, -0.4 + gap, scale)))
+        want = 1.0 + 4.0 / 3.0 * math.sinh(gap / (2.0 * scale)) ** 2
+        assert alpha == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert beta == pytest.approx(want, rel=1e-12, abs=0.0)
 
-        calls = []
-        quad = integrate.quad
-
-        def counting_quad(*args, **kwargs):
-            calls.append(args)
-            return quad(*args, **kwargs)
-
-        monkeypatch.setattr(integrate, "quad", counting_quad)
-        _ratio_integral.cache_clear()
-        pair = DistributionPair(StateDistribution(Family.LOGISTIC, -1, 1.0),
-                                StateDistribution(Family.LOGISTIC, 1, 1.5))
-        first = alpha_beta(pair)
-        integrated = len(calls)
-        assert integrated > 0
-        assert alpha_beta(pair) == first
-        assert len(calls) == integrated
+    @pytest.mark.parametrize("low, high", [(Family.NORMAL, Family.LOGISTIC),
+                                           (Family.LOGISTIC, Family.LAPLACE)])
+    def test_a_pair_of_two_families_is_refused(self, low, high):
+        pair = DistributionPair(StateDistribution(low, -1.0, 1.0),
+                                StateDistribution(high, 1.0, 1.0))
+        with pytest.raises(ValueError, match="families"):
+            alpha_beta(pair)
 
     def test_importing_and_running_closed_form_configs_leaves_scipy_unloaded(self, tmp_path):
+        # every config, Figure 4's logistic pairs included, runs with scipy
+        # unimportable
+        configs = [str(path) for path in sorted(CONFIG_DIR.glob("*.yaml"))]
         script = (
             "import sys\n"
+            "sys.modules['scipy'] = None\n"
             "import cheaptalk_lab.cli\n"
             "from cheaptalk_lab import harness\n"
-            f"harness.run(harness.load_experiment({str(CONFIG_DIR / 'figure3.yaml')!r}),"
-            f" out_dir={str(tmp_path)!r})\n"
-            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+            f"for config in {configs!r}:\n"
+            f"    harness.run(harness.load_experiment(config), out_dir={str(tmp_path)!r})\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -346,7 +367,7 @@ class TestAlphaBeta:
         result = subprocess.run([sys.executable, "-c", script], env=env,
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
-        assert (tmp_path / "figure3.csv").exists()
+        assert len(list(tmp_path.glob("*.csv"))) == len(configs)
 
     def test_both_exceed_one_for_distinct_densities(self):
         rng = np.random.default_rng(5)

@@ -370,6 +370,27 @@ class TestCli:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario, name", [("fig6", "loss_vs_count"),
+                                                ("simulate", "figure4")])
+    def test_a_scenario_the_file_does_not_name_exits_nonzero(self, tmp_path, capsys,
+                                                             scenario, name):
+        # each wrote the command's table under the file's stem and exited 0
+        config = CONFIG_DIR / f"{name}.yaml"
+        code = main([scenario, "--config", str(config), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert repr(scenario) in err
+        assert repr(load_experiment(config).scenario) in err
+        assert not list(tmp_path.iterdir())
+        with pytest.raises(ConfigError):
+            load_experiment(config, scenario=scenario)
+
+    def test_a_file_naming_no_scenario_takes_the_command_s(self, tmp_path):
+        path = write_yaml(tmp_path, "game:\n  n_users: 2\n")
+        assert load_experiment(path, scenario="loss_curve").scenario == "loss_curve"
+        assert main(["pbe", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "results.csv").exists()
+
     @pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.stem)
     def test_every_config_reproduces_its_golden_csv_through_argv(self, config, tmp_path,
                                                                   capsys):
