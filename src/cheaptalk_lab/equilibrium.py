@@ -30,6 +30,17 @@ binomial kernel (``_CountKernel``): the log-odds are linear in the count, h is
 formed from log q and log1p(-q), never from the float 1 - q, and influences
 far below the range of a double still compare.
 
+Which profiles have a nonzero influence, their flags, the sign of each jump
+post(k+1) - post(k) and the signs of their parts depend only on whether
+p = 1/2 and on the sign of q - 1/2, so they are tables built at import
+(``_ACTIVE``).  The parts of all those profiles are then one array pass: the
+log-odds, the jumps and the part log-sum-exps are (rows, count) arrays.  The
+rows go in groups whose (rows, N + 1) arrays hold at most ``_BUDGET``
+elements: all active profiles are one pass up to N = 6,552, and from
+N = 32,768 on the pass takes one profile at a time, so memory stays that of
+one profile's arrays.  The posterior variances of the stable profiles are
+summed the same way.
+
 D_P is exactly zero, and carries no parts, when (a) s_H = s_L = 0 (SC7, SC8,
 SC16); (b) h_H = h_L, the babbling profiles SC9-SC11 and, at q = 1/2, SC5 and
 SC6; (c) p = 1/2, h_L = 1 - h_H and s_H = -s_L, where the map k -> N - k
@@ -50,6 +61,7 @@ import itertools
 import math
 import sys
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,17 +108,50 @@ _TARGETS = np.array([[ALL_PROFILES.index(profile.with_strategy(bias, alt))
                      for profile in ALL_PROFILES])
 
 
-def _rank(flags: tuple[bool, bool], q: float) -> tuple[int, float]:
-    """Orders the chances 0 < min(q, 1-q) <= max(q, 1-q) < 1 without forming 1 - q."""
+def _rank(flags: tuple[bool, bool], side: int) -> tuple[int, int]:
+    """Orders the chances 0 < min(q, 1-q) <= max(q, 1-q) < 1 by the sign of
+    q - 1/2 alone, without forming 1 - q."""
     positive, negative = flags
     if positive != negative:
-        return 1, (q - 0.5 if positive else 0.5 - q)
-    return 2 * positive, 0.0
+        return 1, (side if positive else -side)
+    return 2 * positive, 0
 
 
-def _logsumexp(x) -> float:
-    top = float(x.max())
-    return top if top == -math.inf else top + math.log(float(np.exp(x - top).sum()))
+# Each profile's flag pairs (positive, negative class sends high) under the
+# high and under the low type.
+_FLAGS = tuple((_senders(profile, ServiceType.HIGH), _senders(profile, ServiceType.LOW))
+               for profile in ALL_PROFILES)
+
+
+def _active(half: bool, side: int):
+    """The profiles with a nonzero influence in the games of one case
+    (p == 1/2, sign of q - 1/2): their rows, the signs of post(k+1) - post(k)
+    as a (rows, 1) array, and their parts as (position, row, type, sign)."""
+    rows, ups, parts = [], [], []
+    for i, (high, low) in enumerate(_FLAGS):
+        s_high, s_low = high[0] - high[1], low[0] - low[1]
+        if ((s_high == 0 and s_low == 0) or _rank(high, side) == _rank(low, side)
+                or (half and low == (not high[0], not high[1]) and s_high == -s_low)):
+            continue
+        up = 1 if _rank(high, side) > _rank(low, side) else -1
+        parts += [(len(rows), i, t, s * up) for t, s in enumerate((s_high, s_low)) if s]
+        rows.append(i)
+        ups.append(up)
+    return tuple(rows), np.array(ups, dtype=float)[:, None], tuple(parts)
+
+
+_ACTIVE = {(half, side): _active(half, side) for half in (False, True) for side in (-1, 0, 1)}
+
+_BUDGET = 2**16   # elements of one row group's (rows, N + 1) arrays
+
+
+def _logsumexp_rows(x: np.ndarray) -> list[float]:
+    """log sum exp of each row of ``x``, which it overwrites."""
+    top = x.max(axis=1)
+    x -= np.where(top > -math.inf, top, 0.0)[:, None]
+    np.exp(x, out=x)
+    return [t if t == -math.inf else t + math.log(s)
+            for t, s in zip(top.tolist(), x.sum(axis=1).tolist())]
 
 
 def _log1mexp(x: float) -> float:
@@ -126,38 +171,51 @@ class _LogGame(_CountKernel):
                  + abs(self.log_prior[0] - self.log_prior[1]))
         self.tolerance = _MARGIN + 16.0 * sys.float_info.epsilon * (scale + 1.0)
 
-    def _parts(self, profile: StrategyProfile) -> list[tuple[int, int, float]]:
-        """(type, sign, log-magnitude) of each nonzero part of D_P; none for an exact zero."""
-        p, q = self.p, self.q
-        high, low = _senders(profile, ServiceType.HIGH), _senders(profile, ServiceType.LOW)
-        s_high, s_low = high[0] - high[1], low[0] - low[1]
-        if ((s_high == 0 and s_low == 0) or _rank(high, q) == _rank(low, q)
-                or (p == 0.5 and low == (not high[0], not high[1]) and s_high == -s_low)):
-            return []
-        up = 1 if _rank(high, q) > _rank(low, q) else -1   # sign of post(k+1) - post(k)
+    def _groups(self, count: int):
+        """Slices of ``count`` rows whose (rows, N + 1) arrays stay within ``_BUDGET``."""
+        size = max(1, _BUDGET // (self.n + 1))
+        return (slice(start, min(start + size, count)) for start in range(0, count, size))
+
+    def _powers_of(self, flags, others: bool = False) -> np.ndarray:
+        """The cached ``powers`` of each flag pair as rows; one row is a view."""
+        rows = [self.powers(f, others) for f in flags]
+        return rows[0][None] if len(rows) == 1 else np.array(rows)
+
+    def _log_jumps(self, rows: tuple[int, ...], ups: np.ndarray) -> np.ndarray:
+        """log |post(j+1) - post(j)|, j = 0..N-1, for each profile of ``rows``."""
+        highs, lows = zip(*(_FLAGS[i] for i in rows))
         log_odds = (self.log_prior[0] - self.log_prior[1]
-                    + self.powers(high) - self.powers(low))
-        hi, lo = (log_odds[1:], log_odds[:-1]) if up > 0 else (log_odds[:-1], log_odds[1:])
-        (lh_high, lc_high), (lh_low, lc_low) = self.log_chance[high], self.log_chance[low]
-        step = abs((lh_high - lc_high) - (lh_low - lc_low))   # hi - lo where finite
+                    + self._powers_of(highs) - self._powers_of(lows))
+        # sigma(hi) - sigma(lo) = sigma(-lo) - sigma(-hi): negated, the log-odds
+        # of a falling posterior rise like the others
+        log_odds *= ups
+        hi, lo = log_odds[:, 1:], log_odds[:, :-1]
+        logit = {flags: lh - lc for flags, (lh, lc) in self.log_chance.items()}
+        steps = [_log1mexp(abs(logit[high] - logit[low]))   # hi - lo where finite
+                 for high, low in zip(highs, lows)]
         # log(sigma(hi) - sigma(lo)) = log sigma(hi) + log sigma(-lo) + log(1 - e^(lo - hi))
-        log_jump = -np.logaddexp(0.0, -hi) - np.logaddexp(0.0, lo) + _log1mexp(step)
-        parts = []
-        for t, (s, flags) in enumerate(((s_high, high), (s_low, low))):
-            if s:
-                log_part = _logsumexp(self.log_prior[t] + self.log_comb_others
-                                      + self.powers(flags, others=True) + log_jump)
-                parts.append((t, s * up, log_part))
-        return parts
+        return -np.logaddexp(0.0, -hi) - np.logaddexp(0.0, lo) + np.array(steps)[:, None]
 
     @functools.cached_property
     def influences(self) -> tuple[np.ndarray, np.ndarray]:
         """Signs and log-magnitudes of every profile's parts, shape (16, 2); an
-        absent part has sign 0 and log -inf."""
+        absent part has sign 0 and log -inf.
+
+        The parts of all active profiles are one array pass per group of rows
+        whose (rows, N + 1) arrays stay within ``_BUDGET`` elements: every
+        profile at once for small N, one at a time for large N."""
         signs, logs = np.zeros((16, 2)), np.full((16, 2), -math.inf)
-        for i, profile in enumerate(ALL_PROFILES):
-            for t, sign, log in self._parts(profile):
-                signs[i, t], logs[i, t] = sign, log
+        active, ups, parts = _ACTIVE[self.p == 0.5, (self.q > 0.5) - (self.q < 0.5)]
+        for group in self._groups(len(active)):
+            log_jump = self._log_jumps(active[group], ups[group])
+            at, rows, types, part_signs = zip(
+                *(part for part in parts if group.start <= part[0] < group.stop))
+            terms = (np.array([self.log_prior[t] for t in types])[:, None]
+                     + self.log_comb_others)
+            terms += self._powers_of((_FLAGS[i][t] for i, t in zip(rows, types)), others=True)
+            # a lone row broadcasts; gathering it would copy it for each part
+            terms += log_jump if len(log_jump) == 1 else log_jump[np.array(at) - group.start]
+            signs[rows, types], logs[rows, types] = part_signs, _logsumexp_rows(terms)
         return signs, logs
 
     @functools.cached_property
@@ -166,7 +224,8 @@ class _LogGame(_CountKernel):
         arrays (value, size, top) of shape (16, 6): the difference is
         value e^top and its parts' magnitudes add up to size e^top."""
         signs, logs = self.influences
-        scaled = np.concatenate(np.broadcast_arrays(logs[_TARGETS], logs[:, None]), axis=2)
+        scaled = np.empty((16, 6, 4))
+        scaled[..., :2], scaled[..., 2:] = logs[_TARGETS], logs[:, None]
         top = scaled.max(axis=2)
         scaled -= np.where(top > -math.inf, top, 0.0)[..., None]
         np.exp(scaled, out=scaled)
@@ -175,22 +234,23 @@ class _LogGame(_CountKernel):
         scaled[..., 2:] *= -signs[:, None]
         return scaled.sum(axis=2), size, top
 
-    @functools.cached_property
-    def raised(self) -> np.ndarray:
-        """Whether each class deviation raises the profile's influence, shape
-        (16, 6), decided exactly: by the float sign where the margin is clear,
-        two exact zeros never, and by ``_exact`` otherwise."""
+    def raised(self, rows: Sequence[int] = range(16)) -> np.ndarray:
+        """Whether each class deviation raises the influence of the profiles
+        ``rows``, shape (len(rows), 6), decided exactly: by the float sign where
+        the margin is clear, two exact zeros never, and by ``_exact`` otherwise."""
         value, size, _ = self.deviations
+        value, size = value[rows], size[rows]
         raised = value > 0.0
         signs = self.influences[0]
-        for i, j in zip(*np.nonzero((np.abs(value) <= self.tolerance * size) & (size > 0.0))):
+        for r, j in zip(*np.nonzero((np.abs(value) <= self.tolerance * size) & (size > 0.0))):
             from . import _exact   # loads decimal; only when floats cannot decide
 
+            i = rows[r]
             a, b = ALL_PROFILES[_TARGETS[i, j]], ALL_PROFILES[i]
-            raised[i, j] = _exact.exceeds(a if signs[_TARGETS[i, j]].any() else None,
+            raised[r, j] = _exact.exceeds(a if signs[_TARGETS[i, j]].any() else None,
                                           b if signs[i].any() else None,
                                           (PROFILE_LABELS[a], PROFILE_LABELS[b]),
-                                          self.n, self.p, self.q, abs(value[i, j]) / size[i, j])
+                                          self.n, self.p, self.q, abs(value[r, j]) / size[r, j])
         return raised
 
     def gains(self, i: int, mean_gap: float) -> dict[tuple[Bias, PureStrategy], float]:
@@ -199,17 +259,21 @@ class _LogGame(_CountKernel):
                 * float(value[i, j]) * math.exp(top[i, j])
                 for j, (bias, alt) in enumerate(_alternatives(ALL_PROFILES[i]))}
 
-    def log_posterior_variance(self, profile: StrategyProfile) -> float:
-        """log sum_k P(high, k) P(low, k) / P(k), k the count of high messages."""
-        high = (self.log_prior[0] + self.log_comb
-                + self.powers(_senders(profile, ServiceType.HIGH)))
-        low = (self.log_prior[1] + self.log_comb
-               + self.powers(_senders(profile, ServiceType.LOW)))
-        both = np.isfinite(high) & np.isfinite(low)
-        if not both.any():
-            return -math.inf
-        high, low = high[both], low[both]
-        return _logsumexp(high + low - np.logaddexp(high, low))
+    def log_posterior_variance(self, rows: Sequence[int]) -> float:
+        """The largest log sum_k P(high, k) P(low, k) / P(k) among the profiles
+        ``rows``, k the count of high messages; -inf for none."""
+        worst = -math.inf
+        for group in self._groups(len(rows)):
+            highs, lows = zip(*(_FLAGS[i] for i in rows[group]))
+            high = self.log_prior[0] + self.log_comb + self._powers_of(highs)
+            low = self.log_prior[1] + self.log_comb + self._powers_of(lows)
+            both = np.isfinite(high) & np.isfinite(low)
+            terms = np.logaddexp(high, low)
+            high += low
+            np.subtract(high, terms, out=terms, where=both)
+            terms[~both] = -math.inf   # no count k that both types can send
+            worst = max(worst, *_logsumexp_rows(terms))
+        return worst
 
 
 @functools.lru_cache(maxsize=256)
@@ -217,22 +281,23 @@ def _stable_profiles(n: int, p: float, q: float) -> tuple[tuple[StrategyProfile,
     """The stable profiles of one game and the log of their largest posterior
     variance, both from one ``_LogGame``."""
     game = _LogGame(n, p, q)
-    stable = tuple(ALL_PROFILES[i] for i in np.flatnonzero(~game.raised.any(axis=1)))
-    return stable, max(map(game.log_posterior_variance, stable), default=-math.inf)
+    rows = np.flatnonzero(~game.raised().any(axis=1))
+    return tuple(ALL_PROFILES[i] for i in rows), game.log_posterior_variance(rows)
 
 
 def is_pbe(profile: StrategyProfile, config: GameConfig):
     """Certify ``profile`` as an equilibrium or return the first deviation.
 
-    Decided on one game of its own, not ``enumerate_pbe``'s cached set:
-    biases are scanned negative first and alternatives in declaration order;
-    the first deviation that raises the bias influence is the witness, so
-    exact ties are non-deviations.  With none, or a zero gap, it certifies.
+    Decided on one game of its own, not ``enumerate_pbe``'s cached set, and
+    on the six deviations of ``profile`` alone: biases are scanned negative
+    first and alternatives in declaration order; the first deviation that
+    raises the bias influence is the witness, so exact ties are
+    non-deviations.  With none, or a zero gap, it certifies.
     """
     game = _LogGame(config.n_users, config.p_high, config.q_plus)
     i = ALL_PROFILES.index(profile)
     gains = game.gains(i, config.mean_gap)
-    j = next(iter(np.flatnonzero(game.raised[i])), None) if config.mean_gap else None
+    j = next(iter(np.flatnonzero(game.raised([i])[0])), None) if config.mean_gap else None
     if j is None:
         return PbeCertificate(
             profile=profile,
@@ -331,7 +396,10 @@ def bayesian_system_loss(config: GameConfig) -> float:
     Under a profile's best-response rule that excess is gap^2 times the
     expected posterior variance of the type given the count k of high
     messages, gap^2 sum_k P(high, k) P(low, k) / P(k).  Its terms are summed
-    in log space, so the loss is accurate and finite at any N.
+    in log space, so the loss is accurate and finite at any N.  It does
+    underflow to 0.0 once it falls below the smallest double, at p = q = 0.3
+    and gap 2 past about N = 8,500; the engine keeps its log,
+    ``_stable_profiles(n, p, q)[1]``, which stays accurate at any N.
     """
     profiles, worst = _stable_profiles(config.n_users, config.p_high, config.q_plus)
     if not profiles:

@@ -1,7 +1,9 @@
+import functools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +22,8 @@ from cheaptalk_lab.equilibrium import (DeviationWitness, PbeCertificate,
 from cheaptalk_lab.errors import OutOfRegime, UndecidedEquilibrium
 from cheaptalk_lab.game import (ALL_PROFILES, Bias, GameConfig,
                                 PROFILE_LABELS, PureStrategy, SC1, SC2, SC3,
-                                SC4, SC5, SC7, best_response_rule,
-                                expected_user_utility)
+                                SC4, SC5, SC7, ServiceType, _senders,
+                                best_response_rule, expected_user_utility)
 from cheaptalk_lab.benchmarks import (abandon_scheme, majority_vote_loss,
                                       majority_vote_loss_biased)
 
@@ -54,6 +56,49 @@ def influence(game, profile):
     i = ALL_PROFILES.index(profile)
     (t,) = np.flatnonzero(signs[i])
     return signs[i, t], logs[i, t]
+
+
+def reference_parts(game, profile):
+    """(type, sign, log-magnitude) of each nonzero part of D_P, one profile at
+    a time: the float reference for the engine's one pass over all profiles."""
+    def rank(flags):
+        positive, negative = flags
+        if positive != negative:
+            return 1, (q - 0.5 if positive else 0.5 - q)
+        return 2 * positive, 0.0
+
+    def logsumexp(x):
+        top = float(x.max())
+        return top if top == -math.inf else top + math.log(float(np.exp(x - top).sum()))
+
+    p, q = game.p, game.q
+    high, low = _senders(profile, ServiceType.HIGH), _senders(profile, ServiceType.LOW)
+    s_high, s_low = high[0] - high[1], low[0] - low[1]
+    if ((s_high == 0 and s_low == 0) or rank(high) == rank(low)
+            or (p == 0.5 and low == (not high[0], not high[1]) and s_high == -s_low)):
+        return []
+    up = 1 if rank(high) > rank(low) else -1
+    log_odds = game.log_prior[0] - game.log_prior[1] + game.powers(high) - game.powers(low)
+    hi, lo = (log_odds[1:], log_odds[:-1]) if up > 0 else (log_odds[:-1], log_odds[1:])
+    (lh_high, lc_high), (lh_low, lc_low) = game.log_chance[high], game.log_chance[low]
+    step = abs((lh_high - lc_high) - (lh_low - lc_low))
+    log_jump = (-np.logaddexp(0.0, -hi) - np.logaddexp(0.0, lo)
+                + equilibrium._log1mexp(step))
+    return [(t, s * up, logsumexp(game.log_prior[t] + game.log_comb_others
+                                  + game.powers(flags, others=True) + log_jump))
+            for t, (s, flags) in enumerate(((s_high, high), (s_low, low))) if s]
+
+
+class ReferenceGame(equilibrium._LogGame):
+    """A game whose influences come from ``reference_parts``."""
+
+    @functools.cached_property
+    def influences(self):
+        signs, logs = np.zeros((16, 2)), np.full((16, 2), -math.inf)
+        for i, profile in enumerate(ALL_PROFILES):
+            for t, sign, log in reference_parts(self, profile):
+                signs[i, t], logs[i, t] = sign, log
+        return signs, logs
 
 
 class TestIsPbe:
@@ -188,6 +233,27 @@ class TestInfluenceEngine:
                 got = labels(enumerate_pbe(config(n=n, p=p, q=q)))
                 assert got == closed_form_equilibrium_set(n, p, q), (n, p, q)
 
+    @pytest.mark.parametrize("n", [*range(1, 45), 100, 1030, 4096])
+    def test_one_pass_matches_the_per_profile_route(self, n, monkeypatch):
+        # the comparisons floats cannot order are answered by a stand-in that
+        # records them, so the two tables are compared decision by decision
+        asked = []
+        monkeypatch.setattr(_exact, "exceeds",
+                            lambda *args: asked.append(args[2]) or len(asked) % 2 == 1)
+        for p in (0.05, 0.3, 0.5, 0.7, 0.7 - 0.2, 0.5 + 2.0**-52, 0.5 - 2.0**-52):
+            for q in (0.1, 0.3, 0.5, 0.7, 0.9):
+                game, reference = equilibrium._LogGame(n, p, q), ReferenceGame(n, p, q)
+                (signs, logs), (want_signs, want_logs) = game.influences, reference.influences
+                finite = np.isfinite(want_logs)
+                assert np.array_equal(signs, want_signs), (p, q)
+                assert np.array_equal(logs[~finite], want_logs[~finite]), (p, q)
+                assert np.all(np.abs(logs[finite] - want_logs[finite])
+                              <= 4 * np.spacing(np.abs(want_logs[finite]))), (p, q)
+                asked.clear()
+                got, first = game.raised(), list(asked)
+                asked.clear()
+                assert np.array_equal(got, reference.raised()) and asked == first, (p, q)
+
     def test_influences_floats_cannot_order_are_ordered_exactly(self, monkeypatch):
         # just off p = 1/2 the two parts of SC5's influence cancel to 1e-14
         # of their size, yet the oracle keeps SC4; 0.7 - 0.2 is the prior
@@ -216,15 +282,59 @@ class TestInfluenceEngine:
         equilibrium._stable_profiles.cache_clear()
 
     def test_an_undecidable_comparison_raises_in_is_pbe(self, monkeypatch):
-        # the deviation table is decided whole, so any profile of that game raises
+        # only the profile's own row is decided: SC4's has one comparison that
+        # floats cannot order, SC1's has none
         monkeypatch.setattr(_exact, "MAX_DIGITS", 10)
-        with pytest.raises(UndecidedEquilibrium, match=r"SC\d+ or SC\d+"):
-            is_pbe(SC1, config(n=30, p=0.5 + 2.0**-45, q=0.1))
+        with pytest.raises(UndecidedEquilibrium, match=r"SC5 or SC4"):
+            is_pbe(SC4, config(n=30, p=0.5 + 2.0**-45, q=0.1))
+        assert isinstance(is_pbe(SC1, config(n=30, p=0.5 + 2.0**-45, q=0.1)), PbeCertificate)
+
+    def test_is_pbe_decides_only_its_own_row_exactly(self, monkeypatch):
+        # the whole table needs 16 exact comparisons here, a row at most six
+        g = config(n=30, p=0.5 + 2.0**-45, q=0.1)
+        table = equilibrium._LogGame(g.n_users, g.p_high, g.q_plus).raised()
+        calls, total = [], 0
+        exact = _exact.exceeds
+        monkeypatch.setattr(_exact, "exceeds",
+                            lambda *args: calls.append(args[2]) or exact(*args))
+        for i, profile in enumerate(ALL_PROFILES):
+            calls.clear()
+            result = is_pbe(profile, g)
+            assert len(calls) <= 6 and all(b == PROFILE_LABELS[profile] for _, b in calls)
+            total += len(calls)
+            gains = deviation_gains(profile, g)
+            if table[i].any():
+                bias, alt = equilibrium._alternatives(profile)[np.flatnonzero(table[i])[0]]
+                assert result == DeviationWitness(profile, bias, alt, gains[bias, alt])
+            else:
+                assert result == PbeCertificate(profile, best_response_rule(profile, g), 6,
+                                                max(gains.values()))
+        assert total == 16   # the comparisons the whole table needs, each made once
 
     def test_large_counts_do_not_overflow(self):
         g = config(n=1030, p=0.3, q=0.5)
         assert labels(enumerate_pbe(g)) == {"SC1", "SC2", "SC3", "SC4"}
         assert math.isfinite(bayesian_system_loss(g))
+
+    def test_memory_of_a_large_count_solve_stays_bounded(self):
+        # 10.8 MiB, mostly the game's cached count-long arrays: the profiles
+        # are passed over in row groups of bounded size, one at a time here;
+        # all ten active profiles in one pass peak at 32 MiB
+        g = config(n=10**5, p=0.3, q=0.3)
+        equilibrium._stable_profiles.cache_clear()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            enumerate_pbe(g), bayesian_system_loss(g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+            equilibrium._stable_profiles.cache_clear()
+        assert peak < 12 * 2**20
 
     @pytest.mark.parametrize("n", [1030, 4096])
     def test_gains_are_the_utility_changes_past_the_float_binomial(self, n):

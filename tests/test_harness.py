@@ -4,6 +4,7 @@ import os
 from pathlib import Path
 
 import pytest
+import yaml
 
 from cheaptalk_lab import (DistributionPair, Family, GameConfig,
                            StateDistribution, evolving_loss, harness)
@@ -51,6 +52,20 @@ class TestConfigParsing:
                           "scenario: pbe\nsweep:\n  axis: bogus\n  values: [1]\n")
         with pytest.raises(ConfigError):
             load_experiment(path)
+
+    def test_the_c_and_python_loaders_read_the_same(self, tmp_path, monkeypatch):
+        # the C loader is chosen where PyYAML has libyaml; both must give the
+        # same experiments and refuse the same malformed files
+        loaders = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+        bad = write_yaml(tmp_path, "scenario: pbe\ngame: [1, 2\n")
+        read = []
+        for loader in loaders:
+            monkeypatch.setattr(harness, "_YAML_LOADER", loader)
+            read.append([load_experiment(path) for path in sorted(CONFIG_DIR.glob("*.yaml"))])
+            with pytest.raises(ConfigError, match="cannot read"):
+                load_experiment(bad)
+        assert len(read[0]) == 12
+        assert all(configs == read[0] for configs in read)
 
     @pytest.mark.parametrize("text", [
         "scenario: pbe\nsweep:\n  axis: horizon\n  values: [2]\n",
