@@ -42,7 +42,6 @@ from .evolving import (CommitmentSchedule, ConstantSchedule,
 from .montecarlo import (EvolvingReport, SimulationReport, simulate_evolving,
                          simulate_game)
 from .errors import (CheapTalkError, DegenerateHorizon, DivergentIntegral,
-                     DivisionOutsideSupport, OutOfRegime, SeparationOverflow,
-                     UndecidedEquilibrium)
+                     OutOfRegime, SeparationOverflow, UndecidedEquilibrium)
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DivergentIntegral, DivisionOutsideSupport, SeparationOverflow
+from .errors import DivergentIntegral, SeparationOverflow
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -177,7 +177,7 @@ def log_likelihood_ratio(pair: DistributionPair, theta):
     """Log of the high to the low density at ``theta``, vectorized; a history of
     independent states has the sum of its states' log ratios."""
     if not np.all(np.isfinite(theta)):
-        raise DivisionOutsideSupport(f"state {theta!r} is outside the support")
+        raise ValueError(f"state {theta!r} is not finite; every density's support is the real line")
     ratio = pair.high.log_density(theta)
     ratio -= pair.low.log_density(theta)
     return ratio

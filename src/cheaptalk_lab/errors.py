@@ -13,12 +13,8 @@ class SeparationOverflow(CheapTalkError):
     """A separation integral converges, but to a value past the double range."""
 
 
-class DivisionOutsideSupport(CheapTalkError):
-    """Likelihood ratio requested at a point outside the common support."""
-
-
 class DegenerateHorizon(CheapTalkError):
-    """The commitment schedule is singular for the requested horizon."""
+    """The commitment has nothing to separate: one period, or densities equal in floats."""
 
 
 class OutOfRegime(CheapTalkError):

@@ -5,10 +5,11 @@ rating it will post after an initial low or high message.  The announced pair
 is tilted toward the message's opposite mean by a history weight driven by
 the likelihood ratio, calibrated so that misreporting never pays in
 expectation for either bias.  Both the calibration and its per-period loss
-are closed-form in the two separation integrals of the density pair.  The
-actions are affine in the history ratio r and in 1/r, so the Monte Carlo
-checks read a history's truthfulness sum from its sums of r and 1/r, taken in
-one pass over the horizon (``_history_sums``).
+are closed-form in the excess sums e = sum_{t<T} (r^t - 1) >= 0 of the two
+separation integrals r (``_log_excess``), so nothing cancels as the densities
+meet.  The actions are affine in the history ratio r and in 1/r, so the Monte
+Carlo checks read a history's truthfulness sum from its sums of r and 1/r,
+taken in one pass over the horizon (``_history_sums``).
 """
 
 from __future__ import annotations
@@ -24,20 +25,32 @@ from .distributions import DistributionPair, Family, alpha_beta, log_likelihood_
 from .errors import DegenerateHorizon
 from .game import GameConfig, _check_count
 
-# The geometric sums overflow double precision once horizon * gap^2 / sigma^2
-# exceeds about 690 (normal case).  All formulas below are evaluated through
-# the sums' logs and inverses, which underflow gracefully, so large horizons
-# degrade to a loss of exactly 0.0 instead of failing.
+# 1/(k+2)!, k = 16 ... 0: the Taylor series of h(x) = (e^x - 1 - x) / x^2 to
+# double precision for 0 <= x <= 1
+_H_SERIES = tuple(1.0 / math.factorial(k + 2) for k in range(16, -1, -1))
 
 
-def _log_geometric_sum(log_r: float, horizon: int) -> float:
-    """log(1 + r + ... + r^(horizon-1)) from log r, finite for any r."""
-    if log_r == 0.0:
-        return math.log(horizon)
-    if log_r > 0.0:   # r^(T-1) (1 - r^-T) / (1 - r^-1)
-        return ((horizon - 1) * log_r
-                + math.log(math.expm1(-horizon * log_r) / math.expm1(-log_r)))
-    return math.log(math.expm1(horizon * log_r) / math.expm1(log_r))
+def _log_excess(log_r: float, horizon: int) -> float:
+    """log e, e = sum_{t<T} (r^t - 1) = (g(T L) - T g(L)) / expm1(L) with L = log r
+    and g(x) = e^x - 1 - x; the two g terms never cancel by more than about a
+    factor of 3.  A log r <= 0, which a separation integral reaches only by
+    rounding, and T = 1 give e = 0, log e = -inf.  e overflows once T L exceeds
+    about 700; its log does not."""
+    if log_r <= 0.0 or horizon == 1:
+        return -math.inf
+    x = horizon * log_r
+    if x <= 1.0:   # e = x q, q = (L / expm1(L)) (T h(x) - h(L)) > 1/3: x q is never 0
+        h_x = h_l = 0.0
+        for c in _H_SERIES:
+            h_x, h_l = h_x * x + c, h_l * log_r + c
+        q = log_r / math.expm1(log_r) * (horizon * h_x - h_l)
+        return math.log(x * q)
+    if x < 700.0:
+        g_x, g_l = math.expm1(x) - x, math.expm1(log_r) - log_r
+        return math.log((g_x - horizon * g_l) / math.expm1(log_r))
+    # e expm1(L) = e^x (1 + (T - 1) e^-x - T e^(L - x))
+    return (x + math.log1p((horizon - 1) * math.exp(-x) - horizon * math.exp(log_r - x))
+            - log_r - math.log(-math.expm1(-log_r)))
 
 
 def _exp(x: float) -> float:
@@ -48,35 +61,25 @@ def _exp(x: float) -> float:
 
 
 def _solve(p: float, gap: float, alpha: float, beta: float, horizon: int) -> tuple:
-    """(lambda_low, lambda_high, per-period loss, log s_alpha, log s_beta),
-    computed through the inverses of the two geometric sums s_alpha, s_beta."""
-    t = float(horizon)
-    log_a = _log_geometric_sum(math.log(alpha), horizon)
-    log_b = _log_geometric_sum(math.log(beta), horizon)
-    inv_a = math.exp(-log_a)
-    inv_b = math.exp(-log_b)
-    inv_ab = math.exp(-(log_a + log_b))
+    """(lambda_low, lambda_high, per-period loss, log e_alpha, log e_beta).
 
-    # original denominator divided by (s_alpha * s_beta)
-    terms = (
-        -p * (1.0 - p),
-        -((1.0 - p) ** 2) * t * inv_b,
-        -(p**2) * t * inv_a,
-        (p * p - p + 1.0) * t * t * inv_ab,
-    )
-    den = sum(terms)
-    scale = sum(abs(x) for x in terms)
-    if abs(den) < 1e-12 * scale or scale == 0.0:
-        raise DegenerateHorizon(
-            f"commitment system is singular at horizon {horizon} "
-            f"(separation {alpha:.6g}, {beta:.6g})"
-        )
-
-    lam_low = 2.0 * (1.0 - p) * p * p * t * gap * (t * inv_ab - inv_a) / den
-    lam_high = 2.0 * (1.0 - p) ** 2 * p * t * gap * (t * inv_ab - inv_b) / den
-    loss = ((1.0 - p) * p * t * gap**2
-            * ((p - 1.0) * inv_b - p * inv_a + t * inv_ab) / den)
-    return lam_low, lam_high, loss, log_a, log_b
+    With y = T / e of each excess sum and x = p y_alpha + (1 - p) y_beta, the
+    loss is p(1-p) gap^2 x / (x + p(1-p)), and lambda_low and lambda_high are
+    2 p(1-p) gap times the shares p y_alpha and (1 - p) y_beta of x + p(1-p).
+    An overflowed e gives y = 0, and large horizons a loss of exactly 0.0; an
+    e of 0 gives y = inf, and the shares take their limit as that y grows.
+    """
+    pq = p * (1.0 - p)
+    log_a = _log_excess(math.log(alpha), horizon)
+    log_b = _log_excess(math.log(beta), horizon)
+    y_a, y_b = horizon * _exp(-log_a), horizon * _exp(-log_b)
+    x = p * y_a + (1.0 - p) * y_b
+    if x < math.inf:
+        share_a, share_b, share = p * y_a / (x + pq), (1.0 - p) * y_b / (x + pq), x / (x + pq)
+    else:
+        share_a, share_b, share = float(y_b < math.inf), float(y_a < math.inf), 1.0
+    two_pq_gap = 2.0 * pq * gap
+    return two_pq_gap * share_a, two_pq_gap * share_b, pq * gap**2 * share, log_a, log_b
 
 
 def _times(k: float, x: np.ndarray) -> np.ndarray:
@@ -149,28 +152,28 @@ def solve_schedule(config: GameConfig, horizon: int) -> CommitmentSchedule:
     alpha, beta = alpha_beta(config.pair)
     lam_low, lam_high, _, log_a, log_b = _solve(
         config.p_high, config.mean_gap, alpha, beta, horizon)
-    return CommitmentSchedule(horizon, lam_low, lam_high, _exp(log_a), _exp(log_b),
-                              alpha, beta, config.pair, config.p_high)
+    if log_a == log_b == -math.inf:
+        raise DegenerateHorizon(
+            f"nothing to separate: the separation integrals {alpha!r} and "
+            f"{beta!r} are not above 1"
+        )
+    return CommitmentSchedule(horizon, lam_low, lam_high, horizon + _exp(log_a),
+                              horizon + _exp(log_b), alpha, beta, config.pair, config.p_high)
 
 
 def evolving_loss(config: GameConfig, horizon: int) -> float:
     """Per-period system loss of the solved commitment mechanism.
 
     A single period cannot separate the messages, and with a zero mean gap
-    there is nothing to separate, so both route to the blind-abandoning loss
-    (0.0 for a zero gap).  So do densities too close for the commitment
-    system to be solved in floats: the abandoning loss is the limit of the
-    loss as the densities meet.
+    there is nothing to separate, so both return the blind-abandoning loss
+    (0.0 for a zero gap) before the separation integrals are taken.  As the
+    densities meet, the loss rises continuously to the abandoning loss.
     """
     horizon = _check_count("horizon", horizon)
     if horizon == 1 or config.mean_gap == 0.0:
         return benchmarks.abandon_scheme(config)[1]
     alpha, beta = alpha_beta(config.pair)
-    try:
-        loss = _solve(config.p_high, config.mean_gap, alpha, beta, horizon)[2]
-    except DegenerateHorizon:
-        return benchmarks.abandon_scheme(config)[1]
-    return loss + 0.0   # turns a loss that underflows to -0.0 into +0.0, no other bit
+    return _solve(config.p_high, config.mean_gap, alpha, beta, horizon)[2]
 
 
 def equal_variance_normal_loss(p_high: float, mean_gap: float, variance: float,
@@ -180,10 +183,8 @@ def equal_variance_normal_loss(p_high: float, mean_gap: float, variance: float,
     if not 0.0 < variance < math.inf:
         raise ValueError(f"variance must be positive and finite, got {variance!r}")
     d2 = mean_gap**2
-    if horizon == 1:
-        return p_high * (1.0 - p_high) * d2
-    big_r = _exp(_log_geometric_sum(d2 / variance, horizon) - math.log(horizon))
-    return d2 / (big_r - 1.0 + 1.0 / (p_high * (1.0 - p_high)))
+    excess = _exp(_log_excess(d2 / variance, horizon) - math.log(horizon))   # e / T
+    return d2 / (excess + 1.0 / (p_high * (1.0 - p_high)))
 
 
 def crossover_threshold(config: GameConfig, horizon: int) -> float:
@@ -195,11 +196,11 @@ def crossover_threshold(config: GameConfig, horizon: int) -> float:
             and pair.low.scale == pair.high.scale):
         raise ValueError("the crossover formula needs an equal-variance normal pair")
     horizon = _check_count("horizon", horizon)
-    d2 = config.mean_gap**2
     p = config.p_high
-    big_r = _exp(_log_geometric_sum(d2 / pair.low.scale**2, horizon) - math.log(horizon))
-    return max(math.log2(p * big_r + (1.0 - p)),
-               math.log2((1.0 - p) * big_r + p))
+    # log1p(max(p, 1 - p) e / T) = log1p(exp(z)), past the overflow of e / T too
+    z = (math.log(max(p, 1.0 - p)) - math.log(horizon)
+         + _log_excess(config.mean_gap**2 / pair.low.scale**2, horizon))
+    return (max(z, 0.0) + math.log1p(math.exp(-abs(z)))) / math.log(2.0)
 
 
 # ---------------------------------------------------------------------------

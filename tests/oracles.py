@@ -6,9 +6,10 @@ forms instead of generic Bayes, direct quadrature instead of algebra, a
 numerical linear solve instead of the rational multiplier formulas, a
 per-reviewer game simulation instead of the binomial count of high messages,
 the commitment mechanism's every per-period action instead of the history
-kernel's sums of r and 1/r, scipy.stats' log densities instead of the
-library's, and the logistic separation integral's gamma functions in mpmath
-instead of the library's sine form.
+kernel's sums of r and 1/r, its excess sums term by term or in the geometric
+closed form in mpmath instead of the library's series, scipy.stats' log
+densities instead of the library's, and the logistic separation integral's
+gamma functions in mpmath instead of the library's sine form.
 """
 
 from __future__ import annotations
@@ -442,6 +443,38 @@ def cost_by_quadrature_two_periods(schedule) -> float:
         hi = max(pair.mu_low, pair.mu_high) + width
         total += weight * integrate.quad(period_two, lo, hi, limit=300)[0]
     return total / 2.0
+
+
+def log_excess_mpmath(log_r: float, horizon: int) -> float:
+    """log e, e = sum_{t<T} (r^t - 1) = expm1(T L) / expm1(L) - T with L = log r,
+    in mpmath with 50 digits beyond those the subtraction cancels."""
+    # on demand: the benchmark loads this file for its closed forms
+    import mpmath
+
+    lost = max(0, int(-mpmath.log10(mpmath.mpf(log_r) * horizon)))
+    with mpmath.workdps(50 + lost):
+        log_r = mpmath.mpf(log_r)
+        return float(mpmath.log(mpmath.expm1(horizon * log_r) / mpmath.expm1(log_r)
+                                - horizon))
+
+
+def commitment_loss_mpmath(p: float, gap: float, alpha: float, beta: float,
+                           horizon: int) -> float:
+    """Per-period commitment loss p(1-p) gap^2 x / (x + p(1-p)) with
+    x = T ((1 - p) / e_beta + p / e_alpha), each excess sum e = sum_{t<T}
+    (r^t - 1) summed term by term in 60-digit mpmath from the float alpha,
+    beta; an e of 0 leaves the abandoning loss p(1-p) gap^2."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        p, gap = mpmath.mpf(p), mpmath.mpf(gap)
+        pq = p * (1 - p)
+        e_a, e_b = (mpmath.fsum(mpmath.mpf(r) ** t - 1 for t in range(horizon))
+                    for r in (alpha, beta))
+        if e_a == 0 or e_b == 0:
+            return float(pq * gap**2)
+        x = horizon * ((1 - p) / e_b + p / e_a)
+        return float(pq * gap**2 * x / (x + pq))
 
 
 # ---------------------------------------------------------------------------

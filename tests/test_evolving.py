@@ -2,21 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cheaptalk_lab.benchmarks import abandon_scheme
 from cheaptalk_lab.distributions import (DistributionPair, Family,
                                          StateDistribution, alpha_beta,
                                          normal_pair)
-from cheaptalk_lab.errors import DegenerateHorizon
+from cheaptalk_lab.errors import DegenerateHorizon, DivergentIntegral
 from cheaptalk_lab.evolving import (CommitmentSchedule, ConstantSchedule,
-                                    _log_geometric_sum, _solve,
+                                    _log_excess, _solve,
                                     crossover_threshold,
                                     equal_variance_normal_loss, evolving_loss,
                                     solve_schedule, verify_ic)
 from cheaptalk_lab.game import GameConfig
 
-from oracles import (cost_by_quadrature_two_periods, ic_sums_by_quadrature,
+from oracles import (commitment_loss_mpmath, cost_by_quadrature_two_periods,
+                     ic_sums_by_quadrature, log_excess_mpmath,
                      loss_by_moment_sums, multipliers_by_linear_solve)
 
 
@@ -58,14 +59,29 @@ class TestSolveSchedule:
                 assert FIG_CONFIG.mu_low <= a_low <= FIG_CONFIG.mu_high
                 assert FIG_CONFIG.mu_low <= a_high <= FIG_CONFIG.mu_high
 
-    @pytest.mark.parametrize("log_r", [-30.0, -0.7, -1e-9, 0.0, 1e-9, 0.7, 30.0])
-    def test_log_geometric_sum_matches_the_direct_sum(self, log_r):
-        for horizon in (1, 2, 5, 40):
-            top = max(0.0, (horizon - 1) * log_r)
-            direct = top + math.log(math.fsum(math.exp(k * log_r - top)
-                                              for k in range(horizon)))
-            assert _log_geometric_sum(log_r, horizon) == pytest.approx(
-                direct, rel=1e-13, abs=1e-15)
+    # 2.2e-16: the smallest positive math.log of a float separation integral
+    @pytest.mark.parametrize("log_r", [2.220446049250313e-16, 1e-8, 0.7, 30.0, 709.0])
+    def test_log_excess_matches_mpmath(self, log_r):
+        for horizon in (2, 5, 40, 400, 10**6):
+            assert _log_excess(log_r, horizon) == pytest.approx(
+                log_excess_mpmath(log_r, horizon), rel=5e-15, abs=0.0)
+
+    @pytest.mark.parametrize("log_r", [-0.7, -1e-16, 0.0])
+    def test_excess_of_a_ratio_at_most_one_is_zero(self, log_r):
+        # a separation integral is >= 1; below 1 only by rounding
+        for horizon in (1, 2, 40):
+            assert _log_excess(log_r, horizon) == -math.inf
+        assert _log_excess(0.7, 1) == -math.inf
+
+    @pytest.mark.parametrize("alpha,beta", [(1.5, 1.0), (1.0, 1.5)])
+    def test_a_zero_excess_sum_takes_the_limit_of_a_small_one(self, alpha, beta):
+        # e = 0 makes y = T / e infinite; the multipliers, loss and sums are
+        # those of the next float above 1, to its e of about T^2 2.2e-16
+        limit = _solve(0.3, 2.0, alpha, beta, 3)
+        near = _solve(0.3, 2.0, max(alpha, 1.0 + 2**-52), max(beta, 1.0 + 2**-52), 3)
+        assert limit[:3] == pytest.approx(near[:3], rel=1e-13, abs=1e-14)
+        assert sorted(limit[:2]) == [0.0, 2 * 0.21 * 2.0]
+        assert limit[2] == 0.21 * 2.0**2
 
     def test_single_period_is_degenerate(self):
         with pytest.raises(DegenerateHorizon):
@@ -212,8 +228,6 @@ class TestEvolvingLoss:
            ratio=st.floats(0.75, 1.35), p=st.floats(0.01, 0.99))
     def test_between_zero_and_abandoning_and_not_rising_in_the_horizon(
             self, family, gap, scale_low, ratio, p):
-        # densities this close to each other leave the commitment system singular
-        assume(gap >= 1e-3 or abs(ratio - 1.0) >= 1e-3)
         pair = DistributionPair(StateDistribution(family, -gap / 2, scale_low),
                                 StateDistribution(family, gap / 2, scale_low * ratio))
         g = GameConfig(1, p, 0.5, pair)
@@ -221,6 +235,31 @@ class TestEvolvingLoss:
         abandon = abandon_scheme(g)[1]
         assert all(0.0 <= loss <= abandon for loss in losses), losses
         assert all(a >= b for a, b in zip(losses, losses[1:])), losses
+
+    @pytest.mark.parametrize("mu_low,horizon,want", [
+        (-1.0, 1, 0.84), (1.0, 1, 0.0), (1.0, 2, 0.0), (1.0, 8, 0.0)])
+    def test_single_period_and_zero_gap_return_before_the_separation_integrals(
+            self, mu_low, horizon, want):
+        # alpha diverges for a low variance of 1 against a high one of 3
+        g = GameConfig(1, 0.3, 0.5, normal_pair(mu_low, 1.0, 1.0, 3.0))
+        with pytest.raises(DivergentIntegral):
+            alpha_beta(g.pair)
+        assert evolving_loss(g, horizon) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("pair,horizons", [
+        *((normal_pair(1.0, 1.0 + d), range(2, 60)) for d in (1e-8, 1e-6, 1e-4, 1e-2)),
+        *((DistributionPair(StateDistribution(family, -1.0, 1.0),
+                            StateDistribution(family, 1.0, 1.5)), (2, 5, 20))
+          for family in (Family.LAPLACE, Family.LOGISTIC)),
+        (FIG_CONFIG.pair, (400, 500)),   # past the overflow point: 0.0
+    ], ids=["normal-1e-8", "normal-1e-6", "normal-1e-4", "normal-1e-2", "laplace",
+            "logistic", "overflow"])
+    def test_loss_matches_mpmath(self, pair, horizons):
+        g = GameConfig(1, 0.3, 0.5, pair)
+        alpha, beta = alpha_beta(pair)
+        for horizon in horizons:
+            assert evolving_loss(g, horizon) == pytest.approx(commitment_loss_mpmath(
+                0.3, g.mean_gap, alpha, beta, horizon), rel=1e-14, abs=0.0), horizon
 
     def test_loss_follows_from_the_separation_sums(self):
         alpha, beta = alpha_beta(FIG_CONFIG.pair)
@@ -248,6 +287,21 @@ class TestCrossover:
         for n in range(1, 9):
             bayes = symmetric_bias_loss(n, FIG_CONFIG.p_high, FIG_CONFIG.mean_gap)
             assert (commit < bayes) == (n <= threshold)
+
+    @pytest.mark.parametrize("gap,horizon", [
+        (2.0, 2), (2.0, 40), (2.0, 179), (2.0, 180), (2.0, 400), (1e-6, 2), (1e-6, 40)])
+    def test_matches_mpmath(self, gap, horizon):
+        # from T = 180 at a gap of 2, e / T overflows a double, and the
+        # threshold was inf; at a gap of 1e-6 it was off by 1.6e-4 relative
+        import mpmath
+
+        g = config(mu_l=-gap / 2, mu_h=gap / 2)
+        rate = g.mean_gap**2 / g.pair.low.scale**2
+        with mpmath.workdps(50):
+            rate = mpmath.mpf(rate)
+            excess = mpmath.expm1(horizon * rate) / mpmath.expm1(rate) - horizon
+            want = float(mpmath.log1p(0.7 * excess / horizon) / mpmath.log(2))
+        assert crossover_threshold(g, horizon) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("horizon", [0, -3])
     def test_rejects_a_horizon_below_one(self, horizon):
@@ -358,14 +412,28 @@ class TestZeroGap:
         assert crossover_threshold(self.IDENTICAL, horizon) == 0.0
 
     @pytest.mark.parametrize("horizon", [2, 3])
-    @pytest.mark.parametrize("gap", [1e-6, 1e-7, 1e-8])
-    def test_nearly_identical_densities_cost_the_abandoning_loss(self, gap, horizon):
-        # the commitment system is singular in floats here, and the loss raised
-        # DegenerateHorizon; the abandoning loss is its limit as the gap closes
-        g = GameConfig(1, 0.3, 0.5, normal_pair(1.0, 1.0 + gap))
+    def test_densities_equal_in_floats_cost_the_abandoning_loss(self, horizon):
+        # at a gap of 1e-8 both separation integrals round to 1.0: nothing to
+        # separate, and the abandoning loss is the loss's limit as the gap closes
+        g = GameConfig(1, 0.3, 0.5, normal_pair(1.0, 1.0 + 1e-8))
+        assert alpha_beta(g.pair) == (1.0, 1.0)
         with pytest.raises(DegenerateHorizon):
             solve_schedule(g, horizon)
         assert evolving_loss(g, horizon) == abandon_scheme(g)[1]
+
+    @pytest.mark.parametrize("horizon", [2, 3])
+    @pytest.mark.parametrize("gap", [1e-6, 1e-7])
+    def test_nearly_identical_densities_cost_at_most_the_abandoning_loss(self, gap, horizon):
+        # these raised DegenerateHorizon and cost the abandoning loss exactly;
+        # their separation integrals exceed 1 in floats, and the excess sums
+        # solve them
+        g = GameConfig(1, 0.3, 0.5, normal_pair(1.0, 1.0 + gap))
+        s = solve_schedule(g, horizon)
+        assert math.isfinite(s.lambda_low) and math.isfinite(s.lambda_high)
+        loss = evolving_loss(g, horizon)
+        assert loss <= abandon_scheme(g)[1]
+        assert loss == pytest.approx(commitment_loss_mpmath(
+            0.3, g.mean_gap, s.alpha, s.beta, horizon), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("var_h", [0.5, 1.5])
     @pytest.mark.parametrize("family", list(Family))
@@ -376,5 +444,5 @@ class TestZeroGap:
         alpha, beta = alpha_beta(pair)
         for horizon in (2, 3, 8):
             # the solved loss these games reported before a zero gap was routed
-            solved = _solve(0.3, 0.0, alpha, beta, horizon)[2] + 0.0
+            solved = _solve(0.3, 0.0, alpha, beta, horizon)[2]
             assert evolving_loss(g, horizon).hex() == solved.hex() == (0.0).hex()
