@@ -25,8 +25,9 @@ print(f"  first-period committed pair: low-message {a_low:.4f}, "
 
 print()
 print("== actions respond to the history ==")
+# a schedule rates the periods it covers: after histories of fewer than T states
 rng = np.random.default_rng(1)
-history = list(game.pair.high.sample(rng, 3))
+history = game.pair.high.sample(rng, schedule.horizon - 1).tolist()
 for cut in range(len(history) + 1):
     a_low, a_high = schedule.actions(history[:cut])
     shown = [round(x, 3) for x in history[:cut]]

@@ -6,19 +6,21 @@ supported; all have full support on the real line, so the two candidates of a
 pair automatically share their support.  Everything that depends on the
 family lives here: the log density, the variance per squared scale (also read
 backwards by ``StateDistribution.from_variance``), the numpy sampler of the
-family's name and the tail decay.  Each family's log density is one formula
-of the standardized state, evaluated with ``math`` on a float and in place on
-a fresh array of an array (never writing to its input).
+family's name and the log separation integral.  Each family's log density is
+one formula of the standardized state, evaluated with ``math`` on a float and
+in place on a fresh array of an array (never writing to its input).
 ``log_likelihood_ratio`` is the one likelihood ratio; a history's ratio is the
 sum of its states' log ratios.
 
-The separation integrals are closed forms for every pair of one family, of
-any locations and scales; a pair that mixes two families raises.
+The separation integrals are closed forms in the scale ratio for every pair
+of one family, of any locations and scales, and each closed form decides its
+own convergence; a pair that mixes two families raises.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
@@ -28,6 +30,7 @@ import numpy as np
 from .errors import DivergentIntegral, SeparationOverflow
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_MAX = math.log(sys.float_info.max)   # the largest x whose exp is finite
 
 
 class Family(str, Enum):
@@ -135,12 +138,6 @@ class StateDistribution:
         """Draw from the density with the generator's sampler of the family's name."""
         return getattr(rng, self.family.value)(self.location, self.scale, size)
 
-    def _tail(self) -> tuple[float, float]:
-        """(quadratic, linear) exponential decay coefficients of the log tail."""
-        if self.family is Family.NORMAL:
-            return 1.0 / (2.0 * self.scale**2), 0.0
-        return 0.0, 1.0 / self.scale
-
 
 @dataclass(frozen=True)
 class DistributionPair:
@@ -183,56 +180,47 @@ def log_likelihood_ratio(pair: DistributionPair, theta):
     return ratio
 
 
-def _check_converges(num: StateDistribution, den: StateDistribution) -> tuple[float, float]:
-    """Tail-decay coefficients of num^2/den; raises if the integral diverges.
+def _log_separation(num: StateDistribution, den: StateDistribution) -> float:
+    """log of the integral of num^2/den over the line, for two densities of one
+    family: the order-2 cases of Gil, Alajaji & Linder (Inf. Sci., 2013).
 
-    The integrand's log tail behaves like -(2*q_n - q_d) theta^2 - (2*r_n - r_d)|theta|;
-    it is integrable iff the quadratic coefficient is positive, or zero with a
-    positive linear rate.
+    It reads only r, the ratio of the scales, and x, the locations' distance in
+    the denominator's scale.  Each closed form divides by a spread, 2 - r^2 for
+    the normal family and 2 - r for the others; the integral diverges, and
+    ``DivergentIntegral`` is raised, exactly where that spread is not positive.
     """
-    qn, rn = num._tail()
-    qd, rd = den._tail()
-    quad = 2.0 * qn - qd
-    rate = 2.0 * rn - rd
-    if quad < 0 or (quad == 0 and rate <= 0):
+    s_n, s_d = num.scale, den.scale
+    r, gap = s_n / s_d, abs(num.location - den.location)
+    x = gap / s_d
+    if num.family is Family.NORMAL:
+        spread = 2.0 - r * r
+    else:   # 2 - r, the difference exact where it is small (Sterbenz's lemma)
+        spread = (s_d - s_n + s_d) / s_d if s_n > s_d else 2.0 - r
+    if not spread > 0:
         raise DivergentIntegral(
             f"integral of {num.family.value}^2/{den.family.value} with scales "
             f"({num.scale}, {den.scale}) does not converge"
         )
-    return quad, rate
-
-
-def _closed_form_integral(num: StateDistribution, den: StateDistribution) -> float:
-    """The squared-ratio integral num^2/den of two densities of one family."""
-    _, tail_rate = _check_converges(num, den)
+    # a difference of logs where the ratio under- or overflows
+    log_r = math.log(r) if 1e-300 < r < 1e300 else math.log(s_n) - math.log(s_d)
     if num.family is Family.NORMAL:
-        # v_d / sqrt(v_n (2 v_d - v_n)) * exp((m_n - m_d)^2 / (2 v_d - v_n)),
-        # the prefactor taken as a product of variance ratios, which is exactly
-        # 1 for equal variances and does not overflow for large ones
-        v_num, v_den = num.scale**2, den.scale**2
-        spread = 2.0 * v_den - v_num
-        return (math.exp((num.location - den.location) ** 2 / spread)
-                * math.sqrt(v_den / v_num * (v_den / spread)))
-    if num.family is Family.LOGISTIC:
-        # 1/g(z) = e^z + 2 + e^-z for the standard logistic density g, and g^2
-        # integrates against e^(cu) to B(2 + c, 2 - c); so, with r = s_n / s_d,
-        # (s_d/s_n) (2 cosh((m_n - m_d)/s_d) B(2 + r, 2 - r) + 1/3), where B(2 + r,
-        # 2 - r) = r (1 + r) pi |1 - r| / (6 |sin(pi r)|), the sine taken at its
-        # smallest angle: r, or |1 - r| or 2 - r from exact differences of scales
-        s_n, s_d = num.scale, den.scale
-        r, off = s_n / s_d, abs(s_d - s_n) / s_d
-        angle = min(off, r, (2.0 * s_d - s_n) / s_d)
-        beta = r * (1.0 + r) / 6.0 * (math.pi * off / math.sin(math.pi * angle) if off else 1.0)
-        return (2.0 * math.cosh((num.location - den.location) / s_d) * beta + 1.0 / 3.0) / r
-    # (c / 2b^2) * integral of exp(-2|t - m|/b + |t - n|/c): two tails of rate
-    # 2/b - 1/c beyond the locations and, between them, a piece of rate 2/b + 1/c;
-    # the exponent is d/c at m and -2d/b at n, d being the locations' distance
-    b, c = num.scale, den.scale
-    d = abs(num.location - den.location)
-    middle_rate = 2.0 / b + 1.0 / c
-    at_num, at_den = math.exp(d / c), math.exp(-2.0 * d / b)
-    middle = -at_num * math.expm1(-d * middle_rate)   # at_num - at_den, accurately
-    return c / (2.0 * b * b) * ((at_num + at_den) / tail_rate + middle / middle_rate)
+        # exp(x^2 / (2 - r^2)) / (r sqrt(2 - r^2))
+        return x * x / spread - log_r - 0.5 * math.log(spread)
+    if num.family is Family.LAPLACE:
+        # e^x (2 + r E) / (r (2 - r)(2 + r)), E = e^(-gap/s_d - 2 gap/s_n): two tails
+        # of rate (2 - r)/s_n beyond the locations and, between them, a piece of
+        # rate (2 + r)/s_n
+        tilt = 2.0 + r * math.exp(-x - 2.0 * gap / s_n)
+        return x + math.log(tilt / (spread * (2.0 + r))) - log_r
+    # 1/g(z) = e^z + 2 + e^-z for the standard logistic density g, and g^2
+    # integrates against e^(cu) to B(2 + c, 2 - c); so (2 cosh(x) B + 1/3) / r, with
+    # B = B(2 + r, 2 - r) = (1 + r) pi r |1 - r| / (6 |sin(pi r)|), the sine taken at
+    # its smallest angle: r, or |1 - r| or 2 - r from exact differences of scales
+    off = abs(s_d - s_n) / s_d
+    angle = min(off, r, spread)
+    beta = (1.0 + r) / 6.0 * (math.pi * r * off / math.sin(math.pi * angle) if r * off else 1.0)
+    e = math.exp(-x)
+    return x + math.log(beta * (1.0 + e * e) + e / 3.0) - log_r   # 2 cosh(x) = e^x (1 + e^-2x)
 
 
 def alpha_beta(pair: DistributionPair) -> tuple[float, float]:
@@ -247,14 +235,11 @@ def alpha_beta(pair: DistributionPair) -> tuple[float, float]:
     low, high = pair.low, pair.high
     if low.family is not high.family:
         raise ValueError(f"a {low.family.value} and {high.family.value} pair: the families differ")
-    try:
-        alpha, beta = _closed_form_integral(low, high), _closed_form_integral(high, low)
-    except OverflowError:
-        alpha = beta = math.inf
-    if math.isinf(alpha) or math.isinf(beta):
+    log_alpha, log_beta = _log_separation(low, high), _log_separation(high, low)
+    if max(log_alpha, log_beta) > _LOG_MAX:
         raise SeparationOverflow(
             "a separation integral of the pair "
             + " and ".join(f"{d.family.value}({d.location!r}, scale {d.scale!r})"
                            for d in (low, high))
             + " exceeds the double range")
-    return alpha, beta
+    return math.exp(log_alpha), math.exp(log_beta)

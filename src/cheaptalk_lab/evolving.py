@@ -98,6 +98,10 @@ class _AffineActions:
         return (float(a_low), float(a_high)) if ratio.ndim == 0 else (a_low, a_high)
 
     def actions(self, history) -> tuple[float, float]:
+        """Committed ratings after ``history``, the states of the periods before
+        this one: fewer than ``horizon`` of them."""
+        if len(history) >= self.horizon:
+            raise ValueError(f"a history of {len(history)} states is past the horizon {self.horizon}")
         return self.actions_from_log_ratio(np.sum(log_likelihood_ratio(self.pair, history)))
 
 

@@ -7,17 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate
 
 from cheaptalk_lab.distributions import (DistributionPair, Family,
-                                         StateDistribution, _closed_form_integral,
+                                         StateDistribution, _log_separation,
                                          alpha_beta, log_likelihood_ratio,
                                          normal_pair)
 from cheaptalk_lab.errors import DivergentIntegral, SeparationOverflow
 
-from oracles import (logistic_ratio_integral, normal_ratio_integral,
-                     ratio_integral_by_quadrature)
+from oracles import (laplace_ratio_integral, logistic_ratio_integral,
+                     normal_ratio_integral, normal_ratio_integral_mpmath,
+                     ratio_integral_by_quadrature, ratio_integral_diverges)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -327,8 +328,117 @@ class TestAlphaBeta:
                 den = StateDistribution(Family.LOGISTIC, 0.2, s_den)
                 want = logistic_ratio_integral(num.location, num.scale,
                                                den.location, den.scale)
-                assert _closed_form_integral(num, den) == pytest.approx(
+                assert math.exp(_log_separation(num, den)) == pytest.approx(
                     want, rel=1e-12, abs=0.0), (t, shift)
+
+    @pytest.mark.parametrize("u", [1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-6,
+                                   1.5, 1.9, 1.999, 2.0 - 1e-6])
+    def test_laplace_closed_form_matches_mpmath(self, u):
+        # u is the numerator's scale over the denominator's; the numerator
+        # sits t denominator scales below or above it
+        s_den = 1.3
+        for t in (0.0, 1e-3, 1.0, 5.0, 23.0):
+            for shift in (-t * s_den, t * s_den):
+                num = StateDistribution(Family.LAPLACE, 0.2 + shift, u * s_den)
+                den = StateDistribution(Family.LAPLACE, 0.2, s_den)
+                want = laplace_ratio_integral(num.location, num.scale,
+                                              den.location, den.scale)
+                assert math.exp(_log_separation(num, den)) == pytest.approx(
+                    want, rel=1e-12, abs=0.0), (t, shift)
+
+    @pytest.mark.parametrize("rho", [1e-9, 1e-3, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-6, 1.2, 1.3])
+    def test_normal_closed_form_matches_mpmath(self, rho):
+        s_den = 1.3
+        for t in (0.0, 1e-3, 1.0, 3.0):
+            for shift in (-t * s_den, t * s_den):
+                num = StateDistribution(Family.NORMAL, 0.2 + shift, rho * s_den)
+                den = StateDistribution(Family.NORMAL, 0.2, s_den)
+                want = normal_ratio_integral_mpmath(num.location, num.scale,
+                                                    den.location, den.scale)
+                assert math.exp(_log_separation(num, den)) == pytest.approx(
+                    want, rel=1e-12, abs=0.0), (t, shift)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_divergence_is_where_the_tail_rule_puts_it(self, family):
+        # scale ratios around the boundary, sqrt 2 for the normal family and 2
+        # for the others, and far past it either way; the pair's two integrals
+        # diverge exactly where the oracle's exact tail decay says so
+        edge = math.sqrt(2.0) if family is Family.NORMAL else 2.0
+        ratios = [edge * (1.0 + sign * eps) for eps in (1e-12, 1e-9, 1e-6, 1e-3, 0.1)
+                  for sign in (-1.0, 1.0)] + [1e-300, 1e300]
+        cases = [(ratio * s_den, s_den) for ratio in ratios for s_den in (1.0, 0.7, 3.1)]
+        # the floats next to the edge, in ratios exact with a unit denominator
+        cases += [(math.nextafter(edge, 0.0), 1.0), (edge, 1.0), (math.nextafter(edge, 3.0), 1.0)]
+        for s_num, s_den in cases:
+            for low, high in ((s_num, s_den), (s_den, s_num)):
+                pair = DistributionPair(StateDistribution(family, -1.0, low),
+                                        StateDistribution(family, 1.0, high))
+                diverges = (ratio_integral_diverges(pair.low, pair.high)
+                            or ratio_integral_diverges(pair.high, pair.low))
+                raised = False
+                try:
+                    alpha_beta(pair)
+                except SeparationOverflow:
+                    pass
+                except DivergentIntegral:
+                    raised = True
+                assert raised == diverges, (low, high)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(family=st.sampled_from(list(Family)),
+           locations=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+           scales=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+           k=st.integers(-1000, 1000))
+    def test_scaling_a_pair_by_a_power_of_two_changes_nothing(self, family, locations,
+                                                             scales, k):
+        # the integrals read only the scale ratio and the locations' distance in
+        # scales, so 2^k times both locations and both scales gives the same
+        # bits, or the same error; a form in squared scales raises
+        # ZeroDivisionError for some such pairs, and disagrees with others
+        values = (*sorted(locations), *scales)
+        scaled = tuple(math.ldexp(v, k) for v in values)
+        assume(all(math.ldexp(v, -k) == w for v, w in zip(scaled, values)))
+
+        def outcome(low_location, high_location, low_scale, high_scale):
+            try:
+                return alpha_beta(DistributionPair(
+                    StateDistribution(family, low_location, low_scale),
+                    StateDistribution(family, high_location, high_scale)))
+            except (DivergentIntegral, SeparationOverflow) as error:
+                return type(error)
+
+        assert outcome(*scaled) == outcome(*values)
+
+    @pytest.mark.parametrize("family, want", [
+        (Family.NORMAL, math.e),
+        (Family.LAPLACE, math.e * (2.0 + math.exp(-3.0)) / 3.0),             # 1.8572996467...
+        (Family.LOGISTIC, math.e / 3.0 * (1.0 + math.exp(-1.0) + math.exp(-2.0))),   # 1.3620537565...
+    ], ids=lambda x: getattr(x, "value", ""))
+    def test_pairs_of_scales_whose_squares_underflow(self, family, want):
+        # one scale apart; the squared scales underflow to 0.0
+        tiny = 1e-170
+        alpha, beta = alpha_beta(DistributionPair(StateDistribution(family, 0.0, tiny),
+                                                  StateDistribution(family, tiny, tiny)))
+        assert alpha == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert beta == alpha
+
+    @pytest.mark.parametrize("family, log_constant", [
+        (Family.NORMAL, -0.5 * math.log(2.0)),     # 1 / (r sqrt 2)
+        (Family.LAPLACE, -math.log(2.0)),          # 1 / (2 r)
+        (Family.LOGISTIC, math.log(2.0 / 3.0)),    # (2 B(2, 2) + 1/3) / r
+    ], ids=lambda x: getattr(x, "value", ""))
+    def test_a_scale_ratio_that_underflows(self, family, log_constant):
+        # r = 1e-400 rounds to 0.0, yet the integral is a constant over r
+        num = StateDistribution(family, 0.0, 1e-200)
+        den = StateDistribution(family, 0.0, 1e200)
+        assert _log_separation(num, den) == pytest.approx(
+            400.0 * math.log(10.0) + log_constant, rel=1e-14, abs=0.0)
+
+    def test_a_distance_far_below_the_scale_gives_one(self):
+        # the squared scales overflow, the distance in scales is 1e-200
+        pair = DistributionPair(StateDistribution(Family.NORMAL, 0.0, 1e200),
+                                StateDistribution(Family.NORMAL, 1.0, 1e200))
+        assert alpha_beta(pair) == (1.0, 1.0)
 
     @pytest.mark.parametrize("gap", [1e-6, 0.3, 2.0, 9.0])
     def test_equal_scale_logistic_pairs_have_the_sinh_form(self, gap):

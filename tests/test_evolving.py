@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cheaptalk_lab.benchmarks import abandon_scheme
 from cheaptalk_lab.distributions import (DistributionPair, Family,
                                          StateDistribution, alpha_beta,
-                                         normal_pair)
+                                         log_likelihood_ratio, normal_pair)
 from cheaptalk_lab.errors import DegenerateHorizon, DivergentIntegral
 from cheaptalk_lab.evolving import (CommitmentSchedule, ConstantSchedule,
                                     _log_excess, _solve,
@@ -115,15 +115,27 @@ class TestCommitmentActions:
     def test_high_action_rises_toward_its_supremum_on_favorable_runs(self):
         # as the history ratio blows up the high action increases toward
         # mu_high - lambda_high / (2 p), always staying below mu_high
+        # (the log ratio of runs longer than the schedule covers)
         s = solve_schedule(FIG_CONFIG, 4)
         gaps = []
         for length in (1, 3, 8, 20):
-            _, a_high = s.actions([1.0] * length)
+            log_ratio = np.sum(log_likelihood_ratio(FIG_CONFIG.pair, [1.0] * length))
+            _, a_high = s.actions_from_log_ratio(log_ratio)
             gaps.append(FIG_CONFIG.mu_high - a_high)
             assert a_high < FIG_CONFIG.mu_high
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         supremum = FIG_CONFIG.mu_high - s.lambda_high / (2 * FIG_CONFIG.p_high)
         assert gaps[-1] == pytest.approx(FIG_CONFIG.mu_high - supremum, rel=1e-9, abs=0.0)
+
+    def test_a_history_past_the_horizon_is_refused(self):
+        # a two-period schedule fed 2 and 3 states rated a low message 34.7 and
+        # 510.1 for means -1 and +1
+        for s in (solve_schedule(FIG_CONFIG, 2), solve_schedule(FIG_CONFIG, 4),
+                  ConstantSchedule(1, FIG_CONFIG.pair, -0.5, 0.5)):
+            s.actions([0.3] * (s.horizon - 1))
+            for length in (s.horizon, s.horizon + 1):
+                with pytest.raises(ValueError, match="horizon"):
+                    s.actions([0.3] * length)
 
     def test_bounds_hold_over_random_histories(self):
         rng = np.random.default_rng(59)
