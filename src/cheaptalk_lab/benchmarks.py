@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from .game import GameConfig, InferenceRule, _CountKernel, _kernel
+from dataclasses import replace
+
+from .game import GameConfig, InferenceRule, _kernel
 
 
 def majority_vote_rule(config: GameConfig) -> InferenceRule:
@@ -29,7 +31,7 @@ def majority_vote_loss(config: GameConfig) -> float:
     p (1 - p) tie, exactly 1/2 for odd N, which has no tie.
     """
     n, p = config.n_users, config.p_high
-    tie = _CountKernel(n, p, 0.5).pmf((True, False))[n // 2] if n % 2 == 0 else 0.0
+    tie = _kernel(replace(config, q_plus=0.5)).pmf((True, False))[n // 2] if n % 2 == 0 else 0.0
     return config.mean_gap**2 * ((1.0 - tie) / 2.0 + p * (1.0 - p) * tie)
 
 

@@ -13,8 +13,8 @@ in place on a fresh array of an array (never writing to its input).
 sum of its states' log ratios.
 
 The separation integrals are closed forms in the scale ratio for every pair
-of one family, of any locations and scales, and each closed form decides its
-own convergence; a pair that mixes two families raises.
+of one family, of any locations and scales; each decides its own convergence
+exactly, in integers, and a pair that mixes two families raises.
 """
 
 from __future__ import annotations
@@ -184,23 +184,23 @@ def _log_separation(num: StateDistribution, den: StateDistribution) -> float:
     """log of the integral of num^2/den over the line, for two densities of one
     family: the order-2 cases of Gil, Alajaji & Linder (Inf. Sci., 2013).
 
-    It reads only r, the ratio of the scales, and x, the locations' distance in
-    the denominator's scale.  Each closed form divides by a spread, 2 - r^2 for
-    the normal family and 2 - r for the others; the integral diverges, and
-    ``DivergentIntegral`` is raised, exactly where that spread is not positive.
+    It reads only r = top/bottom, the exact integer ratio of the scales, and x,
+    the locations' distance in the denominator's scale.  Each closed form divides
+    by a spread 2 - r^k, k = 2 for the normal family and 1 for the others; it
+    raises ``DivergentIntegral`` exactly where 2 bottom^k - top^k <= 0, and the
+    spread and |1 - r| are those integers over bottom^k, each rounded once.
     """
-    s_n, s_d = num.scale, den.scale
-    r, gap = s_n / s_d, abs(num.location - den.location)
-    x = gap / s_d
-    if num.family is Family.NORMAL:
-        spread = 2.0 - r * r
-    else:   # 2 - r, the difference exact where it is small (Sterbenz's lemma)
-        spread = (s_d - s_n + s_d) / s_d if s_n > s_d else 2.0 - r
-    if not spread > 0:
+    s_n, s_d = float(num.scale), float(den.scale)
+    (a, b), (c, d) = s_n.as_integer_ratio(), s_d.as_integer_ratio()
+    top, bottom = a * d, b * c   # r = s_n / s_d = top / bottom, exactly
+    k = 2 if num.family is Family.NORMAL else 1
+    if (room := 2 * bottom**k - top**k) <= 0:   # before dividing: a huge r overflows
         raise DivergentIntegral(
             f"integral of {num.family.value}^2/{den.family.value} with scales "
             f"({num.scale}, {den.scale}) does not converge"
         )
+    spread, r, gap = room / bottom**k, s_n / s_d, abs(num.location - den.location)
+    x = gap / s_d
     # a difference of logs where the ratio under- or overflows
     log_r = math.log(r) if 1e-300 < r < 1e300 else math.log(s_n) - math.log(s_d)
     if num.family is Family.NORMAL:
@@ -215,8 +215,8 @@ def _log_separation(num: StateDistribution, den: StateDistribution) -> float:
     # 1/g(z) = e^z + 2 + e^-z for the standard logistic density g, and g^2
     # integrates against e^(cu) to B(2 + c, 2 - c); so (2 cosh(x) B + 1/3) / r, with
     # B = B(2 + r, 2 - r) = (1 + r) pi r |1 - r| / (6 |sin(pi r)|), the sine taken at
-    # its smallest angle: r, or |1 - r| or 2 - r from exact differences of scales
-    off = abs(s_d - s_n) / s_d
+    # its smallest angle: r, or |1 - r| or 2 - r from the exact integers
+    off = abs(bottom - top) / bottom
     angle = min(off, r, spread)
     beta = (1.0 + r) / 6.0 * (math.pi * r * off / math.sin(math.pi * angle) if r * off else 1.0)
     e = math.exp(-x)

@@ -69,11 +69,11 @@ import numpy as np
 from .errors import OutOfRegime
 from .game import (ALL_PROFILES, PROFILE_LABELS, Bias, GameConfig,
                    InferenceRule, PureStrategy, SC1, ServiceType,
-                   StrategyProfile, _CountKernel, _check_count, _posterior,
-                   _senders, best_response_rule, expected_user_utility)
+                   StrategyProfile, _CountKernel, _check_chance, _check_count,
+                   _posterior, _senders, best_response_rule, expected_user_utility)
 
 GOLDEN_LOW = (3.0 - math.sqrt(5.0)) / 2.0   # small positive-share regime ends here
-GOLDEN_HIGH = (math.sqrt(5.0) - 1.0) / 2.0  # large positive-share regime starts here
+GOLDEN_HIGH = 1.0 - GOLDEN_LOW               # large positive-share regime starts here
 
 _MARGIN = 1e-10   # relative float margin below which a comparison is decided exactly
 
@@ -341,19 +341,15 @@ def p1_high(q_plus: float) -> float:
 def p1_low(q_plus: float) -> float:
     """Quality-prior threshold below which the negative reviewer stays honest.
 
-    Defined for positive-bias share above one half; mirrors ``p1_high`` via
-    p1_low(q) = 1 - p1_high(1 - q).
+    Defined for positive-bias share above one half: the mirror of ``p1_high``.
     """
     if not 0.5 < q_plus <= 1.0:
         raise OutOfRegime("p1_low is defined for q_plus > 1/2")
-    q = q_plus
-    radicand = (2 * q**3 + 3 * q**2) / (2 * q - 1)
-    return 0.5 * math.sqrt(radicand) - q / 2.0
+    return 1.0 - p1_high(1.0 - q_plus)
 
 
 def bias_thresholds(q_plus: float) -> BiasThresholds:
-    if not 0.0 < q_plus < 1.0:
-        raise ValueError("q_plus must lie in (0, 1)")
+    _check_chance("q_plus", q_plus)
     return BiasThresholds(
         p1_high=p1_high(q_plus) if q_plus < 0.5 else None,
         p1_low=p1_low(q_plus) if q_plus > 0.5 else None,
@@ -367,7 +363,7 @@ def bias_thresholds(q_plus: float) -> BiasThresholds:
 def symmetric_bias_loss(n_users: int, p_high: float, mean_gap: float) -> float:
     """Worst-equilibrium loss for equally likely biases, any reviewer count."""
     n_users = _check_count("n_users", n_users)
-    p = p_high
+    p = _check_chance("p_high", p_high)
     s = math.ldexp(1.0, -n_users)   # both ratios scaled by 2^-N, exactly
     scaled = math.ldexp((1.0 - p) * p * mean_gap**2, -n_users)
     return max(scaled / (p * s + (1.0 - p)), scaled / (s - (s - 1.0) * p))
@@ -380,7 +376,8 @@ def one_user_loss(p_high: float, q_plus: float, mean_gap: float) -> float:
     to the honesty thresholds, so the loss is regime-wise; in the middle
     regime all four equilibria coexist and the loss is the larger branch.
     """
-    p, q, d2 = p_high, q_plus, mean_gap**2
+    p, q = _check_chance("p_high", p_high), _check_chance("q_plus", q_plus)
+    d2 = mean_gap**2
     loss_blind_high = q * (1.0 - p) * p * d2 / (p + (1.0 - p) * q)
     loss_blind_low = (1.0 - q) * (1.0 - p) * p * d2 / (1.0 - q * p)
     if q <= GOLDEN_LOW and p <= p1_high(q):
@@ -518,6 +515,7 @@ def three_type_loss(n_users: int, delta: float) -> float:
     outer two; ``delta`` is the outer mean gap.  Strictly decreasing in the
     reviewer count and vanishing in the limit.
     """
+    n_users = _check_count("n_users", n_users)
     if n_users < 2:
         raise ValueError("the three-type analysis needs at least two reviewers")
     if delta < 0:

@@ -143,11 +143,15 @@ class ConstantSchedule(_AffineActions):
         return self.a_low, 0.0, self.a_high, 0.0
 
 
+def _single_reviewer(config: GameConfig) -> None:
+    if config.n_users != 1:
+        raise ValueError("the commitment mechanism serves a single reviewer")
+
+
 def solve_schedule(config: GameConfig, horizon: int) -> CommitmentSchedule:
     """Solve the truthful commitment for one reviewer over ``horizon`` periods."""
     horizon = _check_count("horizon", horizon)
-    if config.n_users != 1:
-        raise ValueError("the commitment mechanism serves a single reviewer")
+    _single_reviewer(config)
     if horizon == 1:
         raise DegenerateHorizon(
             "a one-period commitment pins both actions to the prior mean; "

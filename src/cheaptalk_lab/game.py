@@ -33,24 +33,18 @@ class Bias(Enum):
 
 
 class PureStrategy(Enum):
-    """Deterministic map from the observed type to the sent message."""
+    """Sent message by observed type; the value is (sends high under HIGH, under LOW)."""
 
-    HONEST = "honest"
-    BLIND_HIGH = "blind_high"
-    BLIND_LOW = "blind_low"
-    REVERSED = "reversed"
-
-    def message(self, observed: ServiceType) -> ServiceType:
-        if self is PureStrategy.HONEST:
-            return observed
-        if self is PureStrategy.BLIND_HIGH:
-            return ServiceType.HIGH
-        if self is PureStrategy.BLIND_LOW:
-            return ServiceType.LOW
-        return ServiceType.HIGH if observed is ServiceType.LOW else ServiceType.LOW
+    HONEST = (True, False)
+    BLIND_HIGH = (True, True)
+    BLIND_LOW = (False, False)
+    REVERSED = (False, True)
 
     def sends_high(self, observed: ServiceType) -> bool:
-        return self.message(observed) is ServiceType.HIGH
+        return self.value[observed is ServiceType.LOW]
+
+    def message(self, observed: ServiceType) -> ServiceType:
+        return ServiceType.HIGH if self.sends_high(observed) else ServiceType.LOW
 
 
 @dataclass(frozen=True)
@@ -104,6 +98,12 @@ def _check_count(name: str, value) -> int:
     return int(value)   # a numpy unsigned count would wrap in arithmetic
 
 
+def _check_chance(name: str, value: float) -> float:
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1)")
+    return value
+
+
 @dataclass(frozen=True)
 class GameConfig:
     """Full parameterization of one game instance."""
@@ -115,10 +115,8 @@ class GameConfig:
 
     def __post_init__(self):
         _check_count("n_users", self.n_users)
-        if not 0.0 < self.p_high < 1.0:
-            raise ValueError("p_high must lie in (0, 1)")
-        if not 0.0 < self.q_plus < 1.0:
-            raise ValueError("q_plus must lie in (0, 1)")
+        _check_chance("p_high", self.p_high)
+        _check_chance("q_plus", self.q_plus)
 
     @property
     def mu_low(self) -> float:
@@ -239,6 +237,12 @@ def _kernel(config: GameConfig) -> _CountKernel:
     return _CountKernel(config.n_users, config.p_high, config.q_plus)
 
 
+def _actions(rule: InferenceRule, config: GameConfig) -> np.ndarray:
+    if rule.n_users != config.n_users:
+        raise ValueError("rule was built for a different number of users")
+    return rule.action_array
+
+
 def _posterior(p: float, like_high, like_low):
     """Chance of the high type given its prior ``p`` and an observation's
     likelihood under each type, elementwise.  An observation impossible under
@@ -271,9 +275,7 @@ def expected_user_utility(profile: StrategyProfile, rule: InferenceRule,
     ``n_users - 1`` reviewers messages high with the same chance, so the
     2^(N-1) bias assignments collapse into the pmf of their high count.
     """
-    if rule.n_users != config.n_users:
-        raise ValueError("rule was built for a different number of users")
-    kernel, actions = _kernel(config), rule.action_array
+    kernel, actions = _kernel(config), _actions(rule, config)
     strategy = profile.strategy_for(bias)
     total = 0.0
     for service in ServiceType:
@@ -287,9 +289,7 @@ def expected_user_utility(profile: StrategyProfile, rule: InferenceRule,
 def expected_platform_cost(profile: StrategyProfile, rule: InferenceRule,
                            config: GameConfig) -> float:
     """Expected squared rating error plus state variance under the profile."""
-    if rule.n_users != config.n_users:
-        raise ValueError("rule was built for a different number of users")
-    kernel, actions = _kernel(config), rule.action_array
+    kernel, actions = _kernel(config), _actions(rule, config)
     total = 0.0
     for service, dist in ((ServiceType.HIGH, config.pair.high), (ServiceType.LOW, config.pair.low)):
         like = kernel.pmf(_senders(profile, service))

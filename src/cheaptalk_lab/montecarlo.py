@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import Moments, run_chunks
-from .evolving import CommitmentSchedule, IcResiduals, _history_sums
-from .game import (GameConfig, InferenceRule, ServiceType,
-                   StrategyProfile, _check_count, _senders, min_expected_cost)
+from .evolving import CommitmentSchedule, IcResiduals, _history_sums, _single_reviewer
+from .game import (GameConfig, InferenceRule, ServiceType, StrategyProfile,
+                   _actions, _check_count, _senders, min_expected_cost)
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,7 @@ def simulate_game(config: GameConfig, profile: StrategyProfile,
     first reviewer's signed rating (bucketed by that reviewer's bias).
     """
     samples, workers = _check_count("samples", samples), _check_count("workers", workers)
-    n = config.n_users
-    if rule.n_users != n:
-        raise ValueError("rule was built for a different number of users")
-    actions = rule.action_array
-    q = config.q_plus
+    n, q, actions = config.n_users, config.q_plus, _actions(rule, config)
     high, low = _senders(profile, ServiceType.HIGH), _senders(profile, ServiceType.LOW)
     # h = q [positive class sends high] + (1 - q) [negative class sends high];
     # q + (1 - q) rounds to exactly 1
@@ -116,8 +112,7 @@ def simulate_evolving(config: GameConfig, schedule, episodes: int, seed: int,
     product measure given the type.  ``config`` must be the schedule's game.
     """
     episodes, workers = _check_count("episodes", episodes), _check_count("workers", workers)
-    if config.n_users != 1:
-        raise ValueError("the commitment mechanism serves a single reviewer")
+    _single_reviewer(config)
     if config.pair != schedule.pair or (isinstance(schedule, CommitmentSchedule)
                                         and config.p_high != schedule.p_high):
         raise ValueError("schedule was built for a different pair or prior")

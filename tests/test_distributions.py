@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -369,6 +370,18 @@ class TestAlphaBeta:
         cases = [(ratio * s_den, s_den) for ratio in ratios for s_den in (1.0, 0.7, 3.1)]
         # the floats next to the edge, in ratios exact with a unit denominator
         cases += [(math.nextafter(edge, 0.0), 1.0), (edge, 1.0), (math.nextafter(edge, 3.0), 1.0)]
+        # the 41 floats within 20 ulps of the edge times s_d, for s_d over the
+        # binades from 2^-60 to 2^60: where fl(s_n / s_d) rounds onto the edge,
+        # a rule on the float ratio decides some of them wrongly
+        mantissas = np.random.default_rng(3).uniform(1.0, 2.0, 8)
+        for s_den in [7.3253343077752735] + [math.ldexp(float(m), e) for m in mantissas
+                                              for e in range(-60, 61, 4)]:
+            s_num = edge * s_den
+            for _ in range(20):
+                s_num = math.nextafter(s_num, 0.0)
+            for _ in range(41):
+                cases.append((s_num, s_den))
+                s_num = math.nextafter(s_num, math.inf)
         for s_num, s_den in cases:
             for low, high in ((s_num, s_den), (s_den, s_num)):
                 pair = DistributionPair(StateDistribution(family, -1.0, low),
@@ -383,6 +396,34 @@ class TestAlphaBeta:
                 except DivergentIntegral:
                     raised = True
                 assert raised == diverges, (low, high)
+
+    def test_a_normal_pair_just_inside_the_edge_converges_to_its_value(self):
+        # r = s_n / s_d rounds to fl(sqrt 2), but 2 s_d^2 - s_n^2 > 0
+        num = StateDistribution(Family.NORMAL, 0.0, 10.35958712697272)
+        den = StateDistribution(Family.NORMAL, 0.0, 7.3253343077752735)
+        want = normal_ratio_integral_mpmath(0.0, num.scale, 0.0, den.scale)
+        assert want == pytest.approx(242125862.380760876, rel=1e-15, abs=0.0)
+        assert alpha_beta(DistributionPair(den, num))[1] == pytest.approx(
+            want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("ulps", [1, 2, 7, 100, 10**4, 10**8])
+    def test_normal_pairs_near_the_edge_match_mpmath(self, ulps):
+        # s_n the ulps-th float below sqrt(2) s_d, and the locations
+        # sqrt(c spread) denominator scales apart, so that the exponent
+        # x^2 / spread is c
+        for s_den in (1.3, 7.3253343077752735, math.ldexp(0.9, -40), math.ldexp(1.7, 50)):
+            s_num = math.sqrt(2.0) * s_den
+            while 2 * Fraction(s_den) ** 2 <= Fraction(s_num) ** 2:   # the edge's float below
+                s_num = math.nextafter(s_num, 0.0)
+            s_num -= (ulps - 1) * math.ulp(s_num)
+            spread = float(2 - (Fraction(s_num) / Fraction(s_den)) ** 2)
+            for c in (0.0, 1.0, 30.0):
+                num = StateDistribution(Family.NORMAL, 0.2 + math.sqrt(c * spread) * s_den, s_num)
+                den = StateDistribution(Family.NORMAL, 0.2, s_den)
+                want = normal_ratio_integral_mpmath(num.location, num.scale,
+                                                    den.location, den.scale)
+                assert math.exp(_log_separation(num, den)) == pytest.approx(
+                    want, rel=1e-12, abs=0.0), (s_den, c)
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(family=st.sampled_from(list(Family)),

@@ -404,7 +404,9 @@ class TestInfluenceEngine:
             "import cheaptalk_lab as lab\n"
             "g = lab.GameConfig(40, 0.3, 0.7, lab.normal_pair(-1.0, 1.0, 1.0, 1.5))\n"
             "lab.enumerate_pbe(g), lab.bayesian_system_loss(g)\n"
+            "lab.alpha_beta(g.pair), lab.evolving_loss(lab.GameConfig(1, 0.3, 0.5, g.pair), 4)\n"
             "assert 'decimal' not in sys.modules, 'decimal was imported'\n"
+            "assert 'fractions' not in sys.modules, 'fractions was imported'\n"
             "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -558,7 +560,9 @@ class TestLossReduction:
         gap = 2.0
         best = 0.0
         for q in [1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5 - 1e-6]:
-            grid = list(np.linspace(0.01, 0.99, 197)) + [p1_high(q)]
+            grid = list(np.linspace(0.01, 0.99, 197))
+            if 0.0 < p1_high(q) < 1.0:   # a prior only below GOLDEN_LOW: p1_high(0.4) < 0
+                grid.append(p1_high(q))
             for p in grid:
                 reduction = p * (1 - p) * gap**2 - one_user_loss(p, q, gap)
                 best = max(best, reduction)
@@ -574,6 +578,19 @@ class TestLossReduction:
 
     def test_zero_gap_gives_zero_reduction(self):
         assert one_user_loss(0.3, 0.2, 0.0) == 0.0
+
+    @pytest.mark.parametrize("share", [0.0, 1.0, -0.0748, 1.5, math.nan], ids=repr)
+    def test_closed_form_losses_refuse_shares_outside_the_unit_interval(self, share):
+        # p1_high(0.4) = -0.0748 gave a negative loss, -0.187; p = 1.5 gave a
+        # symmetric-bias loss of 1.2
+        for name, args in (("p_high", (share, 0.4)), ("q_plus", (0.3, share))):
+            message = rf"^{name} must lie in \(0, 1\)$"
+            with pytest.raises(ValueError, match=message):
+                one_user_loss(*args, 2.0)
+            with pytest.raises(ValueError, match=message):
+                GameConfig(1, *args, normal_pair(-1.0, 1.0))
+        with pytest.raises(ValueError, match=r"^p_high must lie in \(0, 1\)$"):
+            symmetric_bias_loss(3, share, 2.0)
 
 
 class TestSequentialCheck:
@@ -623,6 +640,15 @@ class TestThreeTypeLoss:
     def test_rejects_single_reviewer(self):
         with pytest.raises(ValueError):
             three_type_loss(1, 2.0)
+
+    def test_a_numpy_count_gives_the_int_result(self):
+        assert three_type_loss(np.int64(3), 2.0) == three_type_loss(3, 2.0)
+
+    @pytest.mark.parametrize("n", [3.0, 2.5, True], ids=repr)
+    def test_rejects_a_count_that_is_not_a_whole_number(self, n):
+        # 3.0 and 2.5 raised a TypeError from ldexp
+        with pytest.raises(ValueError, match="n_users must be >= 1 and an integer"):
+            three_type_loss(n, 2.0)
 
     def test_rejects_a_negative_gap(self):
         with pytest.raises(ValueError, match="delta must be nonnegative"):

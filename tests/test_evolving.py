@@ -15,6 +15,7 @@ from cheaptalk_lab.evolving import (CommitmentSchedule, ConstantSchedule,
                                     equal_variance_normal_loss, evolving_loss,
                                     solve_schedule, verify_ic)
 from cheaptalk_lab.game import GameConfig
+from cheaptalk_lab.montecarlo import simulate_evolving
 
 from oracles import (commitment_loss_mpmath, cost_by_quadrature_two_periods,
                      ic_sums_by_quadrature, log_excess_mpmath,
@@ -93,9 +94,13 @@ class TestSolveSchedule:
             solve_schedule(g, 3)
 
     def test_requires_one_reviewer(self):
+        # the schedule and its simulation refuse two reviewers alike
         g = GameConfig(2, 0.3, 0.5, normal_pair(-1, 1))
-        with pytest.raises(ValueError):
-            solve_schedule(g, 2)
+        schedule = solve_schedule(GameConfig(1, 0.3, 0.5, normal_pair(-1, 1)), 3)
+        for call in (lambda: solve_schedule(g, 3), lambda: simulate_evolving(g, schedule, 100, 1)):
+            with pytest.raises(ValueError,
+                               match="^the commitment mechanism serves a single reviewer$"):
+                call()
 
 
 class TestCommitmentActions:

@@ -10,6 +10,7 @@ from cheaptalk_lab.game import (ALL_PROFILES, Bias, GameConfig, PureStrategy,
                                 expected_user_utility, min_expected_cost,
                                 posterior_high, _kernel, _senders)
 from cheaptalk_lab.distributions import normal_pair
+from cheaptalk_lab.montecarlo import simulate_game
 
 from oracles import (brute_force_cost, brute_force_utility,
                      closed_form_utility, rule_half_share, rule_one_user,
@@ -20,11 +21,21 @@ def config(n=1, p=0.3, q=0.5, mu_l=-1.0, mu_h=1.0, var_l=1.0, var_h=1.0):
     return GameConfig(n, p, q, normal_pair(mu_l, mu_h, var_l, var_h))
 
 
-def test_message_tables():
-    assert PureStrategy.HONEST.message(ServiceType.HIGH) is ServiceType.HIGH
-    assert PureStrategy.REVERSED.message(ServiceType.HIGH) is ServiceType.LOW
-    assert PureStrategy.BLIND_LOW.message(ServiceType.HIGH) is ServiceType.LOW
-    assert PureStrategy.BLIND_HIGH.message(ServiceType.LOW) is ServiceType.HIGH
+@pytest.mark.parametrize("strategy, under_high, under_low", [
+    (PureStrategy.HONEST, ServiceType.HIGH, ServiceType.LOW),
+    (PureStrategy.BLIND_HIGH, ServiceType.HIGH, ServiceType.HIGH),
+    (PureStrategy.BLIND_LOW, ServiceType.LOW, ServiceType.LOW),
+    (PureStrategy.REVERSED, ServiceType.LOW, ServiceType.HIGH),
+], ids=lambda x: getattr(x, "name", ""))
+def test_each_strategy_is_valued_by_its_message_table(strategy, under_high, under_low):
+    assert strategy.message(ServiceType.HIGH) is under_high
+    assert strategy.message(ServiceType.LOW) is under_low
+    assert strategy.value == (under_high is ServiceType.HIGH, under_low is ServiceType.HIGH)
+
+
+def test_strategies_keep_their_declaration_order():
+    # the order of the deviation witnesses of ``is_pbe`` follows it
+    assert [s.name for s in PureStrategy] == ["HONEST", "BLIND_HIGH", "BLIND_LOW", "REVERSED"]
 
 
 def test_profile_constants_are_all_distinct():
@@ -228,13 +239,16 @@ class TestPlatformCost:
             assert expected_platform_cost(profile, rule, g) == pytest.approx(floor)
 
 
-def test_utility_rejects_mismatched_rule():
-    g = config(n=2)
-    rule = best_response_rule(SC1, config(n=1))
-    with pytest.raises(ValueError):
-        expected_user_utility(SC1, rule, Bias.POSITIVE, g)
-    with pytest.raises(ValueError):
-        expected_platform_cost(SC1, rule, g)
+@pytest.mark.parametrize("use_rule", [
+    lambda rule, g: expected_user_utility(SC1, rule, Bias.POSITIVE, g),
+    lambda rule, g: expected_platform_cost(SC1, rule, g),
+    lambda rule, g: simulate_game(g, SC1, rule, 100, seed=1),
+], ids=["utility", "cost", "simulation"])
+@pytest.mark.parametrize("rule_users", [1, 5])
+def test_every_rule_taking_function_refuses_a_rule_of_another_count(use_rule, rule_users):
+    rule = best_response_rule(SC1, config(n=rule_users))
+    with pytest.raises(ValueError, match="^rule was built for a different number of users$"):
+        use_rule(rule, config(n=2))
 
 
 @pytest.mark.parametrize("n_users", [2.5, 2.0, True, "3", 0])
