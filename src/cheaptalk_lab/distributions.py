@@ -7,8 +7,8 @@ pair automatically share their support.  Everything that depends on the
 family lives here: the log density, the variance per squared scale (also read
 backwards by ``StateDistribution.from_variance``), the numpy sampler of the
 family's name and the log separation integral.  Each family's log density is
-one formula of the standardized state, evaluated with ``math`` on a float and
-in place on a fresh array of an array (never writing to its input).
+one formula of the standardized state, evaluated in place on a fresh array,
+0-d for a scalar state (never writing to its input).
 ``log_likelihood_ratio`` is the one likelihood ratio; a history's ratio is the
 sum of its states' log ratios.
 
@@ -23,7 +23,6 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,10 +44,9 @@ _VARIANCE_PER_SQUARED_SCALE = {Family.NORMAL: 1.0, Family.LAPLACE: 2.0,
 
 
 # Log density of each family at the standardized state z = (theta - location) /
-# scale.  A formula reads its functions from ``m``: the ``math`` module for a
-# float z, ``_IN_PLACE`` for an array z, which it then overwrites and returns.
+# scale, an array that the formula overwrites and returns.
 
-def _normal_log_density(z, scale, m):
+def _normal_log_density(z, scale):
     z *= z
     z *= -0.5
     z -= math.log(scale)
@@ -56,18 +54,19 @@ def _normal_log_density(z, scale, m):
     return z
 
 
-def _laplace_log_density(z, scale, m):
-    z = m.fabs(z)
+def _laplace_log_density(z, scale):
+    np.abs(z, out=z)
     z *= -1.0
     z -= math.log(2.0 * scale)
     return z
 
 
-def _logistic_log_density(z, scale, m):
+def _logistic_log_density(z, scale):
     # symmetric form a - log s - 2 log(1 + e^a), a = -|z|, stable for large |z|
-    z = m.fabs(z)
+    np.abs(z, out=z)
     z *= -1.0
-    softplus = m.log1p(m.exp(z))
+    softplus = np.exp(z, out=np.empty_like(z))   # a new array: z is read again
+    np.log1p(softplus, out=softplus)
     softplus *= 2.0
     z -= math.log(scale)
     z -= softplus
@@ -76,11 +75,6 @@ def _logistic_log_density(z, scale, m):
 
 _LOG_DENSITY = {Family.NORMAL: _normal_log_density, Family.LAPLACE: _laplace_log_density,
                 Family.LOGISTIC: _logistic_log_density}
-
-# the ``math`` functions of the formulas on arrays: in place, but for ``exp``,
-# whose argument the logistic formula reads again
-_IN_PLACE = SimpleNamespace(fabs=lambda x: np.abs(x, out=x), exp=np.exp,
-                            log1p=lambda x: np.log1p(x, out=x))
 
 
 @dataclass(frozen=True)
@@ -121,15 +115,13 @@ class StateDistribution:
         return self.scale**2 * _VARIANCE_PER_SQUARED_SCALE[self.family]
 
     def log_density(self, theta):
-        """Log density by the family's one formula: a float for a scalar
-        ``theta``, evaluated with ``math``, and an array for an array,
-        evaluated in place on a new array; ``theta`` is never written to."""
-        formula = _LOG_DENSITY[self.family]
-        if isinstance(theta, (float, int)) or np.ndim(theta) == 0:
-            return formula((float(theta) - self.location) / self.scale, self.scale, math)
-        z = np.subtract(theta, self.location, dtype=float)
+        """Log density by the family's one formula, evaluated in place on a new
+        array: a float for a scalar ``theta`` and an array for an array;
+        ``theta`` is never written to."""
+        z = np.subtract(theta, self.location, out=np.empty(np.shape(theta)), dtype=float)
         z /= self.scale
-        return formula(z, self.scale, _IN_PLACE)
+        log_f = _LOG_DENSITY[self.family](z, self.scale)
+        return float(log_f) if log_f.ndim == 0 else log_f
 
     def density(self, theta):
         return np.exp(self.log_density(theta))

@@ -70,7 +70,7 @@ from .errors import OutOfRegime
 from .game import (ALL_PROFILES, PROFILE_LABELS, Bias, GameConfig,
                    InferenceRule, PureStrategy, SC1, ServiceType,
                    StrategyProfile, _CountKernel, _check_chance, _check_count,
-                   _posterior, _senders, best_response_rule, expected_user_utility)
+                   _check_gap, _posterior, _senders, best_response_rule, expected_user_utility)
 
 GOLDEN_LOW = (3.0 - math.sqrt(5.0)) / 2.0   # small positive-share regime ends here
 GOLDEN_HIGH = 1.0 - GOLDEN_LOW               # large positive-share regime starts here
@@ -349,11 +349,12 @@ def p1_low(q_plus: float) -> float:
 
 
 def bias_thresholds(q_plus: float) -> BiasThresholds:
-    _check_chance("q_plus", q_plus)
-    return BiasThresholds(
-        p1_high=p1_high(q_plus) if q_plus < 0.5 else None,
-        p1_low=p1_low(q_plus) if q_plus > 0.5 else None,
-    )
+    """The honesty thresholds on the quality prior at this share: ``p1_high``
+    for q_plus <= GOLDEN_LOW and ``p1_low`` for q_plus >= GOLDEN_HIGH, and
+    ``None`` elsewhere, where neither reaches a prior in (0, 1)."""
+    q = _check_chance("q_plus", q_plus)
+    return BiasThresholds(p1_high=p1_high(q) if q <= GOLDEN_LOW else None,
+                          p1_low=p1_low(q) if q >= GOLDEN_HIGH else None)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +365,7 @@ def symmetric_bias_loss(n_users: int, p_high: float, mean_gap: float) -> float:
     """Worst-equilibrium loss for equally likely biases, any reviewer count."""
     n_users = _check_count("n_users", n_users)
     p = _check_chance("p_high", p_high)
+    _check_gap("mean_gap", mean_gap)
     s = math.ldexp(1.0, -n_users)   # both ratios scaled by 2^-N, exactly
     scaled = math.ldexp((1.0 - p) * p * mean_gap**2, -n_users)
     return max(scaled / (p * s + (1.0 - p)), scaled / (s - (s - 1.0) * p))
@@ -377,12 +379,13 @@ def one_user_loss(p_high: float, q_plus: float, mean_gap: float) -> float:
     regime all four equilibria coexist and the loss is the larger branch.
     """
     p, q = _check_chance("p_high", p_high), _check_chance("q_plus", q_plus)
-    d2 = mean_gap**2
+    d2 = _check_gap("mean_gap", mean_gap) ** 2
     loss_blind_high = q * (1.0 - p) * p * d2 / (p + (1.0 - p) * q)
     loss_blind_low = (1.0 - q) * (1.0 - p) * p * d2 / (1.0 - q * p)
-    if q <= GOLDEN_LOW and p <= p1_high(q):
+    threshold = bias_thresholds(q)
+    if threshold.p1_high is not None and p <= threshold.p1_high:
         return loss_blind_high
-    if q >= GOLDEN_HIGH and p >= p1_low(q):
+    if threshold.p1_low is not None and p >= threshold.p1_low:
         return loss_blind_low
     return max(loss_blind_high, loss_blind_low)
 
@@ -518,7 +521,7 @@ def three_type_loss(n_users: int, delta: float) -> float:
     n_users = _check_count("n_users", n_users)
     if n_users < 2:
         raise ValueError("the three-type analysis needs at least two reviewers")
-    if delta < 0:
+    if _check_gap("delta", delta) < 0:
         raise ValueError("delta must be nonnegative")
     s = math.ldexp(1.0, -n_users)   # 2^-N; the ratio is scaled by 2^-2N, exactly
     return (s + 5.0) * s / (3.0 * (2.0 * s + 1.0) * 4.0) * delta**2

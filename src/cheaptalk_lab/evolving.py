@@ -23,7 +23,7 @@ from . import benchmarks
 from ._rng import Moments, run_chunks
 from .distributions import DistributionPair, Family, alpha_beta, log_likelihood_ratio
 from .errors import DegenerateHorizon
-from .game import GameConfig, _check_count
+from .game import GameConfig, _check_chance, _check_count, _check_gap
 
 # 1/(k+2)!, k = 16 ... 0: the Taylor series of h(x) = (e^x - 1 - x) / x^2 to
 # double precision for 0 <= x <= 1
@@ -60,8 +60,8 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _solve(p: float, gap: float, alpha: float, beta: float, horizon: int) -> tuple:
-    """(lambda_low, lambda_high, per-period loss, log e_alpha, log e_beta).
+def _solve(p: float, gap: float, log_alpha: float, log_beta: float, horizon: int) -> tuple:
+    """(lambda_low, lambda_high, loss, log e_alpha, log e_beta) of log alpha, log beta.
 
     With y = T / e of each excess sum and x = p y_alpha + (1 - p) y_beta, the
     loss is p(1-p) gap^2 x / (x + p(1-p)), and lambda_low and lambda_high are
@@ -70,8 +70,7 @@ def _solve(p: float, gap: float, alpha: float, beta: float, horizon: int) -> tup
     e of 0 gives y = inf, and the shares take their limit as that y grows.
     """
     pq = p * (1.0 - p)
-    log_a = _log_excess(math.log(alpha), horizon)
-    log_b = _log_excess(math.log(beta), horizon)
+    log_a, log_b = _log_excess(log_alpha, horizon), _log_excess(log_beta, horizon)
     y_a, y_b = horizon * _exp(-log_a), horizon * _exp(-log_b)
     x = p * y_a + (1.0 - p) * y_b
     if x < math.inf:
@@ -159,7 +158,7 @@ def solve_schedule(config: GameConfig, horizon: int) -> CommitmentSchedule:
         )
     alpha, beta = alpha_beta(config.pair)
     lam_low, lam_high, _, log_a, log_b = _solve(
-        config.p_high, config.mean_gap, alpha, beta, horizon)
+        config.p_high, config.mean_gap, math.log(alpha), math.log(beta), horizon)
     if log_a == log_b == -math.inf:
         raise DegenerateHorizon(
             f"nothing to separate: the separation integrals {alpha!r} and "
@@ -181,18 +180,19 @@ def evolving_loss(config: GameConfig, horizon: int) -> float:
     if horizon == 1 or config.mean_gap == 0.0:
         return benchmarks.abandon_scheme(config)[1]
     alpha, beta = alpha_beta(config.pair)
-    return _solve(config.p_high, config.mean_gap, alpha, beta, horizon)[2]
+    return _solve(config.p_high, config.mean_gap, math.log(alpha), math.log(beta), horizon)[2]
 
 
 def equal_variance_normal_loss(p_high: float, mean_gap: float, variance: float,
                                horizon: int) -> float:
     """Per-period loss for a normal pair with a shared variance."""
     horizon = _check_count("horizon", horizon)
+    p = _check_chance("p_high", p_high)
+    _check_gap("mean_gap", mean_gap)
     if not 0.0 < variance < math.inf:
         raise ValueError(f"variance must be positive and finite, got {variance!r}")
-    d2 = mean_gap**2
-    excess = _exp(_log_excess(d2 / variance, horizon) - math.log(horizon))   # e / T
-    return d2 / (excess + 1.0 / (p_high * (1.0 - p_high)))
+    log_r = mean_gap**2 / variance   # log alpha = log beta for a shared variance
+    return _solve(p, mean_gap, log_r, log_r, horizon)[2]
 
 
 def crossover_threshold(config: GameConfig, horizon: int) -> float:

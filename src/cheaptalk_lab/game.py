@@ -104,6 +104,12 @@ def _check_chance(name: str, value: float) -> float:
     return value
 
 
+def _check_gap(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class GameConfig:
     """Full parameterization of one game instance."""

@@ -17,6 +17,7 @@ density instead of the sign of the closed forms' spreads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -529,6 +530,27 @@ def commitment_loss_mpmath(p: float, gap: float, alpha: float, beta: float,
             return float(pq * gap**2)
         x = horizon * ((1 - p) / e_b + p / e_a)
         return float(pq * gap**2 * x / (x + pq))
+
+
+def equal_variance_loss_mpmath(p: float, gap: float, variance: float,
+                               horizon: int) -> float:
+    """Per-period commitment loss of a normal pair with a shared variance,
+    gap^2 / (e/T + 1/(p(1-p))) with e = sum_{t<T} expm1(t L) and L = gap^2 /
+    variance, summed term by term in 60-digit mpmath."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        p, e = mpmath.mpf(p), _equal_variance_excess_mpmath(gap, variance, horizon)
+        return float(mpmath.mpf(gap) ** 2 / (e / horizon + 1 / (p * (1 - p))))
+
+
+@functools.lru_cache(maxsize=None)
+def _equal_variance_excess_mpmath(gap: float, variance: float, horizon: int):
+    import mpmath
+
+    with mpmath.workdps(60):
+        log_r = mpmath.mpf(gap) ** 2 / mpmath.mpf(variance)
+        return mpmath.fsum(mpmath.expm1(t * log_r) for t in range(horizon))
 
 
 # ---------------------------------------------------------------------------

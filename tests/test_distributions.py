@@ -186,6 +186,17 @@ class TestLikelihoodRatio:
             log_likelihood_ratio(pair, np.array([theta]))[0], rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("family", list(Family))
+    def test_a_scalar_state_is_exactly_its_array_element(self, family):
+        # one route for both: evaluated with ``math``, 112 of these logistic
+        # scalar densities differed from their array elements by up to 2 ulps
+        pair = DistributionPair(StateDistribution(family, -1.0, 1.0),
+                                StateDistribution(family, 1.0, 1.5))
+        states = np.random.default_rng(17).normal(0.0, 4.0, 5000)
+        for value in (pair.low.log_density, pair.high.log_density,
+                      lambda theta: log_likelihood_ratio(pair, theta)):
+            assert [value(float(theta)) for theta in states] == value(states).tolist()
+
+    @pytest.mark.parametrize("family", list(Family))
     def test_the_states_are_never_written_to(self, family):
         pair = DistributionPair(StateDistribution(family, -1.0, 1.0),
                                 StateDistribution(family, 1.0, 1.5))

@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from cheaptalk_lab import _exact, equilibrium
 from cheaptalk_lab.distributions import normal_pair
-from cheaptalk_lab.equilibrium import (DeviationWitness, PbeCertificate,
-                                       bayesian_system_loss, bias_thresholds,
-                                       enumerate_pbe, is_pbe,
+from cheaptalk_lab.equilibrium import (BiasThresholds, DeviationWitness,
+                                       PbeCertificate, bayesian_system_loss,
+                                       bias_thresholds, enumerate_pbe, is_pbe,
                                        max_loss_reduction_one_user,
                                        one_user_loss, p1_high, p1_low,
                                        sequential_two_user_check,
@@ -448,6 +448,20 @@ class TestThresholds:
         assert t.p1_high is None
         assert t.p1_low == pytest.approx(0.6522703842524302, rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize("q", [GOLDEN_LOW + 1e-9, 0.4, 0.5 - 1e-6, 0.5, 0.6,
+                                   1.0 - GOLDEN_LOW - 1e-9])
+    def test_no_threshold_between_the_golden_shares(self, q):
+        # p1_high(0.4) = -0.0748 and p1_high(0.5 - 1e-6) = -352 were offered as
+        # thresholds; no prior in (0, 1) reaches either
+        assert bias_thresholds(q) == BiasThresholds(p1_high=None, p1_low=None)
+
+    def test_thresholds_are_priors_up_to_the_golden_shares(self):
+        for q in np.linspace(1e-9, GOLDEN_LOW, 30):
+            t = bias_thresholds(q)
+            assert t.p1_low is None and 0.0 <= t.p1_high < 1.0
+            t = bias_thresholds(1.0 - q)
+            assert t.p1_high is None and 0.0 < t.p1_low <= 1.0
+
     def test_in_unit_interval_in_the_small_share_regime(self):
         for q in np.linspace(0.0, GOLDEN_LOW - 1e-9, 30):
             assert 0.0 <= p1_high(q) < 1.0
@@ -591,6 +605,17 @@ class TestLossReduction:
                 GameConfig(1, *args, normal_pair(-1.0, 1.0))
         with pytest.raises(ValueError, match=r"^p_high must lie in \(0, 1\)$"):
             symmetric_bias_loss(3, share, 2.0)
+
+    @pytest.mark.parametrize("gap", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("loss,name", [
+        (lambda gap: one_user_loss(0.3, 0.2, gap), "mean_gap"),
+        (lambda gap: symmetric_bias_loss(3, 0.3, gap), "mean_gap"),
+        (lambda gap: three_type_loss(3, gap), "delta"),
+    ], ids=["one_user_loss", "symmetric_bias_loss", "three_type_loss"])
+    def test_closed_form_losses_refuse_a_gap_that_is_not_finite(self, loss, name, gap):
+        # nan returned nan and an infinite gap inf
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {gap!r}$"):
+            loss(gap)
 
 
 class TestSequentialCheck:

@@ -18,8 +18,9 @@ from cheaptalk_lab.game import GameConfig
 from cheaptalk_lab.montecarlo import simulate_evolving
 
 from oracles import (commitment_loss_mpmath, cost_by_quadrature_two_periods,
-                     ic_sums_by_quadrature, log_excess_mpmath,
-                     loss_by_moment_sums, multipliers_by_linear_solve)
+                     equal_variance_loss_mpmath, ic_sums_by_quadrature,
+                     log_excess_mpmath, loss_by_moment_sums,
+                     multipliers_by_linear_solve)
 
 
 def config(p=0.3, mu_l=-1.0, mu_h=1.0, var_l=1.0, var_h=1.0):
@@ -78,8 +79,9 @@ class TestSolveSchedule:
     def test_a_zero_excess_sum_takes_the_limit_of_a_small_one(self, alpha, beta):
         # e = 0 makes y = T / e infinite; the multipliers, loss and sums are
         # those of the next float above 1, to its e of about T^2 2.2e-16
-        limit = _solve(0.3, 2.0, alpha, beta, 3)
-        near = _solve(0.3, 2.0, max(alpha, 1.0 + 2**-52), max(beta, 1.0 + 2**-52), 3)
+        limit = _solve(0.3, 2.0, math.log(alpha), math.log(beta), 3)
+        near = _solve(0.3, 2.0, math.log(max(alpha, 1.0 + 2**-52)),
+                      math.log(max(beta, 1.0 + 2**-52)), 3)
         assert limit[:3] == pytest.approx(near[:3], rel=1e-13, abs=1e-14)
         assert sorted(limit[:2]) == [0.0, 2 * 0.21 * 2.0]
         assert limit[2] == 0.21 * 2.0**2
@@ -183,6 +185,31 @@ class TestEvolvingLoss:
         with pytest.raises(ValueError, match="variance must be positive"):
             equal_variance_normal_loss(0.3, 2.0, variance, 3)
 
+    @pytest.mark.parametrize("variance", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("gap", [1e-8, 1e-6, 1e-4, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0])
+    def test_normal_closed_form_matches_mpmath(self, gap, variance):
+        # the worst case, 4.0e-14 at gap 5, variance 4, T = 100, is the rounding
+        # of log e = 618.8, whose ulp is 1.1e-13
+        for p in (0.05, 0.3, 0.7, 0.95):
+            for horizon in (1, 2, 3, 10, 100, 1000):
+                want = equal_variance_loss_mpmath(p, gap, variance, horizon)
+                if want < 1e-280:   # the double result underflows
+                    continue
+                assert equal_variance_normal_loss(p, gap, variance, horizon) == pytest.approx(
+                    want, rel=5e-14, abs=0.0), (p, horizon)
+
+    @pytest.mark.parametrize("gap", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_normal_closed_form_rejects_a_gap_that_is_not_finite(self, gap):
+        # nan returned nan
+        with pytest.raises(ValueError, match=rf"^mean_gap must be finite, got {gap!r}$"):
+            equal_variance_normal_loss(0.3, gap, 1.0, 3)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5, math.nan], ids=repr)
+    def test_normal_closed_form_rejects_a_prior_outside_the_unit_interval(self, p):
+        # 1.5 returned 0.00396 and -0.2 returned 0.00397
+        with pytest.raises(ValueError, match=r"^p_high must lie in \(0, 1\)$"):
+            equal_variance_normal_loss(p, 2.0, 1.0, 3)
+
     def test_loss_matches_the_second_moment_derivation(self):
         rng = np.random.default_rng(61)
         for _ in range(10):
@@ -280,7 +307,7 @@ class TestEvolvingLoss:
 
     def test_loss_follows_from_the_separation_sums(self):
         alpha, beta = alpha_beta(FIG_CONFIG.pair)
-        assert _solve(0.3, 2.0, alpha, beta, 2)[2] == pytest.approx(
+        assert _solve(0.3, 2.0, math.log(alpha), math.log(beta), 2)[2] == pytest.approx(
             evolving_loss(FIG_CONFIG, 2), rel=1e-12, abs=0.0)
 
 
@@ -461,5 +488,5 @@ class TestZeroGap:
         alpha, beta = alpha_beta(pair)
         for horizon in (2, 3, 8):
             # the solved loss these games reported before a zero gap was routed
-            solved = _solve(0.3, 0.0, alpha, beta, horizon)[2]
+            solved = _solve(0.3, 0.0, math.log(alpha), math.log(beta), horizon)[2]
             assert evolving_loss(g, horizon).hex() == solved.hex() == (0.0).hex()
