@@ -12,7 +12,7 @@ import math
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 from .errors import UndecidedEquilibrium
-from .game import ServiceType, StrategyProfile, _senders
+from .game import ServiceType, StrategyProfile, _chance, _senders
 
 MAX_DIGITS = 1000   # precision cap
 
@@ -33,12 +33,9 @@ def influence(profile: StrategyProfile, n: int, p: float, q: float):
             out.append(out[-1] * x)
         return out
 
-    # (h, 1 - h) by the flags of ``_senders``
-    zero, rest = Decimal(0), one - share
-    chances = {(False, False): (zero, one), (True, False): (share, rest),
-               (False, True): (rest, share), (True, True): (one, zero)}
     flags = _senders(profile, ServiceType.HIGH), _senders(profile, ServiceType.LOW)
-    (h_high, c_high), (h_low, c_low) = chances[flags[0]], chances[flags[1]]
+    h_high, h_low = _chance(share, flags[0]), _chance(share, flags[1])
+    c_high, c_low = one - h_high, one - h_low
     ph, pch, pl, pcl = powers(h_high), powers(c_high), powers(h_low), powers(c_low)
     den = [prior * ph[k] * pch[n - k] + (one - prior) * pl[k] * pcl[n - k]
            for k in range(n + 1)]

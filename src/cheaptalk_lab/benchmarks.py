@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+import math
 
 from .game import GameConfig, InferenceRule, _kernel
 
@@ -28,10 +28,12 @@ def majority_vote_loss(config: GameConfig) -> float:
     equally likely, so the high count is binomial with success chance 1/2.
     It is symmetric about N/2, so each side of a tie holds (1 - tie)/2, and
     the bracket p low + (1 - p) high + p (1 - p) tie is (1 - tie)/2 +
-    p (1 - p) tie, exactly 1/2 for odd N, which has no tie.
+    p (1 - p) tie, exactly 1/2 for odd N, which has no tie.  The tie chance
+    C(N, N/2) / 2^N is one expression in lgamma, finite at any N.
     """
     n, p = config.n_users, config.p_high
-    tie = _kernel(replace(config, q_plus=0.5)).pmf((True, False))[n // 2] if n % 2 == 0 else 0.0
+    tie = (math.exp(math.lgamma(n + 1.0) - 2.0 * math.lgamma(n / 2 + 1.0) - n * math.log(2.0))
+           if n % 2 == 0 else 0.0)
     return config.mean_gap**2 * ((1.0 - tie) / 2.0 + p * (1.0 - p) * tie)
 
 

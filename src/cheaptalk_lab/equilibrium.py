@@ -69,7 +69,7 @@ import numpy as np
 from .errors import OutOfRegime
 from .game import (ALL_PROFILES, PROFILE_LABELS, Bias, GameConfig,
                    InferenceRule, PureStrategy, SC1, ServiceType,
-                   StrategyProfile, _CountKernel, _check_chance, _check_count,
+                   StrategyProfile, _CountKernel, _chance, _check_chance, _check_count,
                    _check_gap, _posterior, _senders, best_response_rule, expected_user_utility)
 
 GOLDEN_LOW = (3.0 - math.sqrt(5.0)) / 2.0   # small positive-share regime ends here
@@ -108,15 +108,6 @@ _TARGETS = np.array([[ALL_PROFILES.index(profile.with_strategy(bias, alt))
                      for profile in ALL_PROFILES])
 
 
-def _rank(flags: tuple[bool, bool], side: int) -> tuple[int, int]:
-    """Orders the chances 0 < min(q, 1-q) <= max(q, 1-q) < 1 by the sign of
-    q - 1/2 alone, without forming 1 - q."""
-    positive, negative = flags
-    if positive != negative:
-        return 1, (side if positive else -side)
-    return 2 * positive, 0
-
-
 # Each profile's flag pairs (positive, negative class sends high) under the
 # high and under the low type.
 _FLAGS = tuple((_senders(profile, ServiceType.HIGH), _senders(profile, ServiceType.LOW))
@@ -126,14 +117,16 @@ _FLAGS = tuple((_senders(profile, ServiceType.HIGH), _senders(profile, ServiceTy
 def _active(half: bool, side: int):
     """The profiles with a nonzero influence in the games of one case
     (p == 1/2, sign of q - 1/2): their rows, the signs of post(k+1) - post(k)
-    as a (rows, 1) array, and their parts as (position, row, type, sign)."""
+    as a (rows, 1) array, and their parts as (position, row, type, sign).
+    Chances are ordered at the case's share 1/4, 1/2 or 3/4, exact in floats."""
     rows, ups, parts = [], [], []
     for i, (high, low) in enumerate(_FLAGS):
         s_high, s_low = high[0] - high[1], low[0] - low[1]
-        if ((s_high == 0 and s_low == 0) or _rank(high, side) == _rank(low, side)
+        h_high, h_low = (_chance(0.5 + side / 4, flags) for flags in (high, low))
+        if ((s_high == 0 and s_low == 0) or h_high == h_low
                 or (half and low == (not high[0], not high[1]) and s_high == -s_low)):
             continue
-        up = 1 if _rank(high, side) > _rank(low, side) else -1
+        up = 1 if h_high > h_low else -1
         parts += [(len(rows), i, t, s * up) for t, s in enumerate((s_high, s_low)) if s]
         rows.append(i)
         ups.append(up)
@@ -159,6 +152,12 @@ def _log1mexp(x: float) -> float:
     return math.log(-math.expm1(-x)) if x < math.log(2.0) else math.log1p(-math.exp(-x))
 
 
+def _powers_of(kernel: _CountKernel, flags) -> np.ndarray:
+    """The cached ``powers`` of each flag pair as rows; one row is a view."""
+    rows = [kernel.powers(f) for f in flags]
+    return rows[0][None] if len(rows) == 1 else np.array(rows)
+
+
 class _LogGame(_CountKernel):
     """One game (N, p, q) in log space: bias influences, the table of class
     deviations that raise them, their utility gains, and posterior variances."""
@@ -176,16 +175,11 @@ class _LogGame(_CountKernel):
         size = max(1, _BUDGET // (self.n + 1))
         return (slice(start, min(start + size, count)) for start in range(0, count, size))
 
-    def _powers_of(self, flags, others: bool = False) -> np.ndarray:
-        """The cached ``powers`` of each flag pair as rows; one row is a view."""
-        rows = [self.powers(f, others) for f in flags]
-        return rows[0][None] if len(rows) == 1 else np.array(rows)
-
     def _log_jumps(self, rows: tuple[int, ...], ups: np.ndarray) -> np.ndarray:
         """log |post(j+1) - post(j)|, j = 0..N-1, for each profile of ``rows``."""
         highs, lows = zip(*(_FLAGS[i] for i in rows))
         log_odds = (self.log_prior[0] - self.log_prior[1]
-                    + self._powers_of(highs) - self._powers_of(lows))
+                    + _powers_of(self, highs) - _powers_of(self, lows))
         # sigma(hi) - sigma(lo) = sigma(-lo) - sigma(-hi): negated, the log-odds
         # of a falling posterior rise like the others
         log_odds *= ups
@@ -211,8 +205,8 @@ class _LogGame(_CountKernel):
             at, rows, types, part_signs = zip(
                 *(part for part in parts if group.start <= part[0] < group.stop))
             terms = (np.array([self.log_prior[t] for t in types])[:, None]
-                     + self.log_comb_others)
-            terms += self._powers_of((_FLAGS[i][t] for i, t in zip(rows, types)), others=True)
+                     + self.others.log_comb)
+            terms += _powers_of(self.others, (_FLAGS[i][t] for i, t in zip(rows, types)))
             # a lone row broadcasts; gathering it would copy it for each part
             terms += log_jump if len(log_jump) == 1 else log_jump[np.array(at) - group.start]
             signs[rows, types], logs[rows, types] = part_signs, _logsumexp_rows(terms)
@@ -265,8 +259,8 @@ class _LogGame(_CountKernel):
         worst = -math.inf
         for group in self._groups(len(rows)):
             highs, lows = zip(*(_FLAGS[i] for i in rows[group]))
-            high = self.log_prior[0] + self.log_comb + self._powers_of(highs)
-            low = self.log_prior[1] + self.log_comb + self._powers_of(lows)
+            high = self.log_prior[0] + self.log_comb + _powers_of(self, highs)
+            low = self.log_prior[1] + self.log_comb + _powers_of(self, lows)
             both = np.isfinite(high) & np.isfinite(low)
             terms = np.logaddexp(high, low)
             high += low
@@ -407,27 +401,14 @@ def bayesian_system_loss(config: GameConfig) -> float:
     return config.mean_gap**2 * math.exp(worst)
 
 
-@dataclass(frozen=True)
-class LossReduction:
-    """Largest possible gap between the abandoning loss and the game loss."""
-
-    coefficient: float                 # multiplies the squared mean gap
-    attained: tuple[str, str]
-
-
-def max_loss_reduction_one_user() -> LossReduction:
+def max_loss_reduction_one_user() -> float:
     """Supremum of (abandoning loss - one-reviewer game loss) / gap^2.
 
     Attained in the limit of a vanishing (or dominating) positive-bias share
-    with the quality prior at the matching honesty threshold.
+    with the quality prior at the matching honesty threshold: q_plus -> 0
+    with p_high = p1_high(q_plus), or q_plus -> 1 with p_high = p1_low(q_plus).
     """
-    return LossReduction(
-        coefficient=math.sqrt(5.0) - 2.0,
-        attained=(
-            "q_plus -> 0 with p_high = p1_high(q_plus)",
-            "q_plus -> 1 with p_high = p1_low(q_plus)",
-        ),
-    )
+    return math.sqrt(5.0) - 2.0
 
 
 # ---------------------------------------------------------------------------

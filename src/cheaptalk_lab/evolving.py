@@ -89,6 +89,9 @@ def _times(k: float, x: np.ndarray) -> np.ndarray:
 class _AffineActions:
     """Actions a_low = c_low + k_low r, a_high = c_high - k_high / r of ``coefficients``."""
 
+    def __post_init__(self):
+        _check_count("horizon", self.horizon)
+
     def actions_from_log_ratio(self, log_ratio):
         """Committed (low-message, high-message) ratings; vectorized."""
         c_low, k_low, c_high, k_high = self.coefficients
@@ -133,9 +136,6 @@ class ConstantSchedule(_AffineActions):
     pair: DistributionPair
     a_low: float
     a_high: float
-
-    def __post_init__(self):
-        _check_count("horizon", self.horizon)
 
     @property
     def coefficients(self) -> tuple[float, float, float, float]:

@@ -174,11 +174,17 @@ def min_expected_cost(config: GameConfig) -> float:
             + (1.0 - config.p_high) * config.pair.low.variance)
 
 
-# A reviewer's chance of messaging high under one type, h = q [positive class
-# sends high] + (1 - q) [negative class sends high], is kept as those two flags.
-
 def _senders(profile: StrategyProfile, service: ServiceType) -> tuple[bool, bool]:
+    """Whether the positive and the negative class message high under ``service``."""
     return (profile.positive.sends_high(service), profile.negative.sends_high(service))
+
+
+def _chance(q, flags: tuple[bool, bool]):
+    """A reviewer's chance of messaging high, h = q [positive class sends high]
+    + (1 - q) [negative class sends high], for a float or a ``Decimal`` q;
+    q + (1 - q) rounds to exactly 1 in floats."""
+    positive, negative = flags
+    return q * positive + (1 - q) * negative
 
 
 def _xlog(count, log: float):
@@ -192,10 +198,10 @@ class _CountKernel:
     """The count of high messages in one game (N, p, q), in log space.
 
     Given the type, the count k = 0..N is binomial with log pmf
-    ``log_comb + powers(flags)``, and the count j = 0..N-1 among the others of
-    one reviewer has log pmf ``log_comb_others + powers(flags, others=True)``.
-    h is formed from log q and log1p(-q), never from the float 1 - q, and the
-    binomial coefficients from lgamma, so every term is finite at any N.
+    ``log_comb + powers(flags)``; ``others`` is the kernel of the N - 1 others
+    of one reviewer.  h is formed from log q and log1p(-q), never from the
+    float 1 - q, and the binomial coefficients from lgamma, so every term is
+    finite at any N.
     """
 
     def __init__(self, n: int, p: float, q: float):
@@ -204,8 +210,11 @@ class _CountKernel:
         self.log_chance = {(False, False): (-math.inf, 0.0), (True, False): (lq, lc),
                            (False, True): (lc, lq), (True, True): (0.0, -math.inf)}
         self.log_prior = (math.log(p), math.log1p(-p))
-        self.log_factorial = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
         self._powers = {}
+
+    @functools.cached_property
+    def log_factorial(self) -> np.ndarray:   # log k!, k = 0..N
+        return np.array([math.lgamma(i + 1.0) for i in range(self.n + 1)])
 
     @functools.cached_property
     def log_comb(self) -> np.ndarray:   # log C(N, k)
@@ -213,22 +222,22 @@ class _CountKernel:
         return lg[self.n] - lg - lg[::-1]
 
     @functools.cached_property
-    def log_comb_others(self) -> np.ndarray:   # log C(N-1, j)
-        lg, n = self.log_factorial, self.n
-        return lg[n - 1] - lg[:n] - lg[n - 1::-1]
+    def others(self) -> _CountKernel:
+        """The kernel of N - 1 reviewers, on a view of this one's lgamma table."""
+        others = _CountKernel(self.n - 1, self.p, self.q)
+        others.log_factorial = self.log_factorial[:self.n]
+        return others
 
-    def powers(self, flags: tuple[bool, bool], others: bool = False) -> np.ndarray:
-        """log h^k (1 - h)^(m - k) for k = 0..m, m = N, or N - 1 for the others."""
-        if (flags, others) not in self._powers:
-            m = self.n - 1 if others else self.n
-            k = np.arange(m + 1.0)
+    def powers(self, flags: tuple[bool, bool]) -> np.ndarray:
+        """log h^k (1 - h)^(N - k) for k = 0..N."""
+        if flags not in self._powers:
+            k = np.arange(self.n + 1.0)
             lh, lc = self.log_chance[flags]
-            self._powers[flags, others] = _xlog(k, lh) + _xlog(m - k, lc)
-        return self._powers[flags, others]
+            self._powers[flags] = _xlog(k, lh) + _xlog(self.n - k, lc)
+        return self._powers[flags]
 
-    def pmf(self, flags: tuple[bool, bool], others: bool = False) -> np.ndarray:
-        comb = self.log_comb_others if others else self.log_comb
-        return np.exp(comb + self.powers(flags, others))
+    def pmf(self, flags: tuple[bool, bool]) -> np.ndarray:
+        return np.exp(self.log_comb + self.powers(flags))
 
     def posteriors(self, profile: StrategyProfile) -> np.ndarray:
         """Posterior chance of the high type after each count k = 0..N."""
@@ -261,8 +270,8 @@ def _posterior(p: float, like_high, like_low):
 
 def posterior_high(profile: StrategyProfile, config: GameConfig, k: int) -> float:
     """Posterior chance of the high density after seeing k high messages."""
-    if not 0 <= k <= config.n_users:
-        raise ValueError(f"k={k} outside 0..{config.n_users}")
+    if not isinstance(k, numbers.Integral) or isinstance(k, bool) or not 0 <= k <= config.n_users:
+        raise ValueError(f"k={k!r} is not an integer in 0..{config.n_users}")
     return float(_kernel(config).posteriors(profile)[k])
 
 
@@ -286,7 +295,7 @@ def expected_user_utility(profile: StrategyProfile, rule: InferenceRule,
     total = 0.0
     for service in ServiceType:
         k_focal = 1 if strategy.sends_high(service) else 0
-        others = kernel.pmf(_senders(profile, service), others=True)
+        others = kernel.others.pmf(_senders(profile, service))
         total += (config.type_prob(service) * bias.value
                   * float(others @ actions[k_focal:k_focal + config.n_users]))
     return total

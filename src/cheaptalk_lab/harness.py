@@ -82,7 +82,8 @@ def load_experiment(path, scenario: str | None = None,
                     seed: int | None = None,
                     samples: int | None = None) -> ExperimentConfig:
     """Parse an experiment file.  A ``scenario`` argument must be the file's,
-    if it names one; ``seed`` and ``samples`` win over the file's options."""
+    if it names one; ``seed`` and ``samples`` win over the file's options of
+    ``simulate``, the one scenario that reads them."""
     try:
         raw = yaml.load(Path(path).read_text(), Loader=_YAML_LOADER)
     except (OSError, yaml.YAMLError) as exc:
@@ -102,7 +103,9 @@ def load_experiment(path, scenario: str | None = None,
     axis = sweep.get("axis")
     if axis is not None and axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    values = list(sweep.get("values") or [])
+    values = sweep.get("values", [])
+    if not isinstance(values, list):
+        raise ConfigError(f"sweep.values must be a list, got {values!r}")
 
     fmt = output.get("format", "csv")
     if fmt not in ("csv", "svg"):
@@ -112,6 +115,8 @@ def load_experiment(path, scenario: str | None = None,
     if stem in ("", "..") or stem != Path(stem).name:   # a file name inside the output directory
         raise ConfigError(f"output.stem must be a plain file name, got {stem!r}")
 
+    if chosen != "simulate" and (seed, samples) != (None, None):
+        raise ConfigError(f"seed and samples are options of simulate, not of {chosen!r}")
     if seed is not None:
         options["seed"] = seed
     if samples is not None:
@@ -240,14 +245,16 @@ _ABANDON = Column("abandon_loss", "abandon_loss")
 
 
 def _horizon_columns(options: dict, default) -> list[Column]:
-    horizons = [_integer(t) for t in options.get("horizons", default)]
-    return [Column(f"loss_T{t}", "evolving_loss", horizon=t) for t in horizons]
+    horizons = options.get("horizons", default)
+    if not isinstance(horizons, list):
+        raise ConfigError(f"options.horizons must be a list, got {horizons!r}")
+    return [Column(f"loss_T{t}", "evolving_loss", horizon=t) for t in map(_integer, horizons)]
 
 
 def _evolving_columns(options: dict, axis: str) -> list[Column]:
     if axis == "horizon":
         return [Column("evolving_loss", "evolving_loss", horizon=_ROW), _ABANDON]
-    return _horizon_columns(options, (2, 4, 6)) + [_ABANDON]
+    return _horizon_columns(options, [2, 4, 6]) + [_ABANDON]
 
 
 def _compare_columns(options: dict, axis: str) -> list[Column]:
@@ -276,7 +283,7 @@ _SPECS = {
     # Figure 2: commitment loss against the low mean, one column per horizon
     "fig2": TableSpec(
         "mu_low", [x / 2.0 for x in range(-10, 0)],
-        lambda options, axis: _horizon_columns(options, (2, 3, 4, 5, 6)),
+        lambda options, axis: _horizon_columns(options, [2, 3, 4, 5, 6]),
         dict(family="normal", mu_high=1.0, scale_low=1.0, scale_high=1.0, p_high=0.3)),
     # Figure 3: commitment loss against the horizon for three high variances
     "fig3": TableSpec("horizon", list(range(2, 11)), _fixed(_ABANDON, *(

@@ -21,7 +21,7 @@ import numpy as np
 from ._rng import Moments, run_chunks
 from .evolving import CommitmentSchedule, IcResiduals, _history_sums, _single_reviewer
 from .game import (GameConfig, InferenceRule, ServiceType, StrategyProfile,
-                   _actions, _check_count, _senders, min_expected_cost)
+                   _actions, _chance, _check_count, _senders, min_expected_cost)
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,7 @@ def simulate_game(config: GameConfig, profile: StrategyProfile,
     samples, workers = _check_count("samples", samples), _check_count("workers", workers)
     n, q, actions = config.n_users, config.q_plus, _actions(rule, config)
     high, low = _senders(profile, ServiceType.HIGH), _senders(profile, ServiceType.LOW)
-    # h = q [positive class sends high] + (1 - q) [negative class sends high];
-    # q + (1 - q) rounds to exactly 1
-    h_high, h_low = (q * pos + (1.0 - q) * neg for pos, neg in (high, low))
+    h_high, h_low = _chance(q, high), _chance(q, low)
 
     def worker(count, rng):
         is_high = rng.random(count) < config.p_high

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,33 @@ class TestMajorityVote:
         assert majority_vote_loss(config(n=2, p=0.3)) == pytest.approx(1.42, abs=1e-12)
         # odd N: each tail is exactly 2^(N-1), and 2^N is past the double range
         assert majority_vote_loss(config(n=1025, p=0.3)) == 2.0
+
+    @pytest.mark.parametrize("n,bound", [(10, 4.3e-16), (1000, 2.0e-15), (10**6, 3.2e-13)])
+    def test_even_counts_match_mpmath(self, n, bound):
+        # the tie chance C(N, N/2)/2^N from lgamma, whose rounding grows with N;
+        # each bound is the error measured at its count, rounded up
+        import mpmath
+
+        with mpmath.workdps(50):
+            tie = mpmath.binomial(n, n // 2) / mpmath.mpf(2) ** n
+            p = mpmath.mpf(0.3)
+            exact = 4 * ((1 - tie) / 2 + p * (1 - p) * tie)
+            assert abs(majority_vote_loss(config(n=n)) - exact) <= bound * exact
+
+    def test_memory_does_not_grow_with_the_count(self):
+        # the tie chance is one expression: no count-long array is built
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            majority_vote_loss(config(n=10**6))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 64 * 2**10
 
     def test_equals_brute_force_for_all_counts(self):
         for n in range(1, 9):

@@ -1,3 +1,4 @@
+import decimal
 import functools
 import math
 import os
@@ -84,8 +85,8 @@ def reference_parts(game, profile):
     step = abs((lh_high - lc_high) - (lh_low - lc_low))
     log_jump = (-np.logaddexp(0.0, -hi) - np.logaddexp(0.0, lo)
                 + equilibrium._log1mexp(step))
-    return [(t, s * up, logsumexp(game.log_prior[t] + game.log_comb_others
-                                  + game.powers(flags, others=True) + log_jump))
+    return [(t, s * up, logsumexp(game.log_prior[t] + game.others.log_comb
+                                  + game.others.powers(flags) + log_jump))
             for t, (s, flags) in enumerate(((s_high, high), (s_low, low))) if s]
 
 
@@ -288,6 +289,20 @@ class TestInfluenceEngine:
         with pytest.raises(UndecidedEquilibrium, match=r"SC5 or SC4"):
             is_pbe(SC4, config(n=30, p=0.5 + 2.0**-45, q=0.1))
         assert isinstance(is_pbe(SC1, config(n=30, p=0.5 + 2.0**-45, q=0.1)), PbeCertificate)
+
+    def test_the_precision_doubles_up_to_the_cap(self, monkeypatch):
+        # a profile against itself never clears the rounding bound, so every
+        # doubling up to MAX_DIGITS runs, each with one influence per side
+        precisions = []
+        influence = _exact.influence
+        monkeypatch.setattr(_exact, "influence", lambda *args: precisions.append(
+            decimal.getcontext().prec) or influence(*args))
+        with pytest.raises(UndecidedEquilibrium, match="SC1 or SC1"):
+            _exact.exceeds(SC1, SC1, ("SC1", "SC1"), 3, 0.3, 0.1, 1e-10)
+        assert len(precisions) == 10
+        first = precisions[0]
+        assert precisions == [first * 2**(i // 2) for i in range(10)]
+        assert first * 2**4 <= _exact.MAX_DIGITS < first * 2**5
 
     def test_is_pbe_decides_only_its_own_row_exactly(self, monkeypatch):
         # the whole table needs 16 exact comparisons here, a row at most six
@@ -567,8 +582,7 @@ class TestSystemLoss:
 
 class TestLossReduction:
     def test_coefficient(self):
-        summary = max_loss_reduction_one_user()
-        assert summary.coefficient == pytest.approx(math.sqrt(5) - 2, rel=1e-12, abs=0.0)
+        assert max_loss_reduction_one_user() == pytest.approx(math.sqrt(5) - 2, rel=1e-12, abs=0.0)
 
     def test_grid_search_approaches_the_coefficient(self):
         gap = 2.0

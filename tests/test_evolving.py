@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -415,6 +416,7 @@ ENTRY_POINTS = {
     "equal_variance_normal_loss": lambda t: equal_variance_normal_loss(0.3, 2.0, 1.0, t),
     "crossover_threshold": lambda t: crossover_threshold(FIG_CONFIG, t),
     "solve_schedule": lambda t: solve_schedule(FIG_CONFIG, t),
+    "CommitmentSchedule": lambda t: dataclasses.replace(solve_schedule(FIG_CONFIG, 3), horizon=t),
     "ConstantSchedule": lambda t: ConstantSchedule(horizon=t, pair=FIG_CONFIG.pair,
                                                    a_low=0.0, a_high=0.0),
 }
@@ -435,6 +437,13 @@ class TestHorizonCheck:
     def test_numpy_integers_are_horizons(self, entry, horizon):
         assert repr(ENTRY_POINTS[entry](horizon)).replace(repr(horizon), "3") == repr(
             ENTRY_POINTS[entry](3))
+
+    @pytest.mark.parametrize("entry", ["CommitmentSchedule", "ConstantSchedule"])
+    def test_a_schedule_of_horizon_zero_is_refused(self, entry):
+        # a solved schedule replaced to horizon 0 was accepted, and verify_ic
+        # then failed inside numpy with "negative dimensions"
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            ENTRY_POINTS[entry](0)
 
     def test_a_zero_horizon_is_refused_before_the_degenerate_one(self):
         with pytest.raises(ValueError, match="horizon must be >= 1") as caught:

@@ -63,8 +63,10 @@ def test_posterior_examples():
 
 
 def test_posterior_rejects_bad_count():
-    with pytest.raises(ValueError):
-        posterior_high(SC1, config(), 2)
+    # a bool or a float would index the posterior array, or fail inside numpy
+    for k in (2, -1, True, 1.0):
+        with pytest.raises(ValueError, match=f"k={k!r} "):
+            posterior_high(SC1, config(), k)
 
 
 def test_off_path_counts_keep_the_prior():

@@ -53,6 +53,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_experiment(path)
 
+    @pytest.mark.parametrize("values", ["5", "0.3", "abc", "{a: 1}", "0", "false", "{}"])
+    def test_sweep_values_that_are_not_a_list_rejected(self, tmp_path, values):
+        # a number ended in a TypeError traceback, text swept its characters,
+        # and a false value was read as no values
+        path = write_yaml(tmp_path,
+                          f"scenario: pbe\nsweep:\n  axis: p_high\n  values: {values}\n")
+        with pytest.raises(ConfigError, match="sweep.values"):
+            load_experiment(path)
+
     def test_the_c_and_python_loaders_read_the_same(self, tmp_path, monkeypatch):
         # the C loader is chosen where PyYAML has libyaml; both must give the
         # same experiments and refuse the same malformed files
@@ -77,6 +86,8 @@ class TestConfigParsing:
         "scenario: loss_curve\nsweep:\n  axis: n_users\n  values: [2.5, 3.9]\n",
         "scenario: evolving\nsweep:\n  axis: mu_low\n  values: [-2.0]\n"
         "options:\n  horizons: [2.5, 3.7]\n",
+        "scenario: evolving\nsweep:\n  axis: mu_low\n  values: [-2.0]\n"
+        "options:\n  horizons: 3\n",
         "scenario: compare\noptions:\n  horizon: 2.5\n",
         "scenario: simulate\noptions:\n  samples: 2.5\n",
         "scenario: simulate\noptions:\n  seed: 2.5\n",
@@ -91,8 +102,8 @@ class TestConfigParsing:
     ], ids=["horizon_axis_unused", "compare_axis", "empty_values",
             "figure_needs_horizon_sweep", "nan_mean",
             "fractional_n_users", "fractional_sweep_values",
-            "fractional_horizons", "fractional_horizon", "fractional_samples",
-            "fractional_seed", "text_sweep_value", "bool_sweep_value",
+            "fractional_horizons", "scalar_horizons", "fractional_horizon",
+            "fractional_samples", "fractional_seed", "text_sweep_value", "bool_sweep_value",
             "quoted_sweep_value", "bool_variance", "bool_game_mean",
             "quoted_game_prior", "unknown_family", "unknown_profile"])
     def test_invalid_tables_rejected(self, tmp_path, text):
@@ -379,6 +390,17 @@ class TestCli:
         assert main(["loss_curve", "--config", str(bad), "--out", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("option", [["--seed", "3"], ["--samples", "7"]])
+    def test_monte_carlo_options_of_a_table_exit_nonzero(self, tmp_path, capsys, option):
+        # a scenario other than simulate reads neither; both were accepted and ignored
+        config = CONFIG_DIR / "pbe_one_reviewer.yaml"
+        code = main(["pbe", "--config", str(config), "--out", str(tmp_path), *option])
+        assert code == 1
+        assert "simulate" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        with pytest.raises(ConfigError):
+            load_experiment(config, seed=3)
 
     def test_missing_config_file_exits_nonzero(self, tmp_path, capsys):
         code = main(["pbe", "--config", str(tmp_path / "nope.yaml")])
