@@ -9,7 +9,7 @@ so influences far below the range of a double are compared as they are.
 from __future__ import annotations
 
 import math
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Inexact, localcontext
 
 from .errors import UndecidedEquilibrium
 from .game import ServiceType, StrategyProfile, _chance, _senders
@@ -63,18 +63,22 @@ def exceeds(a: StrategyProfile | None, b: StrategyProfile | None, labels: tuple[
 
     The precision holds every decimal place of p and q, so 1 - p, 1 - q and
     h_H - h_L are exact.  It starts from the digits the float margin leaves
-    undecided and doubles until the difference clears its rounding bound;
-    past ``MAX_DIGITS`` it raises ``UndecidedEquilibrium``.
+    undecided and doubles until the difference clears its rounding bound, or
+    until no operation rounded, where both influences are exact and an exact
+    tie is decided as not raised; past ``MAX_DIGITS`` it raises
+    ``UndecidedEquilibrium``.
     """
     places = max(-Decimal(p).as_tuple().exponent, -Decimal(q).as_tuple().exponent) + 2
     roundings = 8 * n + 64   # per term and in the sums, with room to spare
     digits = max(places, 20 + len(str(roundings))
                  + math.ceil(-math.log10(max(float_margin, 1e-30))))
     while digits <= MAX_DIGITS:
-        with localcontext(Context(prec=digits, Emin=MIN_EMIN, Emax=MAX_EMAX)):
+        with localcontext(Context(prec=digits, Emin=MIN_EMIN, Emax=MAX_EMAX)) as context:
             (d_a, size_a), (d_b, size_b) = (
                 (0, 0) if profile is None else influence(profile, n, p, q)
                 for profile in (a, b))
+            if not context.flags[Inexact]:   # both exact: a tie is not raised
+                return d_a > d_b
             bound = 2 * roundings * Decimal(10) ** (1 - digits) * (size_a + size_b)
             if abs(d_a - d_b) > bound:
                 return d_a > d_b

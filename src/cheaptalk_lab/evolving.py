@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import benchmarks
-from ._rng import Moments, run_chunks
+from ._rng import Moments, history_chunk, run_chunks
 from .distributions import DistributionPair, Family, alpha_beta, log_likelihood_ratio
 from .errors import DegenerateHorizon
 from .game import GameConfig, _check_chance, _check_count, _check_gap
@@ -296,7 +296,8 @@ def verify_ic(schedule, mc_episodes: int, seed: int) -> IcResiduals:
 
     ``schedule`` may be any object exposing ``horizon``, ``pair`` and the
     ``coefficients`` of its affine actions.  Histories are simulated separately
-    under each density with independent deterministic substreams.
+    under each density with independent deterministic substreams, in chunks
+    of at most 2^20 states past T = 32 (``_rng.history_chunk``).
     """
     def differences(dist):   # moments of sum_t (a_low - a_high)(r_t) under ``dist``
         return lambda count, rng: (Moments.of(_history_sums(
@@ -304,6 +305,7 @@ def verify_ic(schedule, mc_episodes: int, seed: int) -> IcResiduals:
 
     mc_episodes = _check_count("mc_episodes", mc_episodes)
     low_entropy, high_entropy = np.random.SeedSequence(seed).spawn(2)
-    (low,) = run_chunks(low_entropy, mc_episodes, differences(schedule.pair.low))
-    (high,) = run_chunks(high_entropy, mc_episodes, differences(schedule.pair.high))
+    size = history_chunk(schedule.horizon)
+    (low,) = run_chunks(low_entropy, mc_episodes, differences(schedule.pair.low), size=size)
+    (high,) = run_chunks(high_entropy, mc_episodes, differences(schedule.pair.high), size=size)
     return IcResiduals._from_moments(low, high, mc_episodes, seed)

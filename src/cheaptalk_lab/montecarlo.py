@@ -1,15 +1,17 @@
 """Seeded simulation of the one-shot game and the multi-period mechanism.
 
 Plain Monte Carlo, no variance reduction, so every estimate is an unbiased
-oracle for the matching closed form.  A one-shot sample draws the type, the
-focal reviewer's bias, the count of high messages among the other N - 1
-(binomial given the type, as each sends high with the same chance) and the
-state of the realized type only: the same joint law as drawing every
-reviewer's bias, in time and memory independent of N.  Commitment episodes
-are drawn as one block of histories per type, never joined into one array.
-Draws are partitioned into fixed-size chunks with independent substreams and
-reduced in chunk order; reports are therefore bit-identical for a given seed
-regardless of the worker count.
+oracle for the matching closed form.  Samples within a chunk are
+exchangeable, so a chunk draws them as contiguous blocks: its count of the
+high type, then per type the count with a positive focal reviewer, the count
+of high messages among the other N - 1 (binomial given the type, as each
+sends high with the same chance) and the states of that type.  That is the
+same joint law as drawing every reviewer's bias, in time and memory
+independent of N, with no per-sample mask.  Commitment episodes are drawn as
+one block of histories per type, never joined into one array.  Draws are
+partitioned into chunks with independent substreams and reduced in chunk
+order; reports are therefore bit-identical for a given seed regardless of
+the worker count.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import Moments, run_chunks
+from ._rng import Moments, history_chunk, run_chunks
 from .evolving import CommitmentSchedule, IcResiduals, _history_sums, _single_reviewer
 from .game import (GameConfig, InferenceRule, ServiceType, StrategyProfile,
                    _actions, _chance, _check_count, _senders, min_expected_cost)
@@ -49,40 +51,40 @@ class EvolvingReport:
     ic: IcResiduals
 
 
-def _realized_states(pair, rng, is_high: np.ndarray) -> np.ndarray:
-    """States of each sample's realized density only, high draws before low."""
-    theta = np.empty(is_high.shape)
-    n_high = int(np.count_nonzero(is_high))
-    theta[is_high] = pair.high.sample(rng, n_high)
-    theta[~is_high] = pair.low.sample(rng, is_high.size - n_high)
-    return theta
-
-
 def simulate_game(config: GameConfig, profile: StrategyProfile,
                   rule: InferenceRule, samples: int, seed: int,
                   workers: int = 1) -> SimulationReport:
     """Play the one-shot game ``samples`` times and report empirical moments.
 
-    Each sample draws the quality type, the first reviewer's bias, the count
-    of high messages among the other reviewers, Binomial(N - 1, h) with h
-    the chance of one reviewer messaging high under the type, and a state of
-    the realized type.  The rating is ``rule`` at that count plus the first
-    reviewer's message; each sample adds the squared rating error and the
-    first reviewer's signed rating (bucketed by that reviewer's bias).
+    A chunk draws its count of the high type, Binomial(count, p).  Then for
+    the high type, and after it the low type, it draws the count of samples
+    whose first reviewer has the positive bias, Binomial(size, q), which
+    take the block's first places; each sample's count of high messages
+    among the other reviewers, Binomial(N - 1, h) with h the chance of one
+    reviewer messaging high under the type, plus the first reviewer's
+    message; and one state per sample.  The rating is ``rule`` at the
+    count; each sample adds the squared rating error and the first
+    reviewer's signed rating (bucketed by that reviewer's bias).
     """
     samples, workers = _check_count("samples", samples), _check_count("workers", workers)
     n, q, actions = config.n_users, config.q_plus, _actions(rule, config)
     high, low = _senders(profile, ServiceType.HIGH), _senders(profile, ServiceType.LOW)
-    h_high, h_low = _chance(q, high), _chance(q, low)
 
     def worker(count, rng):
-        is_high = rng.random(count) < config.p_high
-        focal_pos = rng.random(count) < q
-        others = rng.binomial(n - 1, np.where(is_high, h_high, h_low))
-        focal = np.where(is_high, np.where(focal_pos, *high), np.where(focal_pos, *low))
-        a = actions[others + focal]
-        cost = (a - _realized_states(config.pair, rng, is_high)) ** 2
-        return Moments.of(cost), Moments.of(a[focal_pos]), Moments.of(-a[~focal_pos])
+        n_high = int(rng.binomial(count, config.p_high))
+        parts = []
+        for flags, dist, size in ((high, config.pair.high, n_high),
+                                  (low, config.pair.low, count - n_high)):
+            n_pos = int(rng.binomial(size, q))
+            k = rng.binomial(n - 1, _chance(q, flags), size)
+            k[:n_pos] += flags[0]
+            k[n_pos:] += flags[1]
+            a = actions[k]
+            cost = dist.sample(rng, size)
+            cost -= a
+            cost **= 2
+            parts.append((Moments.of(cost), Moments.of(a[:n_pos]), Moments.of(-a[n_pos:])))
+        return tuple(x + y for x, y in zip(*parts))
 
     cost, pos, neg = run_chunks(seed, samples, worker, workers)
     mean_cost, se_cost = cost.mean_stderr()
@@ -105,9 +107,11 @@ def simulate_evolving(config: GameConfig, schedule, episodes: int, seed: int,
     Each episode draws the quality type once, then one state per period; the
     platform posts the committed action for the truthful message and incurs
     the squared error.  A chunk draws its high-type histories, then its
-    low-type ones, as two blocks it never joins.  The histories double as
-    samples for the four truthfulness residuals, being the matching density's
-    product measure given the type.  ``config`` must be the schedule's game.
+    low-type ones, as two blocks it never joins; past T = 32 it holds at most
+    2^20 states (``_rng.history_chunk``), so memory does not grow with the
+    horizon.  The histories double as samples for the four truthfulness
+    residuals, being the matching density's product measure given the type.
+    ``config`` must be the schedule's game.
     """
     episodes, workers = _check_count("episodes", episodes), _check_count("workers", workers)
     _single_reviewer(config)
@@ -125,7 +129,7 @@ def simulate_evolving(config: GameConfig, schedule, episodes: int, seed: int,
         cost = Moments.of(error_high / horizon) + Moments.of(error_low / horizon)
         return cost, Moments.of(diff_low), Moments.of(diff_high)
 
-    cost, low, high = run_chunks(seed, episodes, worker, workers)
+    cost, low, high = run_chunks(seed, episodes, worker, workers, history_chunk(horizon))
     mean_cost, se_cost = cost.mean_stderr()
     return EvolvingReport(
         episodes=episodes, seed=seed, horizon=horizon,

@@ -24,7 +24,7 @@ import math
 import numpy as np
 from scipy import integrate
 
-from cheaptalk_lab._rng import Moments, chunked_generators
+from cheaptalk_lab._rng import Moments, chunked_generators, history_chunk
 from cheaptalk_lab.evolving import IcResiduals
 from cheaptalk_lab.game import (Bias, GameConfig, InferenceRule, PureStrategy,
                                 ServiceType, min_expected_cost)
@@ -579,7 +579,7 @@ def per_period_evolving(config: GameConfig, schedule, episodes: int,
     """
     horizon, pair = schedule.horizon, schedule.pair
     cost, low, high = Moments(), Moments(), Moments()
-    for count, rng in chunked_generators(seed, episodes):
+    for count, rng in chunked_generators(seed, episodes, history_chunk(horizon)):
         is_high = rng.random(count) < config.p_high
         theta = np.empty((count, horizon))
         n_high = int(np.count_nonzero(is_high))
@@ -605,7 +605,8 @@ def per_period_ic(schedule, episodes: int, seed: int) -> IcResiduals:
     """``verify_ic`` through every period's committed action pair."""
     def sums(dist, seed_seq):
         acc = Moments()
-        for count, rng in chunked_generators(seed_seq, episodes):
+        for count, rng in chunked_generators(seed_seq, episodes,
+                                              history_chunk(schedule.horizon)):
             draws = dist.sample(rng, (count, schedule.horizon - 1))
             a_low, a_high = schedule.actions_from_log_ratio(
                 prefix_log_ratios(schedule.pair, draws))

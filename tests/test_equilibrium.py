@@ -304,6 +304,22 @@ class TestInfluenceEngine:
         assert precisions == [first * 2**(i // 2) for i in range(10)]
         assert first * 2**4 <= _exact.MAX_DIGITS < first * 2**5
 
+    @pytest.mark.parametrize("p", [0.25, 0.75])
+    @pytest.mark.parametrize("q", [0.25, 0.75])
+    def test_an_exact_tie_is_decided_as_not_raised(self, p, q):
+        # two influences are exactly equal here, so no precision ever cleared
+        # the rounding bound and enumerate_pbe raised UndecidedEquilibrium
+        equilibrium._stable_profiles.cache_clear()
+        assert labels(enumerate_pbe(config(p=p, q=q))) == {"SC1", "SC2", "SC3", "SC4"}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_small_games_match_the_mpmath_oracle_on_a_fine_grid(self, n):
+        shares = [i / 20 for i in range(1, 20)]   # holds 1/4 and 3/4 exactly
+        for p in shares:
+            for q in shares:
+                got = labels(enumerate_pbe(config(n=n, p=p, q=q)))
+                assert got == closed_form_equilibrium_set(n, p, q), (n, p, q)
+
     def test_is_pbe_decides_only_its_own_row_exactly(self, monkeypatch):
         # the whole table needs 16 exact comparisons here, a row at most six
         g = config(n=30, p=0.5 + 2.0**-45, q=0.1)

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cheaptalk_lab._rng import CHUNK_SIZE
+from cheaptalk_lab._rng import (CHUNK_SIZE, STATE_BUDGET, Moments, chunked_generators,
+                                history_chunk)
 from cheaptalk_lab.distributions import (DistributionPair, Family,
                                          StateDistribution, normal_pair)
 from cheaptalk_lab.evolving import (ConstantSchedule, _history_sums, solve_schedule,
@@ -149,7 +151,7 @@ class TestSimulateGame:
         # the oracle draws every reviewer's bias; the two samplers share only
         # the config and its state samplers, so this checks the binomial count
         for profile in (SC1, SC2, SC5, SC7):
-            for n in (1, 2, 5):
+            for n in (1, 2, 5, 64):
                 for q in (0.3, 0.5):
                     g = config(n=n, q=q, var_h=1.5)
                     rule = best_response_rule(profile, g)
@@ -162,6 +164,84 @@ class TestSimulateGame:
                                       getattr(oracle, f"stderr_{field}"))
                         # 1e-12 covers the rounding of constant ratings (se 0)
                         assert abs(a - b) <= 4.0 * se + 1e-12, (profile, n, q, field)
+
+
+    def test_a_large_game_matches_the_closed_forms_within_four_stderr(self):
+        g = config(n=10**4, q=0.4, var_h=1.5)
+        for profile in (SC1, SC2):
+            rule = best_response_rule(profile, g)
+            report = simulate_game(g, profile, rule, 200_000, seed=47)
+            assert z_score(report.mean_cost, report.stderr_cost,
+                           expected_platform_cost(profile, rule, g)) < 4.0
+            for bias, mean, stderr in (
+                    (Bias.POSITIVE, report.mean_utility_positive,
+                     report.stderr_utility_positive),
+                    (Bias.NEGATIVE, report.mean_utility_negative,
+                     report.stderr_utility_negative)):
+                want = expected_user_utility(profile, rule, bias, g)
+                assert abs(mean - want) <= 4.0 * stderr + 1e-12, (profile, bias)
+
+    @pytest.mark.parametrize("q", [0.1, 0.4, 0.5])
+    def test_the_positive_count_is_binomial_in_the_share(self, q):
+        # each block draws its positive count; their sum over the chunks is
+        # Binomial(samples, q)
+        g = config(n=3, q=q)
+        rule = best_response_rule(SC1, g)
+        samples = 2 * CHUNK_SIZE + 1_001
+        sd = math.sqrt(samples * q * (1 - q))
+        for seed in range(8):
+            report = simulate_game(g, SC1, rule, samples, seed)
+            assert report.count_positive + report.count_negative == samples
+            assert abs(report.count_positive - samples * q) <= 4.0 * sd, seed
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_constant_utilities_are_exact_with_zero_stderr(self, n):
+        # a rating the bias cannot move is one value in every sample; the sum
+        # of squares form reported it 2 ulps off with a stderr of 1e-19
+        constant = {1: [(SC1, Bias.NEGATIVE), (SC2, Bias.POSITIVE),
+                        (SC5, Bias.POSITIVE), (SC5, Bias.NEGATIVE)],
+                    2: [(SC5, Bias.POSITIVE), (SC5, Bias.NEGATIVE)]}[n]
+        g = config(n=n)
+        for profile, bias in constant:
+            rule = best_response_rule(profile, g)
+            want = expected_user_utility(profile, rule, bias, g)
+            for seed in range(3):
+                report = simulate_game(g, profile, rule, 300_001, seed)
+                name = bias.name.lower()
+                assert getattr(report, f"mean_utility_{name}") == want
+                assert getattr(report, f"stderr_utility_{name}") == 0.0
+
+
+class TestMoments:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(seed=SEEDS, exponent=st.integers(0, 12), sign=st.sampled_from([-1, 1]),
+           sd=st.sampled_from([1e-3, 1.0, 1e3]), size=st.integers(2, 3_000),
+           cut=st.floats(0.0, 1.0))
+    def test_far_from_zero_matches_the_two_pass_reference(self, seed, exponent, sign,
+                                                          sd, size, cut):
+        # the sum of squares form was 41 % off at a shift of 1e8; what is left
+        # is the rounding of the two parts' means, at most about an ulp of
+        # the shift over the sd
+        values = sign * 10.0**exponent + sd * np.random.default_rng(seed).standard_normal(size)
+        split = int(cut * size)
+        mean, stderr = (Moments.of(values[:split]) + Moments.of(values[split:])).mean_stderr()
+        want_sd = values.std(ddof=1)
+        want_stderr = want_sd / math.sqrt(size)
+        ulp = np.spacing(np.max(np.abs(values)))
+        assert abs(stderr - want_stderr) <= (1e-12 + 2 * ulp / want_sd) * want_stderr
+        assert abs(mean - math.fsum(values) / size) <= 4 * ulp
+
+    @pytest.mark.parametrize("value", [0.1, -2.0 / 3.0, 1e8 + 0.3, 7.0])
+    def test_a_constant_sample_has_its_exact_mean_and_no_spread(self, value):
+        parts = [Moments.of(np.full(count, value)) for count in (CHUNK_SIZE, 3, 1, 0, 17)]
+        merged = sum(parts, Moments())
+        assert merged.count == CHUNK_SIZE + 21
+        assert merged.mean_stderr() == (value, 0.0)
+
+    def test_empty_and_single_samples(self):
+        assert all(math.isnan(x) for x in Moments().mean_stderr())
+        mean, stderr = (Moments() + Moments.of(np.array([2.5])) + Moments()).mean_stderr()
+        assert mean == 2.5 and math.isnan(stderr)
 
 
 class TestSimulateEvolving:
@@ -279,6 +359,42 @@ class TestCountCheck:
     @pytest.mark.parametrize("count", [np.int64(3), np.uint8(3)], ids=repr)
     def test_numpy_integers_are_counts(self, entry, count):
         assert repr(COUNT_ENTRY_POINTS[entry](count)) == repr(COUNT_ENTRY_POINTS[entry](3))
+
+
+class TestHistoryChunks:
+    def test_up_to_32_periods_the_partition_is_the_one_shot_partition(self):
+        # every seeded test and the benchmark use T <= 8, so their streams stay
+        for horizon in (1, 2, 3, 8, 31, 32):
+            assert history_chunk(horizon) == CHUNK_SIZE
+            total = 2 * CHUNK_SIZE + 5
+            assert ([count for count, _ in chunked_generators(7, total, history_chunk(horizon))]
+                    == [count for count, _ in chunked_generators(7, total)])
+
+    @pytest.mark.parametrize("horizon", [33, 128, 1_000, STATE_BUDGET, 10 * STATE_BUDGET])
+    def test_longer_histories_fill_the_state_budget(self, horizon):
+        size = history_chunk(horizon)
+        assert 1 <= size < CHUNK_SIZE
+        assert size * horizon <= STATE_BUDGET or size == 1
+        assert (size + 1) * horizon > STATE_BUDGET
+
+    def test_peak_memory_does_not_grow_with_the_horizon(self):
+        # a 32,768 x T block of states per chunk: 68.6 MiB at T = 1,000 and
+        # 3,000 episodes, against 23.3 MiB at T = 32; the shared mean gap
+        # keeps every ratio finite, so the actions move in all 999 periods
+        pair = DistributionPair(StateDistribution(Family.LAPLACE, -0.05, 1.0),
+                                StateDistribution(Family.LAPLACE, 0.05, 1.0))
+        peaks = []
+        for horizon, episodes in ((32, CHUNK_SIZE), (1_000, 3_000)):
+            schedule = SimpleNamespace(horizon=horizon, pair=pair,
+                                       coefficients=(-1.0, 0.5, 1.0, -0.5))
+            verify_ic(schedule, episodes, seed=2)   # warm-up
+            tracemalloc.start()
+            try:
+                verify_ic(schedule, episodes, seed=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 class TestHistoryKernel:
