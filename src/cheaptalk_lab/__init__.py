@@ -36,9 +36,9 @@ from .equilibrium import (BiasThresholds, DeviationWitness, PbeCertificate,
                           one_user_loss, p1_high, p1_low,
                           sequential_two_user_check, symmetric_bias_loss,
                           three_type_loss)
-from .evolving import (CommitmentSchedule, ConstantSchedule,
-                       crossover_threshold, equal_variance_normal_loss,
-                       evolving_loss, solve_schedule, verify_ic)
+from .evolving import (CommitmentSchedule, crossover_threshold,
+                       equal_variance_normal_loss, evolving_loss,
+                       solve_schedule, verify_ic)
 from .montecarlo import (EvolvingReport, SimulationReport, simulate_evolving,
                          simulate_game)
 from .errors import (CheapTalkError, DegenerateHorizon, DivergentIntegral,

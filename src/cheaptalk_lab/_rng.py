@@ -69,8 +69,9 @@ class Moments:
         deviations = values - shift
         total = float(deviations.sum())
         deviations **= 2   # in place, so no second array
+        # max(m2, 0.0) clamps a rounded M2 below 0 and keeps a NaN one
         return cls(n, shift + total / n,
-                   max(0.0, float(deviations.sum()) - total * total / n))
+                   max(float(deviations.sum()) - total * total / n, 0.0))
 
     def __add__(self, other: "Moments") -> "Moments":
         if not self.count or not other.count:

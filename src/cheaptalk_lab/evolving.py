@@ -7,9 +7,9 @@ the likelihood ratio, calibrated so that misreporting never pays in
 expectation for either bias.  Both the calibration and its per-period loss
 are closed-form in the excess sums e = sum_{t<T} (r^t - 1) >= 0 of the two
 separation integrals r (``_log_excess``), so nothing cancels as the densities
-meet.  The actions are affine in the history ratio r and in 1/r, so the Monte
-Carlo checks read a history's truthfulness sum from its sums of r and 1/r,
-taken in one pass over the horizon (``_history_sums``).
+meet.  Every schedule, solved or built by hand, is affine in the history
+ratio r and in 1/r, so the Monte Carlo checks read a history's truthfulness
+sum from its sums of r and 1/r, taken in one pass (``_history_sums``).
 """
 
 from __future__ import annotations
@@ -86,11 +86,29 @@ def _times(k: float, x: np.ndarray) -> np.ndarray:
     return k * x if k else np.zeros_like(x)
 
 
-class _AffineActions:
-    """Actions a_low = c_low + k_low r, a_high = c_high - k_high / r of ``coefficients``."""
+@dataclass(frozen=True)
+class CommitmentSchedule:
+    """``coefficients`` (c_low, k_low, c_high, k_high) rate a low message
+    c_low + k_low r and a high one c_high - k_high / r, r the history's
+    likelihood ratio.  ``solve_schedule`` also fills in the multipliers, sums,
+    integrals and prior it solved with; a schedule built by hand leaves them None."""
+
+    horizon: int
+    pair: DistributionPair
+    coefficients: tuple[float, float, float, float]
+    lambda_low: float | None = None
+    lambda_high: float | None = None
+    s_alpha: float | None = None
+    s_beta: float | None = None
+    alpha: float | None = None
+    beta: float | None = None
+    p_high: float | None = None
 
     def __post_init__(self):
         _check_count("horizon", self.horizon)
+        for name, value in zip(("c_low", "k_low", "c_high", "k_high"), self.coefficients,
+                               strict=True):
+            _check_gap(name, value)
 
     def actions_from_log_ratio(self, log_ratio):
         """Committed (low-message, high-message) ratings; vectorized."""
@@ -101,45 +119,12 @@ class _AffineActions:
 
     def actions(self, history) -> tuple[float, float]:
         """Committed ratings after ``history``, the states of the periods before
-        this one: fewer than ``horizon`` of them."""
-        if len(history) >= self.horizon:
-            raise ValueError(f"a history of {len(history)} states is past the horizon {self.horizon}")
+        this one: a 1-D sequence of fewer than ``horizon`` of them."""
+        history = np.asarray(history, dtype=float)
+        if history.ndim != 1 or history.size >= self.horizon:
+            raise ValueError(f"a history of shape {history.shape} is not a 1-D sequence "
+                             f"of fewer than the horizon {self.horizon} states")
         return self.actions_from_log_ratio(np.sum(log_likelihood_ratio(self.pair, history)))
-
-
-@dataclass(frozen=True)
-class CommitmentSchedule(_AffineActions):
-    """Solved multi-period commitment: multipliers, sums, and action maps."""
-
-    horizon: int
-    lambda_low: float
-    lambda_high: float
-    s_alpha: float
-    s_beta: float
-    alpha: float
-    beta: float
-    pair: DistributionPair
-    p_high: float
-
-    @property
-    def coefficients(self) -> tuple[float, float, float, float]:
-        low, high = 2.0 * (1.0 - self.p_high), 2.0 * self.p_high   # the multipliers' divisors
-        return (self.pair.mu_low + self.lambda_low / low, self.lambda_high / low,
-                self.pair.mu_high - self.lambda_high / high, self.lambda_low / high)
-
-
-@dataclass(frozen=True)
-class ConstantSchedule(_AffineActions):
-    """History-independent committed actions (one-shot pattern over T periods)."""
-
-    horizon: int
-    pair: DistributionPair
-    a_low: float
-    a_high: float
-
-    @property
-    def coefficients(self) -> tuple[float, float, float, float]:
-        return self.a_low, 0.0, self.a_high, 0.0
 
 
 def _single_reviewer(config: GameConfig) -> None:
@@ -164,8 +149,12 @@ def solve_schedule(config: GameConfig, horizon: int) -> CommitmentSchedule:
             f"nothing to separate: the separation integrals {alpha!r} and "
             f"{beta!r} are not above 1"
         )
-    return CommitmentSchedule(horizon, lam_low, lam_high, horizon + _exp(log_a),
-                              horizon + _exp(log_b), alpha, beta, config.pair, config.p_high)
+    pair, p = config.pair, config.p_high
+    low, high = 2.0 * (1.0 - p), 2.0 * p   # the multipliers' divisors
+    coefficients = (pair.mu_low + lam_low / low, lam_high / low,
+                    pair.mu_high - lam_high / high, lam_low / high)
+    return CommitmentSchedule(horizon, pair, coefficients, lam_low, lam_high,
+                              horizon + _exp(log_a), horizon + _exp(log_b), alpha, beta, p)
 
 
 def evolving_loss(config: GameConfig, horizon: int) -> float:
@@ -228,14 +217,22 @@ class IcResiduals:
     Each is the horizon sum of the expected committed-action difference that
     the named bias forgoes by misreporting under the named density; all must
     be nonnegative, and at the solved schedule all four are exactly zero.
+    Under one density the two biases forgo opposite amounts, so two are stored:
+    ``positive_low`` and ``negative_high``, the sums under the low and high density.
     """
 
     positive_low: IcResidual
-    positive_high: IcResidual
-    negative_low: IcResidual
     negative_high: IcResidual
     episodes: int
     seed: int
+
+    @property
+    def positive_high(self) -> IcResidual:
+        return IcResidual(-self.negative_high.value, self.negative_high.stderr)
+
+    @property
+    def negative_low(self) -> IcResidual:
+        return IcResidual(-self.positive_low.value, self.positive_low.stderr)
 
     @property
     def binding(self) -> tuple[IcResidual, IcResidual]:
@@ -251,16 +248,8 @@ class IcResiduals:
                      seed: int) -> "IcResiduals":
         """Residuals from the moments of sum_k (a_low - a_high)(h_{k-1}) over
         histories drawn from the low and from the high density."""
-        mean_low, se_low = low.mean_stderr()
-        mean_high, se_high = high.mean_stderr()
-        return cls(
-            positive_low=IcResidual(mean_low, se_low),
-            positive_high=IcResidual(-mean_high, se_high),
-            negative_low=IcResidual(-mean_low, se_low),
-            negative_high=IcResidual(mean_high, se_high),
-            episodes=episodes,
-            seed=seed,
-        )
+        return cls(IcResidual(*low.mean_stderr()), IcResidual(*high.mean_stderr()),
+                   episodes, seed)
 
 
 def _history_sums(schedule, states: np.ndarray, high: bool | None = None):
@@ -291,13 +280,13 @@ def _history_sums(schedule, states: np.ndarray, high: bool | None = None):
     return diff, error
 
 
-def verify_ic(schedule, mc_episodes: int, seed: int) -> IcResiduals:
-    """Estimate all four truthfulness residuals of a schedule by simulation.
+def verify_ic(schedule: CommitmentSchedule, mc_episodes: int, seed: int) -> IcResiduals:
+    """Estimate the truthfulness residuals of a schedule by simulation.
 
-    ``schedule`` may be any object exposing ``horizon``, ``pair`` and the
-    ``coefficients`` of its affine actions.  Histories are simulated separately
-    under each density with independent deterministic substreams, in chunks
-    of at most 2^20 states past T = 32 (``_rng.history_chunk``).
+    It reads only the schedule's ``horizon``, ``pair`` and ``coefficients``,
+    solved or built by hand.  Histories are simulated separately under each
+    density with independent deterministic substreams, in chunks of at most
+    2^20 states past T = 32 (``_rng.history_chunk``).
     """
     def differences(dist):   # moments of sum_t (a_low - a_high)(r_t) under ``dist``
         return lambda count, rng: (Moments.of(_history_sums(

@@ -105,7 +105,7 @@ def _check_chance(name: str, value: float) -> float:
 
 
 def _check_gap(name: str, value: float) -> float:
-    if not math.isfinite(value):
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 

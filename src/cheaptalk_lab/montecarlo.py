@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import Moments, history_chunk, run_chunks
-from .evolving import CommitmentSchedule, IcResiduals, _history_sums, _single_reviewer
+from .evolving import IcResiduals, _history_sums, _single_reviewer
 from .game import (GameConfig, InferenceRule, ServiceType, StrategyProfile,
                    _actions, _chance, _check_count, _senders, min_expected_cost)
 
@@ -109,14 +109,13 @@ def simulate_evolving(config: GameConfig, schedule, episodes: int, seed: int,
     the squared error.  A chunk draws its high-type histories, then its
     low-type ones, as two blocks it never joins; past T = 32 it holds at most
     2^20 states (``_rng.history_chunk``), so memory does not grow with the
-    horizon.  The histories double as samples for the four truthfulness
-    residuals, being the matching density's product measure given the type.
-    ``config`` must be the schedule's game.
+    horizon.  The histories double as samples for the truthfulness residuals,
+    being the matching density's product measure given the type.  ``config``
+    must have the schedule's pair, and its prior if the schedule was solved.
     """
     episodes, workers = _check_count("episodes", episodes), _check_count("workers", workers)
     _single_reviewer(config)
-    if config.pair != schedule.pair or (isinstance(schedule, CommitmentSchedule)
-                                        and config.p_high != schedule.p_high):
+    if config.pair != schedule.pair or schedule.p_high not in (None, config.p_high):
         raise ValueError("schedule was built for a different pair or prior")
     horizon, pair = schedule.horizon, schedule.pair
 

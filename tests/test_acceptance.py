@@ -14,7 +14,7 @@ from cheaptalk_lab.equilibrium import (bayesian_system_loss, enumerate_pbe,
                                        p1_high, p1_low,
                                        sequential_two_user_check,
                                        symmetric_bias_loss, three_type_loss)
-from cheaptalk_lab.evolving import (ConstantSchedule, crossover_threshold,
+from cheaptalk_lab.evolving import (CommitmentSchedule, crossover_threshold,
                                     equal_variance_normal_loss, evolving_loss,
                                     solve_schedule, verify_ic)
 from cheaptalk_lab.game import (ALL_PROFILES, Bias, GameConfig,
@@ -156,8 +156,8 @@ def test_criterion_07_incentive_verification():
         assert abs(residual.value) <= 3.0 * residual.stderr
 
     horizon = 2
-    broken = ConstantSchedule(horizon=horizon, pair=g.pair,
-                              a_low=g.mu_low, a_high=g.mu_high)
+    broken = CommitmentSchedule(horizon=horizon, pair=g.pair,
+                                coefficients=(g.mu_low, 0.0, g.mu_high, 0.0))
     broken_res = verify_ic(broken, 1000, seed=7)
     assert broken_res.positive_low.value == horizon * (g.mu_low - g.mu_high)
     elapsed = time.perf_counter() - start

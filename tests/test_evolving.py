@@ -10,7 +10,7 @@ from cheaptalk_lab.distributions import (DistributionPair, Family,
                                          StateDistribution, alpha_beta,
                                          log_likelihood_ratio, normal_pair)
 from cheaptalk_lab.errors import DegenerateHorizon, DivergentIntegral
-from cheaptalk_lab.evolving import (CommitmentSchedule, ConstantSchedule,
+from cheaptalk_lab.evolving import (CommitmentSchedule, IcResidual, IcResiduals,
                                     _log_excess, _solve,
                                     crossover_threshold,
                                     equal_variance_normal_loss, evolving_loss,
@@ -139,11 +139,19 @@ class TestCommitmentActions:
         # a two-period schedule fed 2 and 3 states rated a low message 34.7 and
         # 510.1 for means -1 and +1
         for s in (solve_schedule(FIG_CONFIG, 2), solve_schedule(FIG_CONFIG, 4),
-                  ConstantSchedule(1, FIG_CONFIG.pair, -0.5, 0.5)):
+                  CommitmentSchedule(1, FIG_CONFIG.pair, (-0.5, 0.0, 0.5, 0.0))):
             s.actions([0.3] * (s.horizon - 1))
             for length in (s.horizon, s.horizon + 1):
                 with pytest.raises(ValueError, match="horizon"):
                     s.actions([0.3] * length)
+
+    @pytest.mark.parametrize("history", [[[0.1, 0.2]], np.array([[0.1, 0.2]]), 0.1],
+                             ids=["nested list", "2-D array", "scalar"])
+    def test_a_history_that_is_not_one_dimensional_is_refused(self, history):
+        # a history was counted by len: both nested ones passed as one state,
+        # and a two-period schedule rated them after two, (-0.857, 0.817)
+        with pytest.raises(ValueError, match="not a 1-D sequence"):
+            solve_schedule(FIG_CONFIG, 2).actions(history)
 
     def test_bounds_hold_over_random_histories(self):
         rng = np.random.default_rng(59)
@@ -359,6 +367,34 @@ class TestCrossover:
             crossover_threshold(config(var_h=1.5), 2)
 
 
+class TestScheduleFields:
+    def test_solved_fields_and_residual_names_keep_their_meaning(self):
+        # bench/workloads.py reads these fields and the four residual names,
+        # and bench/test_checks.py replaces lambda_high and positive_low
+        solved = solve_schedule(FIG_CONFIG, 3)
+        assert dataclasses.replace(solved, lambda_high=0.25).lambda_high == 0.25
+        by_hand = CommitmentSchedule(3, FIG_CONFIG.pair, (-0.5, 0.0, 0.5, 0.0))
+        for name in ("lambda_low", "lambda_high", "s_alpha", "s_beta", "alpha", "beta",
+                     "p_high"):
+            assert getattr(solved, name) is not None and getattr(by_hand, name) is None
+        ic = verify_ic(solved, 1_000, seed=5)
+        low, high = ic.positive_low, ic.negative_high
+        assert ic.as_list() == [low, IcResidual(-high.value, high.stderr),
+                                IcResidual(-low.value, low.stderr), high]
+        assert [f.name for f in dataclasses.fields(IcResiduals)] == [
+            "positive_low", "negative_high", "episodes", "seed"]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "0.5", 1j], ids=repr)
+    @pytest.mark.parametrize("index,name", enumerate(["c_low", "k_low", "c_high", "k_high"]))
+    def test_a_coefficient_that_is_not_a_finite_real_is_refused(self, index, name, value):
+        # a nan c_low gave verify_ic a residual of (nan, 0.0); an inf one
+        # warned inside Moments.of and gave nan
+        coefficients = [-0.5, 0.0, 0.5, 0.0]
+        coefficients[index] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            CommitmentSchedule(3, FIG_CONFIG.pair, tuple(coefficients))
+
+
 class TestVerifyIc:
     def test_quadrature_confirms_the_binding_equalities(self):
         for g in (FIG_CONFIG, config(var_h=1.5), config(p=0.6)):
@@ -377,8 +413,8 @@ class TestVerifyIc:
 
     def test_constant_prior_schedule_has_exactly_zero_residuals(self):
         amount = FIG_CONFIG.prior_mean
-        s = ConstantSchedule(horizon=3, pair=FIG_CONFIG.pair,
-                             a_low=amount, a_high=amount)
+        s = CommitmentSchedule(horizon=3, pair=FIG_CONFIG.pair,
+                               coefficients=(amount, 0.0, amount, 0.0))
         residuals = verify_ic(s, 2000, seed=5)
         for r in residuals.as_list():
             assert r.value == 0.0
@@ -386,8 +422,8 @@ class TestVerifyIc:
 
     def test_fully_revealing_schedule_violates_by_the_horizon_gap(self):
         horizon = 4
-        s = ConstantSchedule(horizon=horizon, pair=FIG_CONFIG.pair,
-                             a_low=FIG_CONFIG.mu_low, a_high=FIG_CONFIG.mu_high)
+        s = CommitmentSchedule(horizon=horizon, pair=FIG_CONFIG.pair,
+                               coefficients=(FIG_CONFIG.mu_low, 0.0, FIG_CONFIG.mu_high, 0.0))
         residuals = verify_ic(s, 2000, seed=6)
         violation = horizon * (FIG_CONFIG.mu_low - FIG_CONFIG.mu_high)
         assert residuals.positive_low.value == violation
@@ -417,8 +453,8 @@ ENTRY_POINTS = {
     "crossover_threshold": lambda t: crossover_threshold(FIG_CONFIG, t),
     "solve_schedule": lambda t: solve_schedule(FIG_CONFIG, t),
     "CommitmentSchedule": lambda t: dataclasses.replace(solve_schedule(FIG_CONFIG, 3), horizon=t),
-    "ConstantSchedule": lambda t: ConstantSchedule(horizon=t, pair=FIG_CONFIG.pair,
-                                                   a_low=0.0, a_high=0.0),
+    "ConstantSchedule": lambda t: CommitmentSchedule(horizon=t, pair=FIG_CONFIG.pair,
+                                                     coefficients=(0.0, 0.0, 0.0, 0.0)),
 }
 
 

@@ -10,7 +10,7 @@ from cheaptalk_lab._rng import (CHUNK_SIZE, STATE_BUDGET, Moments, chunked_gener
                                 history_chunk)
 from cheaptalk_lab.distributions import (DistributionPair, Family,
                                          StateDistribution, normal_pair)
-from cheaptalk_lab.evolving import (ConstantSchedule, _history_sums, solve_schedule,
+from cheaptalk_lab.evolving import (CommitmentSchedule, _history_sums, solve_schedule,
                                     verify_ic)
 from cheaptalk_lab.game import (Bias, GameConfig, SC1, SC2, SC5, SC7,
                                 best_response_rule, expected_platform_cost,
@@ -243,6 +243,13 @@ class TestMoments:
         mean, stderr = (Moments() + Moments.of(np.array([2.5])) + Moments()).mean_stderr()
         assert mean == 2.5 and math.isnan(stderr)
 
+    def test_a_sample_holding_nan_has_no_standard_error(self):
+        # the clamp of a rounded M2 at 0 turned a nan M2 into 0.0, which
+        # claimed an exact mean
+        for moments in (Moments.of(np.array([1.0, math.nan, 2.0])),
+                        Moments.of(np.array([math.nan])) + Moments.of(np.array([1.0, 2.0]))):
+            assert all(math.isnan(x) for x in moments.mean_stderr())
+
 
 class TestSimulateEvolving:
     def test_matches_the_closed_form_loss(self):
@@ -256,8 +263,8 @@ class TestSimulateEvolving:
 
     def test_single_period_constant_schedule_recovers_the_abandoning_loss(self):
         g = config()
-        schedule = ConstantSchedule(horizon=1, pair=g.pair,
-                                    a_low=g.prior_mean, a_high=g.prior_mean)
+        schedule = CommitmentSchedule(horizon=1, pair=g.pair,
+                                      coefficients=(g.prior_mean, 0.0, g.prior_mean, 0.0))
         report = simulate_evolving(g, schedule, 150_000, seed=29)
         assert z_score(report.mean_period_cost, report.stderr_period_cost,
                        min_expected_cost(g) + 0.84) < 3.0
@@ -301,7 +308,7 @@ class TestSimulateEvolving:
 
     def test_constant_schedule_runs_under_any_prior(self):
         g = config(p=0.6)
-        schedule = ConstantSchedule(horizon=2, pair=g.pair, a_low=-0.5, a_high=0.5)
+        schedule = CommitmentSchedule(horizon=2, pair=g.pair, coefficients=(-0.5, 0.0, 0.5, 0.0))
         assert simulate_evolving(g, schedule, 1_000, seed=1).episodes == 1_000
 
 
@@ -323,7 +330,7 @@ def _oracle_schedule(name, horizon, kind):
     g = GameConfig(1, 0.3, 0.5, ORACLE_PAIRS[name])
     if kind == "solved":
         return g, solve_schedule(g, horizon)
-    return g, ConstantSchedule(horizon=horizon, pair=g.pair, a_low=-0.4, a_high=0.7)
+    return g, CommitmentSchedule(horizon=horizon, pair=g.pair, coefficients=(-0.4, 0.0, 0.7, 0.0))
 
 
 def _assert_same_estimate(got, want, stderr):
@@ -446,8 +453,8 @@ class TestHistoryKernel:
         horizon = 8
         pair = normal_pair(-20.0, 20.0)
         g = GameConfig(1, 0.3, 0.5, pair)
-        schedule = ConstantSchedule(horizon=horizon, pair=pair,
-                                    a_low=a_low, a_high=a_high)
+        schedule = CommitmentSchedule(horizon=horizon, pair=pair,
+                                      coefficients=(a_low, 0.0, a_high, 0.0))
         gap = horizon * (a_low - a_high)
         with np.errstate(invalid="raise"):
             report = simulate_evolving(g, schedule, 2_000, seed=8)
