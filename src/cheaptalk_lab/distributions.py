@@ -5,10 +5,14 @@ candidates (a "low" and a "high" one).  Three location-scale families are
 supported; all have full support on the real line, so the two candidates of a
 pair automatically share their support.  Everything that depends on the
 family lives here: the log density, the variance per squared scale (also read
-backwards by ``StateDistribution.from_variance``), the numpy sampler of the
-family's name and the log separation integral.  Each family's log density is
-one formula of the standardized state, evaluated in place on a fresh array,
-0-d for a scalar state (never writing to its input).
+backwards by ``StateDistribution.from_variance``), the standard variate and
+the log separation integral.  Each family's log density is one formula of the
+standardized state, evaluated in place on a fresh array, 0-d for a scalar
+state (never writing to its input).  Each family's standard variate is formed
+over the whole array: a standard normal, or for Laplace and logistic the
+inverse distribution function of the generator's uniforms (Devroye,
+*Non-Uniform Random Variate Generation*, 1986, section II.2), which reads the
+uniforms that numpy's samplers of those names read, in the same order.
 ``log_likelihood_ratio`` is the one likelihood ratio; a history's ratio is the
 sum of its states' log ratios.
 
@@ -35,7 +39,7 @@ _LOG_MAX = math.log(sys.float_info.max)   # the largest x whose exp is finite
 class Family(str, Enum):
     NORMAL = "normal"
     LAPLACE = "laplace"
-    LOGISTIC = "logistic"   # each value names its numpy ``Generator`` sampler
+    LOGISTIC = "logistic"
 
 
 # variance per squared scale: sigma^2, 2 b^2 and s^2 pi^2 / 3
@@ -75,6 +79,45 @@ def _logistic_log_density(z, scale):
 
 _LOG_DENSITY = {Family.NORMAL: _normal_log_density, Family.LAPLACE: _laplace_log_density,
                 Family.LOGISTIC: _logistic_log_density}
+
+
+# Standard variate of each family (location 0, scale 1) as a new array, 0-d for
+# size None, holding at most one more array of its size while it is formed.
+
+def _standard_normal(rng, size):
+    return np.asarray(rng.standard_normal(size))
+
+
+def _open_uniforms(rng, size):
+    # numpy's Laplace and logistic samplers reject a uniform of 0.0, and so does
+    # this: any 0.0 is drawn again from the same generator
+    u = np.asarray(rng.random(size))
+    while not u.all():
+        zeros = u == 0.0
+        u[zeros] = rng.random(np.count_nonzero(zeros))
+    return u
+
+
+def _standard_laplace(rng, size):
+    # sign(u - 1/2) |log(1 - 2|u - 1/2|)|; the argument of the log is exact
+    x = _open_uniforms(rng, size)
+    x -= 0.5
+    tail = np.abs(x, out=np.empty_like(x))
+    tail *= -2.0
+    tail += 1.0
+    np.log(tail, out=tail)
+    return np.copysign(tail, x, out=x)
+
+
+def _standard_logistic(rng, size):
+    u = _open_uniforms(rng, size)
+    x = np.subtract(1.0, u, out=np.empty_like(u))
+    np.divide(u, x, out=x)
+    return np.log(x, out=x)
+
+
+_STANDARD_VARIATE = {Family.NORMAL: _standard_normal, Family.LAPLACE: _standard_laplace,
+                     Family.LOGISTIC: _standard_logistic}
 
 
 @dataclass(frozen=True)
@@ -127,8 +170,18 @@ class StateDistribution:
         return np.exp(self.log_density(theta))
 
     def sample(self, rng: np.random.Generator, size=None):
-        """Draw from the density with the generator's sampler of the family's name."""
-        return getattr(rng, self.family.value)(self.location, self.scale, size)
+        """Draw states: the family's standard variate, scaled and shifted in
+        place; a float for size None and an array otherwise.
+
+        Normal states are bit-identical to ``rng.normal``.  Laplace and
+        logistic states invert the generator's uniforms; they leave the
+        generator in the state its sampler of the family's name would, and
+        differ from that sampler's states by rounding only.
+        """
+        x = _STANDARD_VARIATE[self.family](rng, size)
+        x *= self.scale
+        x += self.location
+        return float(x) if x.ndim == 0 else x
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -597,10 +598,71 @@ class TestSampling:
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("family", list(Family))
-    def test_sample_is_the_generator_method_of_the_family_name(self, family):
-        dist = StateDistribution(family, -0.4, 1.3)
-        expected = getattr(np.random.default_rng(17), family.value)(-0.4, 1.3, (5, 3))
-        np.testing.assert_array_equal(dist.sample(np.random.default_rng(17), (5, 3)), expected)
+    def test_sample_reads_the_uniforms_of_the_generator_method(self, family):
+        # the generator ends where its sampler of the family's name leaves it;
+        # normal states are that sampler's, the others the inverse distribution
+        # function of the same seed's uniforms
+        dist, shape = StateDistribution(family, -0.4, 1.3), (20_000, 3)
+        rng, named = np.random.default_rng(17), np.random.default_rng(17)
+        draws = dist.sample(rng, shape)
+        expected = getattr(named, family.value)(-0.4, 1.3, shape)
+        assert rng.bit_generator.state == named.bit_generator.state
+        if family is Family.NORMAL:
+            np.testing.assert_array_equal(draws, expected)
+            return
+        from scipy import stats
+        ppf = getattr(stats, family.value).ppf(np.random.default_rng(17).random(shape))
+        np.testing.assert_allclose(draws, -0.4 + 1.3 * ppf, rtol=1e-13, atol=1e-15 * 1.3)
+        # numpy's Laplace sampler rounds 2 - u - u; the states move by rounding only
+        np.testing.assert_allclose(draws, expected, rtol=0.0, atol=1e-11 * 1.3)
+
+    @pytest.mark.parametrize("family", [Family.LAPLACE, Family.LOGISTIC])
+    def test_a_uniform_of_zero_is_drawn_again(self, family):
+        class ZeroFirst:   # a generator whose first block of uniforms starts with 0.0
+            def __init__(self):
+                self.rng, self.zero = np.random.default_rng(5), True
+
+            def random(self, size=None):
+                u = np.array(self.rng.random(size))
+                if self.zero:
+                    u.flat[0], self.zero = 0.0, False
+                return u
+
+        dist = StateDistribution(family, 0.3, 1.2)
+        draws = dist.sample(ZeroFirst(), (4, 3))
+        assert np.all(np.isfinite(draws))
+        np.testing.assert_array_equal(dist.sample(ZeroFirst(), (4, 3)), draws)
+        # the 0.0 takes the generator's next uniform, the 13th
+        plain = dist.sample(np.random.default_rng(5), 13)
+        np.testing.assert_array_equal(draws.ravel(), np.concatenate([plain[12:], plain[1:12]]))
+        assert math.isfinite(dist.sample(ZeroFirst()))
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_sample_holds_at_most_one_more_block(self, family):
+        # guards the benchmark's commitment peak memory against a transform
+        # that keeps extra arrays
+        dist, shape = StateDistribution(family, 0.3, 1.2), (32_768, 3)
+        rng = np.random.default_rng(4)
+        dist.sample(rng, 8)   # warm-up
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            dist.sample(rng, shape)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 2 * 8 * math.prod(shape) + 64 * 1024, peak
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_sample_without_a_size_is_a_float(self, family):
+        dist = StateDistribution(family, 0.3, 1.2)
+        x = dist.sample(np.random.default_rng(8))
+        assert type(x) is float
+        assert x == dist.sample(np.random.default_rng(8), 1)[0]
 
     def test_sample_moments_match_declared_moments(self):
         rng = np.random.default_rng(103)
