@@ -66,8 +66,8 @@ def _solve(p: float, gap: float, log_alpha: float, log_beta: float, horizon: int
     With y = T / e of each excess sum and x = p y_alpha + (1 - p) y_beta, the
     loss is p(1-p) gap^2 x / (x + p(1-p)), and lambda_low and lambda_high are
     2 p(1-p) gap times the shares p y_alpha and (1 - p) y_beta of x + p(1-p).
-    An overflowed e gives y = 0, and large horizons a loss of exactly 0.0; an
-    e of 0 gives y = inf, and the shares take their limit as that y grows.
+    An overflowed e gives y = 0, and large horizons a loss of exactly 0.0 even
+    where gap^2 is inf; an e of 0 gives y = inf, and the shares their limit in y.
     """
     pq = p * (1.0 - p)
     log_a, log_b = _log_excess(log_alpha, horizon), _log_excess(log_beta, horizon)
@@ -77,8 +77,8 @@ def _solve(p: float, gap: float, log_alpha: float, log_beta: float, horizon: int
         share_a, share_b, share = p * y_a / (x + pq), (1.0 - p) * y_b / (x + pq), x / (x + pq)
     else:
         share_a, share_b, share = float(y_b < math.inf), float(y_a < math.inf), 1.0
-    two_pq_gap = 2.0 * pq * gap
-    return two_pq_gap * share_a, two_pq_gap * share_b, pq * gap**2 * share, log_a, log_b
+    two_pq_gap, loss = 2.0 * pq * gap, (pq * (gap * gap) * share if share else 0.0)
+    return two_pq_gap * share_a, two_pq_gap * share_b, loss, log_a, log_b
 
 
 def _times(k: float, x: np.ndarray) -> np.ndarray:
@@ -253,29 +253,29 @@ class IcResiduals:
 
 
 def _history_sums(schedule, states: np.ndarray, high: bool | None = None):
-    """One pass over each row of ``states``, (count, T - 1) or (count, T): the IC
-    difference sum_t (a_low - a_high)(r_t) = T (c_low - c_high) + k_low sum r_t
-    + k_high sum 1/r_t, r_t the ratio of the first t states (r_0 = 1), and,
-    given the message ``high``, the squared error of that message's actions.
-    With both k = 0 no action reads the history, and no ratio is taken."""
+    """One pass over the rows of ``states``, (T - 1, count) or (T, count), one
+    period per row: each column's IC difference sum_t (a_low - a_high)(r_t) =
+    T (c_low - c_high) + k_low sum r_t + k_high sum 1/r_t, r_t the ratio of the
+    first t states (r_0 = 1), and, given the message ``high``, the squared error
+    of its actions.  With both k = 0 no action reads the history, and no ratio is taken."""
     horizon = schedule.horizon
     c_low, k_low, c_high, k_high = schedule.coefficients
     moves = bool(k_low or k_high)
-    steps = log_likelihood_ratio(schedule.pair, states[:, : horizon - 1]) if moves else None
-    count = len(states)
+    steps = log_likelihood_ratio(schedule.pair, states[: horizon - 1]) if moves else None
+    count = states.shape[1]
     sum_r, sum_inv, log_r = np.ones(count), np.ones(count), np.zeros(count)   # r_0 = 1
     ratio = inv = sum_r   # read only through a zero k while nothing moves
     c, k = (c_high, -k_high) if high else (c_low, k_low)   # action c + k/r or c + k r
-    error = None if high is None else (states[:, 0] - (c + k)) ** 2
+    error = None if high is None else (states[0] - (c + k)) ** 2
     for t in range(1, horizon):
         if moves:
-            log_r += steps[:, t - 1]
+            log_r += steps[t - 1]
             ratio = np.exp(log_r)
             inv = 1.0 / ratio
             sum_r += ratio
             sum_inv += inv
         if error is not None:
-            error += (states[:, t] - c - _times(k, inv if high else ratio)) ** 2
+            error += (states[t] - c - _times(k, inv if high else ratio)) ** 2
     diff = horizon * (c_low - c_high) + _times(k_low, sum_r) + _times(k_high, sum_inv)
     return diff, error
 
@@ -285,12 +285,12 @@ def verify_ic(schedule: CommitmentSchedule, mc_episodes: int, seed: int) -> IcRe
 
     It reads only the schedule's ``horizon``, ``pair`` and ``coefficients``,
     solved or built by hand.  Histories are simulated separately under each
-    density with independent deterministic substreams, in chunks of at most
-    2^20 states past T = 32 (``_rng.history_chunk``).
+    density with independent deterministic substreams, as (T - 1, count) blocks
+    of one row per period, of at most 2^20 states past T = 32 (``_rng.history_chunk``).
     """
     def differences(dist):   # moments of sum_t (a_low - a_high)(r_t) under ``dist``
         return lambda count, rng: (Moments.of(_history_sums(
-            schedule, dist.sample(rng, (count, schedule.horizon - 1)))[0]),)
+            schedule, dist.sample(rng, (schedule.horizon - 1, count)))[0]),)
 
     mc_episodes = _check_count("mc_episodes", mc_episodes)
     low_entropy, high_entropy = np.random.SeedSequence(seed).spawn(2)

@@ -8,7 +8,8 @@ of high messages among the other N - 1 (binomial given the type, as each
 sends high with the same chance) and the states of that type.  That is the
 same joint law as drawing every reviewer's bias, in time and memory
 independent of N, with no per-sample mask.  Commitment episodes are drawn as
-one block of histories per type, never joined into one array.  Draws are
+one period-major block of histories per type, never joined into one array:
+row t of a (T, n) block holds the n episodes' states of period t.  Draws are
 partitioned into chunks with independent substreams and reduced in chunk
 order; reports are therefore bit-identical for a given seed regardless of
 the worker count.
@@ -17,8 +18,6 @@ the worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from ._rng import Moments, history_chunk, run_chunks
 from .evolving import IcResiduals, _history_sums, _single_reviewer
@@ -106,12 +105,13 @@ def simulate_evolving(config: GameConfig, schedule, episodes: int, seed: int,
 
     Each episode draws the quality type once, then one state per period; the
     platform posts the committed action for the truthful message and incurs
-    the squared error.  A chunk draws its high-type histories, then its
-    low-type ones, as two blocks it never joins; past T = 32 it holds at most
-    2^20 states (``_rng.history_chunk``), so memory does not grow with the
-    horizon.  The histories double as samples for the truthfulness residuals,
-    being the matching density's product measure given the type.  ``config``
-    must have the schedule's pair, and its prior if the schedule was solved.
+    the squared error.  A chunk draws its high-type count, Binomial(count, p),
+    then its high-type and low-type histories as two (T, n) blocks of one row
+    per period, never joined; past T = 32 it holds at most 2^20 states
+    (``_rng.history_chunk``), so memory does not grow with the horizon.  The
+    histories double as samples for the truthfulness residuals, being the
+    matching density's product measure given the type.  ``config`` must have
+    the schedule's pair, and its prior if the schedule was solved.
     """
     episodes, workers = _check_count("episodes", episodes), _check_count("workers", workers)
     _single_reviewer(config)
@@ -120,9 +120,9 @@ def simulate_evolving(config: GameConfig, schedule, episodes: int, seed: int,
     horizon, pair = schedule.horizon, schedule.pair
 
     def worker(count, rng):
-        n_high = int(np.count_nonzero(rng.random(count) < config.p_high))
-        high_states = pair.high.sample(rng, (n_high, horizon))
-        low_states = pair.low.sample(rng, (count - n_high, horizon))
+        n_high = int(rng.binomial(count, config.p_high))
+        high_states = pair.high.sample(rng, (horizon, n_high))
+        low_states = pair.low.sample(rng, (horizon, count - n_high))
         diff_high, error_high = _history_sums(schedule, high_states, high=True)
         diff_low, error_low = _history_sums(schedule, low_states, high=False)
         cost = Moments.of(error_high / horizon) + Moments.of(error_low / horizon)

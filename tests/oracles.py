@@ -478,6 +478,36 @@ def ic_sums_by_quadrature(schedule) -> tuple[float, float]:
     return s_low, s_high
 
 
+def ic_sum_variance(schedule, dist) -> float:
+    """Exact variance of the IC sum T (c_low - c_high) + sum_{t<T} (k_low r_t
+    + k_high / r_t) over histories drawn from ``dist``, for a schedule of an
+    equal-variance normal pair.
+
+    One state's ratio x has log x = g (theta - mid), g = gap / sigma^2, so
+    under normal(m, sigma^2) E x^a = exp(a g (m - mid) + a^2 g^2 sigma^2 / 2).
+    For s <= t, r_t is r_s times the t - s independent ratios after it, so
+    Cov(r_s^a, r_t^b) = M(a + b)^s M(b)^(t - s) - M(a)^s M(b)^t: the variance
+    is a double sum over (s, t) of geometric terms.
+    """
+    pair = schedule.pair
+    assert {pair.low.family.value, pair.high.family.value, dist.family.value} == {"normal"}
+    assert pair.low.scale == pair.high.scale == dist.scale
+    sigma, (_, k_low, _, k_high) = dist.scale, schedule.coefficients
+    g = (pair.high.location - pair.low.location) / sigma**2
+    mid = (pair.high.location + pair.low.location) / 2
+
+    def m(a):
+        return math.exp(a * g * (dist.location - mid) + (a * g * sigma) ** 2 / 2)
+
+    weights = ((1, k_low), (-1, k_high))   # r_t^1 and r_t^-1
+    total = 0.0
+    for s, t in itertools.product(range(schedule.horizon), repeat=2):
+        s, t = min(s, t), max(s, t)
+        for (a, k_a), (b, k_b) in itertools.product(weights, repeat=2):
+            total += k_a * k_b * (m(a + b) ** s * m(b) ** (t - s) - m(a) ** s * m(b) ** t)
+    return total
+
+
 def cost_by_quadrature_two_periods(schedule) -> float:
     """Per-period expected cost of a two-period schedule, by quadrature."""
     assert schedule.horizon == 2
@@ -572,19 +602,19 @@ def per_period_evolving(config: GameConfig, schedule, episodes: int,
                         seed: int) -> EvolvingReport:
     """``simulate_evolving`` through every period's committed action pair.
 
-    Each chunk scatters the high-type and low-type state draws into one
-    (count, T) array by the type mask, forms both actions of every period
-    from the prefix log ratios and keeps the realized message's by
-    ``np.where``; the IC sums add a_low - a_high period by period.
+    Each chunk draws its Binomial(count, p) high-type count, marks that many
+    first rows high, and stacks the transposed (T, n) state draws of each
+    type into one (count, T) array by episode; it forms both actions of
+    every period from the prefix log ratios and keeps the realized message's
+    by ``np.where``; the IC sums add a_low - a_high period by period.
     """
     horizon, pair = schedule.horizon, schedule.pair
     cost, low, high = Moments(), Moments(), Moments()
     for count, rng in chunked_generators(seed, episodes, history_chunk(horizon)):
-        is_high = rng.random(count) < config.p_high
-        theta = np.empty((count, horizon))
-        n_high = int(np.count_nonzero(is_high))
-        theta[is_high] = pair.high.sample(rng, (n_high, horizon))
-        theta[~is_high] = pair.low.sample(rng, (count - n_high, horizon))
+        n_high = int(rng.binomial(count, config.p_high))
+        is_high = np.arange(count) < n_high
+        theta = np.concatenate([pair.high.sample(rng, (horizon, n_high)).T,
+                                pair.low.sample(rng, (horizon, count - n_high)).T])
         a_low, a_high = schedule.actions_from_log_ratio(
             prefix_log_ratios(pair, theta[:, : horizon - 1]))
         a = np.where(is_high[:, None], a_high, a_low)
@@ -607,7 +637,7 @@ def per_period_ic(schedule, episodes: int, seed: int) -> IcResiduals:
         acc = Moments()
         for count, rng in chunked_generators(seed_seq, episodes,
                                               history_chunk(schedule.horizon)):
-            draws = dist.sample(rng, (count, schedule.horizon - 1))
+            draws = dist.sample(rng, (schedule.horizon - 1, count)).T
             a_low, a_high = schedule.actions_from_log_ratio(
                 prefix_log_ratios(schedule.pair, draws))
             acc += Moments.of(np.sum(a_low - a_high, axis=1))

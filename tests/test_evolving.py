@@ -62,6 +62,18 @@ class TestSolveSchedule:
                 assert FIG_CONFIG.mu_low <= a_low <= FIG_CONFIG.mu_high
                 assert FIG_CONFIG.mu_low <= a_high <= FIG_CONFIG.mu_high
 
+    def test_a_gap_whose_square_overflows_solves(self):
+        # alpha, beta = 1.061, 1.075, but gap**2 raised OverflowError in
+        # solve_schedule and evolving_loss; with share 0 at T = 10^6 the loss
+        # is 0.0, never 0 * inf
+        pair = DistributionPair(StateDistribution(Family.LAPLACE, -1e306, 1e307),
+                                StateDistribution(Family.LAPLACE, 1e306, 1.2e307))
+        g = GameConfig(1, 0.3, 0.5, pair)
+        schedule = solve_schedule(g, 3)
+        assert all(math.isfinite(c) for c in schedule.coefficients)
+        assert evolving_loss(g, 3) == math.inf
+        assert evolving_loss(g, 10**6) == 0.0
+
     # 2.2e-16: the smallest positive math.log of a float separation integral
     @pytest.mark.parametrize("log_r", [2.220446049250313e-16, 1e-8, 0.7, 30.0, 709.0])
     def test_log_excess_matches_mpmath(self, log_r):
