@@ -34,22 +34,24 @@ def majority_vote_loss(config: GameConfig) -> float:
     n, p = config.n_users, config.p_high
     tie = (math.exp(math.lgamma(n + 1.0) - 2.0 * math.lgamma(n / 2 + 1.0) - n * math.log(2.0))
            if n % 2 == 0 else 0.0)
-    return config.mean_gap**2 * ((1.0 - tie) / 2.0 + p * (1.0 - p) * tie)
+    return (((1.0 - tie) / 2.0 + p * (1.0 - p) * tie) * config.mean_gap) * config.mean_gap
 
 
 def majority_vote_loss_biased(config: GameConfig) -> float:
     """Majority-vote loss when the positive-bias share is not one half.
 
     Same blind-bias messaging, but the high count is binomial with success
-    chance ``q_plus``; reduces to the closed form at q_plus = 1/2.
+    chance ``q_plus``; reduces to the closed form at q_plus = 1/2.  The
+    loss is divided by the pmf's own sum of its three sides, which the
+    lgamma coefficients round off 1, so it never exceeds gap^2.
     """
     n, p = config.n_users, config.p_high
     pmf = _kernel(config).pmf((True, False))   # positive reviewers message high
     # rated at the low mean below N/2, wrong under high; at the high mean above
-    loss = p * pmf[:(n + 1) // 2].sum() + (1.0 - p) * pmf[n // 2 + 1:].sum()
-    if n % 2 == 0:
-        loss += p * (1.0 - p) * pmf[n // 2]
-    return config.mean_gap**2 * float(loss)
+    below, above = float(pmf[:(n + 1) // 2].sum()), float(pmf[n // 2 + 1:].sum())
+    tie = float(pmf[n // 2]) if n % 2 == 0 else 0.0
+    loss = (p * below + (1.0 - p) * above + p * (1.0 - p) * tie) / (below + tie + above)
+    return (loss * config.mean_gap) * config.mean_gap
 
 
 def abandon_scheme(config: GameConfig) -> tuple[float, float]:
@@ -60,6 +62,6 @@ def abandon_scheme(config: GameConfig) -> tuple[float, float]:
     misreport is a constant, so that scheme collapses to blind abandoning.
     """
     action = config.prior_mean
-    loss = config.p_high * (1.0 - config.p_high) * config.mean_gap**2
+    loss = (config.p_high * (1.0 - config.p_high) * config.mean_gap) * config.mean_gap
     return action, loss
 

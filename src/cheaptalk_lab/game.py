@@ -194,6 +194,9 @@ def _xlog(count, log: float):
     return np.where(count > 0, -math.inf, 0.0)
 
 
+_LOG_TAIL = -65 * math.log(2.0)   # each side of a window drops under 2^-65
+
+
 class _CountKernel:
     """The count of high messages in one game (N, p, q), in log space.
 
@@ -238,6 +241,46 @@ class _CountKernel:
 
     def pmf(self, flags: tuple[bool, bool]) -> np.ndarray:
         return np.exp(self.log_comb + self.powers(flags))
+
+    def window(self, flags: tuple[bool, bool]) -> tuple[int, np.ndarray]:
+        """(lo, pmf): the pmf on the counts lo..lo + len(pmf) - 1 about the
+        mode that hold all but 2^-64 of the mass, divided by its own sum.
+
+        Its log terms are ``pmf``'s on those counts only: log C from lgamma
+        at the first, then steps log((N - k)/(k + 1)) + log h - log(1 - h).
+        The pmf is log-concave, so the mass past an edge is at most the
+        edge's term times rho/(1 - rho), rho its ratio to the term inside;
+        each edge is the one nearest the mode whose bound is under 2^-65,
+        sought in a run of ten standard deviations and 32 counts each side
+        of the mode, doubled until it holds both.
+        """
+        n, (lh, lc) = self.n, self.log_chance[flags]
+        if lh == -math.inf or lc == -math.inf:   # h is 0 or 1: one count
+            return (0 if lh == -math.inf else n), np.ones(1)
+        mode = min(n, math.floor((n + 1) * math.exp(lh)))
+        width = 32 + math.ceil(10.0 * math.sqrt(n * math.exp(lh + lc)))
+        while True:
+            lo, hi = max(0, mode - width), min(n, mode + width)
+            k = np.arange(lo, hi, dtype=float)
+            steps = np.log((n - k) / (k + 1.0)) + (lh - lc)   # log t(k + 1) / t(k)
+            terms = np.empty(hi - lo + 1)
+            terms[0] = (math.lgamma(n + 1.0) - math.lgamma(lo + 1.0)
+                        - math.lgamma(n - lo + 1.0) + lo * lh + (n - lo) * lc)
+            np.cumsum(steps, out=terms[1:])
+            terms[1:] += terms[0]
+            top = int(np.argmax(terms))
+            with np.errstate(divide="ignore", invalid="ignore"):   # rho = 1 bounds nothing
+                up = terms[top + 1:] + steps[top:] - np.log(-np.expm1(steps[top:]))
+                down = terms[:top] - steps[:top] - np.log(-np.expm1(-steps[:top]))
+            above, below = np.flatnonzero(up <= _LOG_TAIL), np.flatnonzero(down <= _LOG_TAIL)
+            if (above.size or hi == n) and (below.size or lo == 0):
+                break
+            width *= 2
+        first = below[-1] if below.size else 0
+        last = top + 1 + above[0] if above.size else hi - lo
+        pmf = np.exp(terms[first:last + 1] - terms[top])
+        pmf /= pmf.sum()
+        return lo + int(first), pmf
 
     def posteriors(self, profile: StrategyProfile) -> np.ndarray:
         """Posterior chance of the high type after each count k = 0..N."""

@@ -3,11 +3,13 @@
 Plain Monte Carlo, no variance reduction, so every estimate is an unbiased
 oracle for the matching closed form.  Samples within a chunk are
 exchangeable, so a chunk draws them as contiguous blocks: its count of the
-high type, then per type the count with a positive focal reviewer, the count
-of high messages among the other N - 1 (binomial given the type, as each
-sends high with the same chance) and the states of that type.  That is the
-same joint law as drawing every reviewer's bias, in time and memory
-independent of N, with no per-sample mask.  Commitment episodes are drawn as
+high type, then per type the count with a positive focal reviewer, and per
+(type, focal bias) block how many samples see each count of high messages
+among the other N - 1, one multinomial draw over the window of the count's
+Binomial(N - 1, h) pmf (``game._CountKernel.window``), then the states of
+that type.  That is the same joint law as drawing every reviewer's bias, up
+to the window's dropped mass of under 2^-64, with no per-sample count and
+chunk memory independent of N.  Commitment episodes are drawn as
 one period-major block of histories per type, never joined into one array:
 row t of a (T, n) block holds the n episodes' states of period t.  Draws are
 partitioned into chunks with independent substreams and reduced in chunk
@@ -19,10 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._rng import Moments, history_chunk, run_chunks
 from .evolving import IcResiduals, _history_sums, _single_reviewer
 from .game import (GameConfig, InferenceRule, ServiceType, StrategyProfile,
-                   _actions, _chance, _check_count, _senders, min_expected_cost)
+                   _CountKernel, _actions, _check_count, _senders, min_expected_cost)
 
 
 @dataclass(frozen=True)
@@ -58,31 +62,43 @@ def simulate_game(config: GameConfig, profile: StrategyProfile,
     A chunk draws its count of the high type, Binomial(count, p).  Then for
     the high type, and after it the low type, it draws the count of samples
     whose first reviewer has the positive bias, Binomial(size, q), which
-    take the block's first places; each sample's count of high messages
-    among the other reviewers, Binomial(N - 1, h) with h the chance of one
-    reviewer messaging high under the type, plus the first reviewer's
-    message; and one state per sample.  The rating is ``rule`` at the
-    count; each sample adds the squared rating error and the first
-    reviewer's signed rating (bucketed by that reviewer's bias).
+    take the block's first places.  The count of high messages among the
+    other reviewers is Binomial(N - 1, h), h the chance of one reviewer
+    messaging high under the type; for the positive and then the negative
+    samples one multinomial draw says how many see each count of its
+    window, and they are rated ``rule`` at that count plus the first
+    reviewer's message.  One state is drawn per sample.  Each sample adds
+    the squared rating error and the first reviewer's signed rating
+    (bucketed by that reviewer's bias).  The windows are built once per
+    call, in time and memory of order sqrt(N), and shared by the workers.
     """
     samples, workers = _check_count("samples", samples), _check_count("workers", workers)
-    n, q, actions = config.n_users, config.q_plus, _actions(rule, config)
-    high, low = _senders(profile, ServiceType.HIGH), _senders(profile, ServiceType.LOW)
+    actions = _actions(rule, config)
+    # the count among the others; its window needs no lgamma table
+    others = _CountKernel(config.n_users - 1, config.p_high, config.q_plus)
+    blocks = []   # per type: its state density, the others' count pmf, ratings
+    for service, dist in ((ServiceType.HIGH, config.pair.high), (ServiceType.LOW, config.pair.low)):
+        flags = _senders(profile, service)
+        lo, pmf = others.window(flags)
+        # largest chances first, as the draw of counts stops once every
+        # sample is placed; then the rating at each count plus the first
+        # reviewer's message, for a positive and for a negative first reviewer
+        order = np.argsort(-pmf, kind="stable")
+        blocks.append((dist, pmf[order], [actions[order + (lo + sends)] for sends in flags]))
 
     def worker(count, rng):
         n_high = int(rng.binomial(count, config.p_high))
         parts = []
-        for flags, dist, size in ((high, config.pair.high, n_high),
-                                  (low, config.pair.low, count - n_high)):
-            n_pos = int(rng.binomial(size, q))
-            k = rng.binomial(n - 1, _chance(q, flags), size)
-            k[:n_pos] += flags[0]
-            k[n_pos:] += flags[1]
-            a = actions[k]
+        for (dist, pmf, ratings), size in zip(blocks, (n_high, count - n_high)):
+            n_pos = int(rng.binomial(size, config.q_plus))
+            pos, neg = (np.repeat(r, rng.multinomial(m, pmf))
+                        for r, m in zip(ratings, (n_pos, size - n_pos)))
             cost = dist.sample(rng, size)
-            cost -= a
+            cost[:n_pos] -= pos
+            cost[n_pos:] -= neg
             cost **= 2
-            parts.append((Moments.of(cost), Moments.of(a[:n_pos]), Moments.of(-a[n_pos:])))
+            np.negative(neg, out=neg)
+            parts.append((Moments.of(cost), Moments.of(pos), Moments.of(neg)))
         return tuple(x + y for x, y in zip(*parts))
 
     cost, pos, neg = run_chunks(seed, samples, worker, workers)

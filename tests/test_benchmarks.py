@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -98,6 +99,32 @@ class TestMajorityVote:
         for gap in (10.0, 100.0):
             g = config(n=3, mu_l=-gap / 2, mu_h=gap / 2)
             assert majority_vote_loss(g) == pytest.approx(base * gap**2, rel=1e-12, abs=0.0)
+
+    def test_biased_variant_never_exceeds_the_squared_gap(self):
+        # the summed lgamma pmf passes 1: these read 4.000000000002102 and
+        # 1.1999999992231767 before the loss was divided by that sum
+        assert majority_vote_loss_biased(config(n=1001, p=1 - 2**-53, q=0.3)) <= 4.0
+        assert majority_vote_loss_biased(config(n=10**6, p=0.3, q=0.3)) == 1.2
+
+
+class TestGapsWhoseSquareOverflows:
+    # gap**2 raised a bare OverflowError past a gap of about 1.34e154; the
+    # loss is finite wherever the true loss is, and inf beyond
+    def test_a_finite_loss_stays_finite(self):
+        g = config(n=101, p=1e-10, q=0.3, mu_l=-5e154, mu_h=5e154)
+        unit = config(n=101, p=1e-10, q=0.3, mu_l=-0.5, mu_h=0.5)
+        assert abandon_scheme(g)[1] == pytest.approx(1e-10 * (1 - 1e-10) * 1e155 * 1e155,
+                                                     rel=1e-12, abs=0.0)
+        assert majority_vote_loss_biased(g) == pytest.approx(
+            majority_vote_loss_biased(unit) * 1e155 * 1e155, rel=1e-12, abs=0.0)
+        huge = config(n=101, p=1e-10, mu_l=-7e153, mu_h=7e153)
+        assert majority_vote_loss(huge) == pytest.approx(0.5 * 1.4e154 * 1.4e154,
+                                                         rel=1e-12, abs=0.0)
+
+    def test_a_loss_past_the_double_range_is_inf(self):
+        g = config(n=101, p=1e-10, mu_l=-5e154, mu_h=5e154)   # gap^2 / 2 = 5e309
+        assert majority_vote_loss(g) == math.inf
+        assert majority_vote_loss_biased(g) == math.inf
 
 
 class TestAbandon:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from cheaptalk_lab.game import (ALL_PROFILES, Bias, GameConfig, PureStrategy,
                                 SC1, SC2, SC5, SC7, ServiceType,
                                 best_response_rule, expected_platform_cost,
                                 expected_user_utility, min_expected_cost,
-                                posterior_high, _kernel, _senders)
+                                posterior_high, _CountKernel, _kernel, _senders)
 from cheaptalk_lab.distributions import normal_pair
 from cheaptalk_lab.montecarlo import simulate_game
 
@@ -257,3 +258,39 @@ def test_every_rule_taking_function_refuses_a_rule_of_another_count(use_rule, ru
 def test_reviewer_count_must_be_an_integer(n_users):
     with pytest.raises(ValueError):
         GameConfig(n_users, 0.3, 0.5, normal_pair(-1.0, 1.0))
+
+
+class TestCountWindow:
+    # the window of the count of high messages that simulate_game draws from
+    @staticmethod
+    def window(count, h):
+        flags = {0.0: (False, False), 1.0: (True, True)}.get(h, (True, False))
+        return _CountKernel(count, 0.3, h if 0.0 < h < 1.0 else 0.3).window(flags)
+
+    @pytest.mark.parametrize("h", [0.0, 1e-12, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("count", [1, 63, 10**4, 10**6])
+    def test_drops_under_2_to_the_minus_64_and_matches_scipy(self, count, h):
+        from scipy import stats
+
+        lo, pmf = self.window(count, h)
+        k = np.arange(lo, lo + pmf.size)
+        assert 0 <= lo and k[-1] <= count
+        dropped = stats.binom.cdf(lo - 1, count, h) + stats.binom.sf(k[-1], count, h)
+        assert dropped <= 2.0**-64
+        want = stats.binom.pmf(k, count, h)
+        # the log terms are summed step by step; 2.3e-12 measured at 10^6
+        np.testing.assert_allclose(pmf, want / want.sum(), rtol=1e-11, atol=0.0)
+        assert pmf.sum() == pytest.approx(1.0, rel=1e-15, abs=0.0)
+        if h in (0.0, 1.0):   # a sure count is one value
+            assert (lo, pmf.tolist()) == (int(h * count), [1.0])
+
+    def test_builds_no_count_long_array(self):
+        # the kernel's lgamma table would take 8 MB at this count
+        kernel = _CountKernel(10**6, 0.3, 0.5)
+        tracemalloc.start()
+        try:
+            lo, pmf = kernel.window((True, False))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pmf.size < 10**4 and peak < 2**20, (pmf.size, peak)

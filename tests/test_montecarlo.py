@@ -167,8 +167,9 @@ class TestSimulateGame:
                         assert abs(a - b) <= 4.0 * se + 1e-12, (profile, n, q, field)
 
 
-    def test_a_large_game_matches_the_closed_forms_within_four_stderr(self):
-        g = config(n=10**4, q=0.4, var_h=1.5)
+    @pytest.mark.parametrize("n", [10**4, 10**5])
+    def test_a_large_game_matches_the_closed_forms_within_four_stderr(self, n):
+        g = config(n=n, q=0.4, var_h=1.5)
         for profile in (SC1, SC2):
             rule = best_response_rule(profile, g)
             report = simulate_game(g, profile, rule, 200_000, seed=47)
