@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .game import GameConfig, InferenceRule, _kernel
 
 
@@ -42,14 +44,15 @@ def majority_vote_loss_biased(config: GameConfig) -> float:
 
     Same blind-bias messaging, but the high count is binomial with success
     chance ``q_plus``; reduces to the closed form at q_plus = 1/2.  The
-    loss is divided by the pmf's own sum of its three sides, which the
-    lgamma coefficients round off 1, so it never exceeds gap^2.
+    loss is divided by the window's own sum of its three sides, so it never
+    exceeds gap^2.
     """
     n, p = config.n_users, config.p_high
-    pmf = _kernel(config).pmf((True, False))   # positive reviewers message high
-    # rated at the low mean below N/2, wrong under high; at the high mean above
-    below, above = float(pmf[:(n + 1) // 2].sum()), float(pmf[n // 2 + 1:].sum())
-    tie = float(pmf[n // 2]) if n % 2 == 0 else 0.0
+    lo, pmf = _kernel(config).window((True, False))   # positive reviewers message high
+    # counts below N/2 (rated low, wrong under high) end at index mid, those above start at top
+    mid, top = max(0, (n + 1) // 2 - lo), max(0, n // 2 + 1 - lo)
+    below, tie, above = (float(np.add.reduce(pmf[:mid])), float(np.add.reduce(pmf[mid:top])),
+                         float(np.add.reduce(pmf[top:])))   # ndarray.sum without its wrapper
     loss = (p * below + (1.0 - p) * above + p * (1.0 - p) * tie) / (below + tie + above)
     return (loss * config.mean_gap) * config.mean_gap
 

@@ -361,7 +361,7 @@ def symmetric_bias_loss(n_users: int, p_high: float, mean_gap: float) -> float:
     p = _check_chance("p_high", p_high)
     _check_gap("mean_gap", mean_gap)
     s = math.ldexp(1.0, -n_users)   # both ratios scaled by 2^-N, exactly
-    scaled = math.ldexp((1.0 - p) * p * mean_gap**2, -n_users)
+    scaled = math.ldexp(((1.0 - p) * p * mean_gap) * mean_gap, -n_users)
     return max(scaled / (p * s + (1.0 - p)), scaled / (s - (s - 1.0) * p))
 
 
@@ -373,9 +373,9 @@ def one_user_loss(p_high: float, q_plus: float, mean_gap: float) -> float:
     regime all four equilibria coexist and the loss is the larger branch.
     """
     p, q = _check_chance("p_high", p_high), _check_chance("q_plus", q_plus)
-    d2 = _check_gap("mean_gap", mean_gap) ** 2
-    loss_blind_high = q * (1.0 - p) * p * d2 / (p + (1.0 - p) * q)
-    loss_blind_low = (1.0 - q) * (1.0 - p) * p * d2 / (1.0 - q * p)
+    gap = _check_gap("mean_gap", mean_gap)
+    loss_blind_high = (q * (1.0 - p) * p / (p + (1.0 - p) * q) * gap) * gap
+    loss_blind_low = ((1.0 - q) * (1.0 - p) * p / (1.0 - q * p) * gap) * gap
     threshold = bias_thresholds(q)
     if threshold.p1_high is not None and p <= threshold.p1_high:
         return loss_blind_high
@@ -398,7 +398,7 @@ def bayesian_system_loss(config: GameConfig) -> float:
     profiles, worst = _stable_profiles(config.n_users, config.p_high, config.q_plus)
     if not profiles:
         raise RuntimeError("no equilibrium found; the candidate set is incomplete")
-    return config.mean_gap**2 * math.exp(worst)
+    return (math.exp(worst) * config.mean_gap) * config.mean_gap
 
 
 def max_loss_reduction_one_user() -> float:

@@ -4,7 +4,8 @@ Reviewers observe a binary quality type and message it (possibly untruthfully)
 to the platform; the platform maps the count of high messages to a continuous
 rating.  Given the type the count is binomial, and one log-space kernel of it
 (``_CountKernel``: coefficients from lgamma, chances from log q and log1p(-q))
-yields every quantity here and in ``equilibrium``, finite at any N.
+yields every quantity here and in ``equilibrium``, finite at any N.  Every sum
+in linear space is over its ``window``, in time and memory of order sqrt(N).
 """
 
 from __future__ import annotations
@@ -239,48 +240,42 @@ class _CountKernel:
             self._powers[flags] = _xlog(k, lh) + _xlog(self.n - k, lc)
         return self._powers[flags]
 
-    def pmf(self, flags: tuple[bool, bool]) -> np.ndarray:
-        return np.exp(self.log_comb + self.powers(flags))
-
     def window(self, flags: tuple[bool, bool]) -> tuple[int, np.ndarray]:
         """(lo, pmf): the pmf on the counts lo..lo + len(pmf) - 1 about the
         mode that hold all but 2^-64 of the mass, divided by its own sum.
 
-        Its log terms are ``pmf``'s on those counts only: log C from lgamma
-        at the first, then steps log((N - k)/(k + 1)) + log h - log(1 - h).
-        The pmf is log-concave, so the mass past an edge is at most the
-        edge's term times rho/(1 - rho), rho its ratio to the term inside;
-        each edge is the one nearest the mode whose bound is under 2^-65,
-        sought in a run of ten standard deviations and 32 counts each side
-        of the mode, doubled until it holds both.
+        Its log terms are log C from lgamma at lo, then a cumulative sum of
+        the steps log((N - k)/(k + 1)) + log h - log(1 - h).  The run spans
+        9.7 standard deviations (a normal tail of 2^-65 starts at 9.1) and 32
+        counts each side of the mode, doubled until each end is 0 or N or
+        bounds the mass past it under 2^-65; it is returned whole.  The pmf is
+        log-concave, so that mass is at most the end's term times rho/(1 - rho),
+        rho its ratio to the term inside, under 1 as the end is 32 counts or
+        more from the mode; the bound is smallest at the ends.
         """
         n, (lh, lc) = self.n, self.log_chance[flags]
         if lh == -math.inf or lc == -math.inf:   # h is 0 or 1: one count
             return (0 if lh == -math.inf else n), np.ones(1)
         mode = min(n, math.floor((n + 1) * math.exp(lh)))
-        width = 32 + math.ceil(10.0 * math.sqrt(n * math.exp(lh + lc)))
+        width = 32 + math.ceil(9.7 * math.sqrt(n * math.exp(lh + lc)))
         while True:
             lo, hi = max(0, mode - width), min(n, mode + width)
-            k = np.arange(lo, hi, dtype=float)
-            steps = np.log((n - k) / (k + 1.0)) + (lh - lc)   # log t(k + 1) / t(k)
+            k = np.arange(lo + 1.0, hi + 1.0)   # k + 1 for k = lo..hi - 1
+            steps = np.log((n + 1.0 - k) / k) + (lh - lc)   # log t(k + 1) / t(k)
             terms = np.empty(hi - lo + 1)
             terms[0] = (math.lgamma(n + 1.0) - math.lgamma(lo + 1.0)
                         - math.lgamma(n - lo + 1.0) + lo * lh + (n - lo) * lc)
-            np.cumsum(steps, out=terms[1:])
-            terms[1:] += terms[0]
-            top = int(np.argmax(terms))
-            with np.errstate(divide="ignore", invalid="ignore"):   # rho = 1 bounds nothing
-                up = terms[top + 1:] + steps[top:] - np.log(-np.expm1(steps[top:]))
-                down = terms[:top] - steps[:top] - np.log(-np.expm1(-steps[:top]))
-            above, below = np.flatnonzero(up <= _LOG_TAIL), np.flatnonzero(down <= _LOG_TAIL)
-            if (above.size or hi == n) and (below.size or lo == 0):
+            rest = terms[1:]
+            np.add.accumulate(steps, out=rest)   # np.cumsum without its wrapper
+            rest += terms[0]
+            low = lo == 0 or terms[0] - steps[0] - math.log(-math.expm1(-steps[0])) <= _LOG_TAIL
+            high = hi == n or terms[-1] + steps[-1] - math.log(-math.expm1(steps[-1])) <= _LOG_TAIL
+            if low and high:
                 break
             width *= 2
-        first = below[-1] if below.size else 0
-        last = top + 1 + above[0] if above.size else hi - lo
-        pmf = np.exp(terms[first:last + 1] - terms[top])
-        pmf /= pmf.sum()
-        return lo + int(first), pmf
+        pmf = np.exp(terms, out=terms)
+        pmf /= np.add.reduce(pmf)
+        return lo, pmf
 
     def posteriors(self, profile: StrategyProfile) -> np.ndarray:
         """Posterior chance of the high type after each count k = 0..N."""
@@ -333,14 +328,14 @@ def expected_user_utility(profile: StrategyProfile, rule: InferenceRule,
     ``n_users - 1`` reviewers messages high with the same chance, so the
     2^(N-1) bias assignments collapse into the pmf of their high count.
     """
-    kernel, actions = _kernel(config), _actions(rule, config)
+    actions = _actions(rule, config)
+    others = _CountKernel(config.n_users - 1, config.p_high, config.q_plus)
     strategy = profile.strategy_for(bias)
     total = 0.0
     for service in ServiceType:
-        k_focal = 1 if strategy.sends_high(service) else 0
-        others = kernel.others.pmf(_senders(profile, service))
-        total += (config.type_prob(service) * bias.value
-                  * float(others @ actions[k_focal:k_focal + config.n_users]))
+        lo, pmf = others.window(_senders(profile, service))
+        lo += strategy.sends_high(service)   # rated at the others' count plus its message
+        total += config.type_prob(service) * bias.value * float(pmf @ actions[lo:lo + pmf.size])
     return total
 
 
@@ -350,6 +345,7 @@ def expected_platform_cost(profile: StrategyProfile, rule: InferenceRule,
     kernel, actions = _kernel(config), _actions(rule, config)
     total = 0.0
     for service, dist in ((ServiceType.HIGH, config.pair.high), (ServiceType.LOW, config.pair.low)):
-        like = kernel.pmf(_senders(profile, service))
-        total += config.type_prob(service) * float(like @ ((actions - dist.mean) ** 2 + dist.variance))
+        lo, like = kernel.window(_senders(profile, service))
+        rated = (actions[lo:lo + like.size] - dist.mean) ** 2 + dist.variance
+        total += config.type_prob(service) * float(like @ rated)
     return total

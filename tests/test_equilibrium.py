@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cheaptalk_lab import _exact, equilibrium
-from cheaptalk_lab.distributions import normal_pair
+from cheaptalk_lab.distributions import (DistributionPair, Family, StateDistribution,
+                                         normal_pair)
 from cheaptalk_lab.equilibrium import (BiasThresholds, DeviationWitness,
                                        PbeCertificate, bayesian_system_loss,
                                        bias_thresholds, enumerate_pbe, is_pbe,
@@ -594,6 +595,17 @@ class TestSystemLoss:
     def test_zero_gap_means_zero_loss(self):
         g = GameConfig(2, 0.3, 0.5, normal_pair(1.0, 1.0))
         assert bayesian_system_loss(g) == pytest.approx(0.0, abs=1e-14)
+
+    def test_a_gap_whose_square_overflows(self):
+        # gap**2 raised a bare OverflowError past a gap of about 1.34e154; the
+        # loss is finite wherever the true loss is, and inf beyond
+        pair = DistributionPair(StateDistribution(Family.LAPLACE, -1e306, 1e307),
+                                StateDistribution(Family.LAPLACE, 1e306, 1.2e307))
+        assert bayesian_system_loss(GameConfig(1, 0.3, 0.5, pair)) == math.inf
+        assert symmetric_bias_loss(3, 0.3, 1.4e154) == pytest.approx(
+            symmetric_bias_loss(3, 0.3, 1.4) * 1e154 * 1e154, rel=1e-12, abs=0.0)
+        assert one_user_loss(0.3, 0.1, 1.4e154) == pytest.approx(
+            one_user_loss(0.3, 0.1, 1.4) * 1e154 * 1e154, rel=1e-12, abs=0.0)
 
 
 class TestLossReduction:

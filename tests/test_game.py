@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -9,7 +10,8 @@ from cheaptalk_lab.game import (ALL_PROFILES, Bias, GameConfig, PureStrategy,
                                 SC1, SC2, SC5, SC7, ServiceType,
                                 best_response_rule, expected_platform_cost,
                                 expected_user_utility, min_expected_cost,
-                                posterior_high, _CountKernel, _kernel, _senders)
+                                posterior_high, _chance, _CountKernel, _kernel, _senders)
+from cheaptalk_lab.benchmarks import majority_vote_loss_biased
 from cheaptalk_lab.distributions import normal_pair
 from cheaptalk_lab.montecarlo import simulate_game
 
@@ -48,7 +50,8 @@ def test_high_message_prob_examples():
     g = config()
 
     def high_message_prob(profile, service):
-        return _kernel(g).pmf(_senders(profile, service))[1]
+        lo, pmf = _kernel(g).window(_senders(profile, service))
+        return dict(enumerate(pmf.tolist(), lo)).get(1, 0.0)   # outside the window: 0
 
     assert high_message_prob(SC1, ServiceType.HIGH) == pytest.approx(0.5)
     assert high_message_prob(SC1, ServiceType.LOW) == 0.0
@@ -294,3 +297,52 @@ class TestCountWindow:
         finally:
             tracemalloc.stop()
         assert pmf.size < 10**4 and peak < 2**20, (pmf.size, peak)
+
+
+class TestExpectationsAtLargeCounts:
+    # each sums over the count's window; an (N + 1)-long pmf from lgamma took
+    # 61 MiB at 10^6 and put the cost 2.5e-10 off scipy's sum
+    @pytest.fixture(scope="class")
+    def sc1_game(self):
+        # SC1 at p = q = 0.3 and its best-response rule with the action array
+        # built, by reviewer count, kept only while the class runs
+        @functools.cache
+        def build(n):
+            g = config(n=n, p=0.3, q=0.3, var_h=1.5)
+            rule = best_response_rule(SC1, g)
+            rule.action_array
+            return g, rule
+        return build
+
+    @pytest.mark.parametrize("quantity", ["utility", "cost", "majority"])
+    def test_peaks_under_one_mib(self, sc1_game, quantity):
+        g, rule = sc1_game(10**6)
+        call = {"utility": lambda: expected_user_utility(SC1, rule, Bias.POSITIVE, g),
+                "cost": lambda: expected_platform_cost(SC1, rule, g),
+                "majority": lambda: majority_vote_loss_biased(g)}[quantity]
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+    @pytest.mark.parametrize("n", [10**4, 10**6])
+    def test_match_a_scipy_sum(self, sc1_game, n):
+        from scipy import stats
+
+        g, rule = sc1_game(n)
+        actions = rule.action_array
+        chances = {s: _chance(g.q_plus, _senders(SC1, s)) for s in ServiceType}
+        cost = sum(g.type_prob(s) * float(stats.binom.pmf(np.arange(n + 1), n, chances[s])
+                                          @ ((actions - d.mean) ** 2 + d.variance))
+                   for s, d in ((ServiceType.HIGH, g.pair.high), (ServiceType.LOW, g.pair.low)))
+        assert expected_platform_cost(SC1, rule, g) == pytest.approx(cost, rel=1e-13, abs=0.0)
+        for bias in Bias:
+            strategy = SC1.strategy_for(bias)
+            utility = sum(g.type_prob(s) * bias.value * float(
+                stats.binom.pmf(np.arange(n), n - 1, chances[s])
+                @ actions[strategy.sends_high(s):][:n]) for s in ServiceType)
+            assert expected_user_utility(SC1, rule, bias, g) == pytest.approx(
+                utility, rel=1e-13, abs=0.0)
