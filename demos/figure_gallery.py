@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate every bundled sweep as CSV (and SVG) under ./gallery_out.
+"""Regenerate every bundled sweep as CSV under ./gallery_out.
 
 Equivalent to running the ``cheaptalk-lab`` command on each file in
 ``configs/``; shown here through the library API.
@@ -13,7 +13,5 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 OUT = Path("gallery_out")
 
 for config_path in sorted(CONFIG_DIR.glob("*.yaml")):
-    cfg = load_experiment(config_path)
-    cfg.formats = ("csv", "svg")
-    for artifact in run(cfg, out_dir=OUT):
+    for artifact in run(load_experiment(config_path), out_dir=OUT):
         print(artifact)

@@ -15,7 +15,7 @@ high or low.  The package provides:
 - ``evolving``: the multi-period truthful commitment schedule, its loss, and
   incentive verification;
 - ``montecarlo``: seeded, worker-count-independent simulation of everything;
-- ``harness``: experiment configs, sweeps, and CSV/SVG artifacts (also the
+- ``harness``: experiment configs, sweeps, and CSV artifacts (also the
   ``cheaptalk-lab`` command line).
 """
 

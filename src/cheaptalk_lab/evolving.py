@@ -35,9 +35,11 @@ def _log_excess(log_r: float, horizon: int) -> float:
     and g(x) = e^x - 1 - x; the two g terms never cancel by more than about a
     factor of 3.  A log r <= 0, which a separation integral reaches only by
     rounding, and T = 1 give e = 0, log e = -inf.  e overflows once T L exceeds
-    about 700; its log does not."""
+    about 700; its log does not, short of an infinite log r."""
     if log_r <= 0.0 or horizon == 1:
         return -math.inf
+    if log_r == math.inf:
+        return math.inf
     x = horizon * log_r
     if x <= 1.0:   # e = x q, q = (L / expm1(L)) (T h(x) - h(L)) > 1/3: x q is never 0
         h_x = h_l = 0.0
@@ -180,7 +182,7 @@ def equal_variance_normal_loss(p_high: float, mean_gap: float, variance: float,
     _check_gap("mean_gap", mean_gap)
     if not 0.0 < variance < math.inf:
         raise ValueError(f"variance must be positive and finite, got {variance!r}")
-    log_r = mean_gap**2 / variance   # log alpha = log beta for a shared variance
+    log_r = mean_gap * (mean_gap / variance)   # log alpha = log beta for a shared variance
     return _solve(p, mean_gap, log_r, log_r, horizon)[2]
 
 
@@ -193,10 +195,9 @@ def crossover_threshold(config: GameConfig, horizon: int) -> float:
             and pair.low.scale == pair.high.scale):
         raise ValueError("the crossover formula needs an equal-variance normal pair")
     horizon = _check_count("horizon", horizon)
-    p = config.p_high
+    p, ratio = config.p_high, config.mean_gap / pair.low.scale
     # log1p(max(p, 1 - p) e / T) = log1p(exp(z)), past the overflow of e / T too
-    z = (math.log(max(p, 1.0 - p)) - math.log(horizon)
-         + _log_excess(config.mean_gap**2 / pair.low.scale**2, horizon))
+    z = math.log(max(p, 1.0 - p)) - math.log(horizon) + _log_excess(ratio * ratio, horizon)
     return (max(z, 0.0) + math.log1p(math.exp(-abs(z)))) / math.log(2.0)
 
 

@@ -1,10 +1,10 @@
-"""Experiment front end: config parsing, table specs, CSV/SVG output.
+"""Experiment front end: config parsing, table specs, CSV output.
 
 A scenario reads a YAML experiment file with three sections (``game``,
-``sweep``, ``output``; plus scenario-specific ``options``), evaluates the
-requested quantities through the library, and writes one CSV whose first
+``sweep``, ``output``; plus the ``options`` the scenario declares), evaluates
+the requested quantities through the library, and writes one CSV whose first
 column is the swept value.  Floats are formatted at nine significant digits
-and the body carries no timestamps, so reruns are byte-identical.  Files are
+and the body carries no timestamps, so reruns are byte-identical.  The file is
 staged in a temporary name and renamed, so failed runs leave nothing behind.
 
 Every scenario but ``simulate`` names one entry of a spec table, Figures 2-6
@@ -52,13 +52,6 @@ _GAME_DEFAULTS = {
     "scale_high": 1.0,
 }
 
-_SECTION_KEYS = {
-    "game": tuple(_GAME_DEFAULTS),
-    "sweep": ("axis", "values"),
-    "output": ("stem", "format"),
-    "options": ("horizons", "horizon", "profile", "samples", "seed"),
-}
-
 SWEEP_AXES = ("n_users", "horizon", "p_high", "q_plus", "mu_low", "var_high",
               "family")
 
@@ -67,23 +60,69 @@ class ConfigError(CheapTalkError):
     """The experiment file is missing or malformed."""
 
 
+def _integer(value) -> int:
+    """A whole config value: 2 and 2.0 pass; 2.5, true and "2" are refused."""
+    if type(value) in (int, float) and float(value).is_integer():
+        return int(value)
+    raise ConfigError(f"expected an integer, got {value!r}")
+
+
+def _real(value) -> float:
+    """A real config value: 2 and 0.3 pass; true and "0.3" are refused."""
+    if type(value) in (int, float):
+        return float(value)
+    raise ConfigError(f"expected a number, got {value!r}")
+
+
+def _integers(value) -> list[int]:
+    if not isinstance(value, list):
+        raise ConfigError(f"options.horizons must be a list, got {value!r}")
+    return [_integer(v) for v in value]
+
+
+def _profile(value) -> str:
+    if str(value) not in PROFILES_BY_LABEL:
+        raise ConfigError(f"unknown profile {value!r}")
+    return str(value)
+
+
+_OPTION_TYPES = {"horizons": _integers, "horizon": _integer, "profile": _profile,
+                 "samples": _integer, "seed": _integer}
+
+# the options each scenario reads, with their defaults; it refuses any other
+_OPTIONS = {
+    "evolving": {"horizons": [2, 4, 6]},
+    "fig2": {"horizons": [2, 3, 4, 5, 6]},
+    "compare": {"horizon": 2},
+    "simulate": {"profile": "SC1", "samples": 100_000, "seed": 0},
+}
+
+_SECTION_KEYS = {
+    "game": tuple(_GAME_DEFAULTS),
+    "sweep": ("axis", "values"),
+    "output": ("stem",),
+    "options": tuple(_OPTION_TYPES),
+}
+
+
 @dataclass
 class ExperimentConfig:
+    """A whole run: the game with its defaults, the sweep, the stem, and every
+    option the scenario reads, typed and with its defaults."""
+
     scenario: str
     game: dict
     sweep_axis: str | None = None
     sweep_values: list = field(default_factory=list)
     stem: str = "results"
-    formats: tuple[str, ...] = ("csv",)
     options: dict = field(default_factory=dict)
 
 
-def load_experiment(path, scenario: str | None = None,
-                    seed: int | None = None,
+def load_experiment(path, scenario: str | None = None, seed: int | None = None,
                     samples: int | None = None) -> ExperimentConfig:
     """Parse an experiment file.  A ``scenario`` argument must be the file's,
-    if it names one; ``seed`` and ``samples`` win over the file's options of
-    ``simulate``, the one scenario that reads them."""
+    if it names one; ``seed`` and ``samples`` win over the file's options.  An
+    option the scenario does not declare is refused."""
     try:
         raw = yaml.load(Path(path).read_text(), Loader=_YAML_LOADER)
     except (OSError, yaml.YAMLError) as exc:
@@ -107,30 +146,23 @@ def load_experiment(path, scenario: str | None = None,
     if not isinstance(values, list):
         raise ConfigError(f"sweep.values must be a list, got {values!r}")
 
-    fmt = output.get("format", "csv")
-    if fmt not in ("csv", "svg"):
-        raise ConfigError("output.format must be 'csv' or 'svg'")
-    formats = ("csv",) if fmt == "csv" else ("csv", "svg")
     stem = str(output.get("stem", "results"))
     if stem in ("", "..") or stem != Path(stem).name:   # a file name inside the output directory
         raise ConfigError(f"output.stem must be a plain file name, got {stem!r}")
 
-    if chosen != "simulate" and (seed, samples) != (None, None):
-        raise ConfigError(f"seed and samples are options of simulate, not of {chosen!r}")
-    if seed is not None:
-        options["seed"] = seed
-    if samples is not None:
-        options["samples"] = samples
+    options.update({key: value for key, value in (("seed", seed), ("samples", samples))
+                    if value is not None})
+    declared = _OPTIONS.get(chosen, {})
+    for key in options:
+        if key not in declared:
+            readers = ", ".join(repr(s) for s, names in _OPTIONS.items() if key in names)
+            raise ConfigError(f"option {key!r} is not read by {chosen!r}, only by {readers}")
 
     return ExperimentConfig(
-        scenario=chosen,
-        game={**_GAME_DEFAULTS, **game_section},
-        sweep_axis=axis,
-        sweep_values=values,
-        stem=stem,
-        formats=formats,
-        options=options,
-    )
+        scenario=chosen, game={**_GAME_DEFAULTS, **game_section}, sweep_axis=axis,
+        sweep_values=values, stem=stem,
+        options={key: _OPTION_TYPES[key](options.get(key, default))
+                 for key, default in declared.items()})
 
 
 def _check_keys(section, allowed: tuple[str, ...], where: str) -> dict:
@@ -141,20 +173,6 @@ def _check_keys(section, allowed: tuple[str, ...], where: str) -> dict:
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in {where}; expected one of {allowed}")
     return section
-
-
-def _integer(value) -> int:
-    """A whole config value: 2 and 2.0 pass; 2.5, true and "2" are refused."""
-    if type(value) in (int, float) and float(value).is_integer():
-        return int(value)
-    raise ConfigError(f"expected an integer, got {value!r}")
-
-
-def _real(value) -> float:
-    """A real config value: 2 and 0.3 pass; true and "0.3" are refused."""
-    if type(value) in (int, float):
-        return float(value)
-    raise ConfigError(f"expected a number, got {value!r}")
 
 
 def build_game(section: dict) -> GameConfig:
@@ -244,23 +262,20 @@ def _fixed(*columns: Column):
 _ABANDON = Column("abandon_loss", "abandon_loss")
 
 
-def _horizon_columns(options: dict, default) -> list[Column]:
-    horizons = options.get("horizons", default)
-    if not isinstance(horizons, list):
-        raise ConfigError(f"options.horizons must be a list, got {horizons!r}")
-    return [Column(f"loss_T{t}", "evolving_loss", horizon=t) for t in map(_integer, horizons)]
+def _horizon_columns(horizons: list[int]) -> list[Column]:
+    return [Column(f"loss_T{t}", "evolving_loss", horizon=t) for t in horizons]
 
 
 def _evolving_columns(options: dict, axis: str) -> list[Column]:
     if axis == "horizon":
         return [Column("evolving_loss", "evolving_loss", horizon=_ROW), _ABANDON]
-    return _horizon_columns(options, [2, 4, 6]) + [_ABANDON]
+    return _horizon_columns(options["horizons"]) + [_ABANDON]
 
 
 def _compare_columns(options: dict, axis: str) -> list[Column]:
     if axis != "n_users":
         raise ConfigError("compare sweeps the reviewer count")
-    t = _integer(options.get("horizon", 2))
+    t = options["horizon"]
     return [Column("bayesian_loss", "bayesian_loss"),
             Column(f"evolving_loss_T{t}", "evolving_loss", horizon=t),
             Column("majority_loss", "majority_loss"),
@@ -283,7 +298,7 @@ _SPECS = {
     # Figure 2: commitment loss against the low mean, one column per horizon
     "fig2": TableSpec(
         "mu_low", [x / 2.0 for x in range(-10, 0)],
-        lambda options, axis: _horizon_columns(options, [2, 3, 4, 5, 6]),
+        lambda options, axis: _horizon_columns(options["horizons"]),
         dict(family="normal", mu_high=1.0, scale_low=1.0, scale_high=1.0, p_high=0.3)),
     # Figure 3: commitment loss against the horizon for three high variances
     "fig3": TableSpec("horizon", list(range(2, 11)), _fixed(_ABANDON, *(
@@ -340,12 +355,8 @@ def _build_table(cfg: ExperimentConfig):
 
 def _scenario_simulate(cfg: ExperimentConfig):
     g = build_game(cfg.game)
-    label = str(cfg.options.get("profile", "SC1"))
-    if label not in PROFILES_BY_LABEL:
-        raise ConfigError(f"unknown profile {label!r}")
-    profile = PROFILES_BY_LABEL[label]
-    samples = _integer(cfg.options.get("samples", 100_000))
-    seed = _integer(cfg.options.get("seed", 0))
+    profile = PROFILES_BY_LABEL[cfg.options["profile"]]
+    samples, seed = cfg.options["samples"], cfg.options["seed"]
     rule = game.best_response_rule(profile, g)
     report = montecarlo.simulate_game(g, profile, rule, samples, seed)
 
@@ -364,7 +375,7 @@ def _scenario_simulate(cfg: ExperimentConfig):
 
 
 # ---------------------------------------------------------------------------
-# output writers
+# output
 
 
 def _format_cell(value) -> str:
@@ -392,79 +403,18 @@ def write_csv(path: Path, header, rows) -> None:
     _write_atomic(path, buf.getvalue())
 
 
-def render_svg(header, rows, title: str) -> str:
-    """Minimal polyline plot of every numeric column against the first one."""
-    width, height, margin = 640, 400, 55
-
-    def numeric(col: int) -> list[float]:
-        try:
-            values = [float(r[col]) for r in rows]
-        except (TypeError, ValueError):
-            return []
-        return values if all(math.isfinite(v) for v in values) else []
-
-    xs = numeric(0)   # empty for a first column of names, as in ``simulate``
-    series = [(header[col], ys) for col in range(1, len(header)) if (ys := numeric(col))]
-    if not xs or not series:
-        return ("<svg xmlns='http://www.w3.org/2000/svg' width='640' height='400'>"
-                "<text x='20' y='40'>no numeric series</text></svg>")
-
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo = min(min(ys) for _, ys in series)
-    y_hi = max(max(ys) for _, ys in series)
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
-
-    def sx(x):
-        return margin + (x - x_lo) / x_span * (width - 2 * margin)
-
-    def sy(y):
-        return height - margin - (y - y_lo) / y_span * (height - 2 * margin)
-
-    colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
-              "#8c564b", "#17becf", "#7f7f7f"]
-    parts = [
-        f"<svg xmlns='http://www.w3.org/2000/svg' width='{width}' height='{height}'>",
-        f"<text x='{margin}' y='20' font-size='14'>{title}</text>",
-        f"<line x1='{margin}' y1='{height - margin}' x2='{width - margin}' "
-        f"y2='{height - margin}' stroke='black'/>",
-        f"<line x1='{margin}' y1='{margin}' x2='{margin}' "
-        f"y2='{height - margin}' stroke='black'/>",
-        f"<text x='{margin}' y='{height - margin + 18}' font-size='11'>{x_lo:.6g}</text>",
-        f"<text x='{width - margin - 30}' y='{height - margin + 18}' "
-        f"font-size='11'>{x_hi:.6g}</text>",
-        f"<text x='4' y='{height - margin}' font-size='11'>{y_lo:.6g}</text>",
-        f"<text x='4' y='{margin + 4}' font-size='11'>{y_hi:.6g}</text>",
-        f"<text x='{width / 2:.0f}' y='{height - 8}' font-size='12'>{header[0]}</text>",
-    ]
-    for i, (name, ys) in enumerate(series):
-        color = colors[i % len(colors)]
-        points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
-        parts.append(f"<polyline fill='none' stroke='{color}' points='{points}'/>")
-        parts.append(f"<text x='{width - margin + 2}' y='{margin + 14 * i + 10}' "
-                     f"font-size='11' fill='{color}'>{name}</text>")
-    parts.append("</svg>")
-    return "\n".join(parts)
-
-
 def default_output_dir() -> Path:
     return Path(os.environ.get(OUTPUT_DIR_ENV, "."))
 
 
 def run(cfg: ExperimentConfig, out_dir=None) -> list[Path]:
-    """Evaluate one scenario and write its artifacts; returns written paths."""
+    """Evaluate one scenario and write its CSV; returns the written path."""
     out = Path(out_dir) if out_dir is not None else default_output_dir()
     out.mkdir(parents=True, exist_ok=True)
     if cfg.scenario == "simulate":
         header, rows = _scenario_simulate(cfg)
     else:
         header, rows = _build_table(cfg)
-
-    # the SVG is rendered before any file is written: a failed render leaves nothing
-    svg = render_svg(header, rows, cfg.stem) if "svg" in cfg.formats else None
-    written = [out / f"{cfg.stem}.csv"]
-    write_csv(written[0], header, rows)
-    if svg is not None:
-        written.append(out / f"{cfg.stem}.svg")
-        _write_atomic(written[1], svg)
-    return written
+    path = out / f"{cfg.stem}.csv"
+    write_csv(path, header, rows)
+    return [path]

@@ -378,6 +378,12 @@ class TestCrossover:
         with pytest.raises(ValueError):
             crossover_threshold(config(var_h=1.5), 2)
 
+    def test_a_gap_whose_square_overflows(self):
+        # mean_gap**2 raised a bare OverflowError in both; log r is now a
+        # product of two finite factors, inf where it overflows
+        assert equal_variance_normal_loss(0.3, 2e306, 1e300, 3) == 0.0
+        assert crossover_threshold(config(mu_l=-1e154, mu_h=1e154), 3) == math.inf
+
 
 class TestScheduleFields:
     def test_solved_fields_and_residual_names_keep_their_meaning(self):

@@ -84,13 +84,6 @@ class TestConfigParsing:
         "scenario: benchmark\ngame:\n  mu_low: .nan\n",
         "scenario: pbe\ngame:\n  n_users: 2.5\n",
         "scenario: loss_curve\nsweep:\n  axis: n_users\n  values: [2.5, 3.9]\n",
-        "scenario: evolving\nsweep:\n  axis: mu_low\n  values: [-2.0]\n"
-        "options:\n  horizons: [2.5, 3.7]\n",
-        "scenario: evolving\nsweep:\n  axis: mu_low\n  values: [-2.0]\n"
-        "options:\n  horizons: 3\n",
-        "scenario: compare\noptions:\n  horizon: 2.5\n",
-        "scenario: simulate\noptions:\n  samples: 2.5\n",
-        "scenario: simulate\noptions:\n  seed: 2.5\n",
         "scenario: pbe\nsweep:\n  axis: p_high\n  values: [0.3, abc]\n",
         "scenario: evolving\nsweep:\n  axis: mu_low\n  values: [false]\n",
         "scenario: evolving\nsweep:\n  axis: mu_low\n  values: ['-2.0']\n",
@@ -98,19 +91,33 @@ class TestConfigParsing:
         "scenario: benchmark\ngame:\n  mu_low: true\n  mu_high: 2.0\n",
         "scenario: benchmark\ngame:\n  p_high: '0.3'\n",
         "scenario: benchmark\ngame:\n  family: cauchy\n",
-        "scenario: simulate\noptions:\n  profile: SC17\n",
     ], ids=["horizon_axis_unused", "compare_axis", "empty_values",
             "figure_needs_horizon_sweep", "nan_mean",
             "fractional_n_users", "fractional_sweep_values",
-            "fractional_horizons", "scalar_horizons", "fractional_horizon",
-            "fractional_samples", "fractional_seed", "text_sweep_value", "bool_sweep_value",
+            "text_sweep_value", "bool_sweep_value",
             "quoted_sweep_value", "bool_variance", "bool_game_mean",
-            "quoted_game_prior", "unknown_family", "unknown_profile"])
+            "quoted_game_prior", "unknown_family"])
     def test_invalid_tables_rejected(self, tmp_path, text):
         cfg = load_experiment(write_yaml(tmp_path, text))
         with pytest.raises(ConfigError):
             run(cfg, out_dir=tmp_path)
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("text", [
+        "scenario: evolving\nsweep:\n  axis: mu_low\n  values: [-2.0]\n"
+        "options:\n  horizons: [2.5, 3.7]\n",
+        "scenario: evolving\nsweep:\n  axis: mu_low\n  values: [-2.0]\n"
+        "options:\n  horizons: 3\n",
+        "scenario: compare\noptions:\n  horizon: 2.5\n",
+        "scenario: simulate\noptions:\n  samples: 2.5\n",
+        "scenario: simulate\noptions:\n  seed: 2.5\n",
+        "scenario: simulate\noptions:\n  profile: SC17\n",
+    ], ids=["fractional_horizons", "scalar_horizons", "fractional_horizon",
+            "fractional_samples", "fractional_seed", "unknown_profile"])
+    def test_invalid_options_rejected_at_load(self, tmp_path, text):
+        # each was refused only once its table was computed
+        with pytest.raises(ConfigError):
+            load_experiment(write_yaml(tmp_path, text))
 
     @pytest.mark.parametrize("game,value", [
         ("", "0.0"), ("", "-1.0"), ("", ".nan"), ("game:\n  family: cauchy\n", "1.0")],
@@ -253,29 +260,17 @@ class TestOutputs:
         write_csv(path, ["x", "y"], [[1, 0.123456789123456789]])
         assert path.read_text() == "x,y\n1,0.123456789\n"
 
-    def test_svg_written_when_requested(self, tmp_path):
-        text = (CONFIG_DIR / "evolving_horizon.yaml").read_text()
-        path = write_yaml(tmp_path, text + "\n")
-        cfg = load_experiment(path)
-        cfg.formats = ("csv", "svg")
-        paths = run(cfg, out_dir=tmp_path)
-        assert [p.suffix for p in paths] == [".csv", ".svg"]
-        body = paths[1].read_text()
-        assert body.startswith("<svg") and "polyline" in body
-
-    def test_svg_of_a_table_without_a_numeric_axis(self, tmp_path):
-        cfg = load_experiment(CONFIG_DIR / "simulate_sc1.yaml", samples=2_000)
-        cfg.formats = ("csv", "svg")
-        paths = run(cfg, out_dir=tmp_path)
-        assert [p.suffix for p in paths] == [".csv", ".svg"]
-        assert "no numeric series" in paths[1].read_text()
-
     def test_a_failed_render_leaves_no_files(self, tmp_path, monkeypatch):
-        def broken(*args):
-            raise RuntimeError("render failed")
-        monkeypatch.setattr(harness, "render_svg", broken)
+        # every row but the last is computed before the failure
+        majority = harness._QUANTITIES["majority_loss"]
+
+        def fails_on_the_last_row(g, t):
+            if g.n_users == 8:
+                raise RuntimeError("the last row failed")
+            return majority(g, t)
+
+        monkeypatch.setitem(harness._QUANTITIES, "majority_loss", fails_on_the_last_row)
         cfg = load_experiment(CONFIG_DIR / "benchmark_counts.yaml")
-        cfg.formats = ("csv", "svg")
         with pytest.raises(RuntimeError):
             run(cfg, out_dir=tmp_path)
         assert not list(tmp_path.iterdir())
@@ -383,7 +378,8 @@ class TestCli:
 
     @pytest.mark.parametrize("text, message", [
         ("scenario: loss_curve\ngame: 3\n", "section 'game' must contain a mapping"),
-        ("scenario: loss_curve\noutput:\n  format: png\n", "output.format must be"),
+        ("scenario: loss_curve\noutput:\n  format: svg\n",
+         "unknown key 'format' in section 'output'"),
     ], ids=["section_not_a_mapping", "unknown_format"])
     def test_a_malformed_section_exits_nonzero(self, tmp_path, capsys, text, message):
         bad = write_yaml(tmp_path, text)
@@ -448,6 +444,56 @@ class TestCli:
             main(argv)
         assert caught.value.code == 2
         assert "usage: cheaptalk-lab" in capsys.readouterr().err
+
+
+# the bundled configs' options, with the defaults of those they leave out
+BUNDLED_OPTIONS = {
+    "compare_counts": {"horizon": 2},
+    "evolving_gap": {"horizons": [2, 3, 4, 6]},
+    "evolving_horizon": {"horizons": [2, 4, 6]},
+    "figure2": {"horizons": [2, 3, 4, 5, 6]},
+    "simulate_sc1": {"profile": "SC1", "samples": 200_000, "seed": 20240801},
+}
+
+
+class TestDeclaredOptions:
+    @pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+    def test_a_bundled_config_writes_one_csv_and_holds_its_options(self, config, tmp_path):
+        cfg = load_experiment(config)
+        assert cfg.options == BUNDLED_OPTIONS.get(config.stem, {})
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(cfg, out_dir=out) == [out / f"{config.stem}.csv"]
+        assert [p.name for p in out.iterdir()] == [f"{config.stem}.csv"]
+
+    @pytest.mark.parametrize("scenario", harness.SCENARIOS)
+    def test_a_file_without_options_takes_the_defaults(self, tmp_path, scenario):
+        defaults = {"evolving": {"horizons": [2, 4, 6]}, "fig2": {"horizons": [2, 3, 4, 5, 6]},
+                    "compare": {"horizon": 2},
+                    "simulate": {"profile": "SC1", "samples": 100_000, "seed": 0}}
+        path = write_yaml(tmp_path, f"scenario: {scenario}\n")
+        assert load_experiment(path).options == defaults.get(scenario, {})
+
+    def test_options_are_typed_at_load(self, tmp_path):
+        path = write_yaml(tmp_path, "scenario: simulate\noptions:\n  samples: 5.0\n")
+        options = load_experiment(path, seed=3).options
+        assert options == {"profile": "SC1", "samples": 5, "seed": 3}
+        assert type(options["samples"]) is int
+
+    @pytest.mark.parametrize("text", [
+        (CONFIG_DIR / "pbe_one_reviewer.yaml").read_text()
+        + "options: {horizons: [2, 3], samples: 5, profile: SC99}\n",
+        "scenario: fig3\noptions: {horizons: [7], horizon: \"x\"}\n",
+    ], ids=["pbe", "fig3"])
+    def test_an_option_the_scenario_does_not_read_exits_nonzero(self, tmp_path, capsys, text):
+        # both ran on their defaults and exited 0
+        path = write_yaml(tmp_path, text)
+        scenario = yaml.safe_load(text)["scenario"]
+        out = tmp_path / "out"
+        assert main([scenario, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "option 'horizons'" in err and "'evolving', 'fig2'" in err
+        assert not out.exists()
 
 
 class TestOutputStem:
