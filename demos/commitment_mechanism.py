@@ -10,15 +10,16 @@ import numpy as np
 
 from cheaptalk_lab import (GameConfig, abandon_scheme, crossover_threshold,
                            equal_variance_normal_loss, evolving_loss,
-                           normal_pair, solve_schedule, symmetric_bias_loss,
-                           verify_ic)
+                           log_alpha_beta, normal_pair, solve_schedule,
+                           symmetric_bias_loss, verify_ic)
 
 game = GameConfig(1, 0.3, 0.5, normal_pair(-1.0, 1.0))
 
 print("== solving the two-period schedule ==")
 schedule = solve_schedule(game, horizon=2)
 print(f"  multipliers: low {schedule.lambda_low:.6f}, high {schedule.lambda_high:.6f}")
-print(f"  geometric separation sums: {schedule.s_alpha:.4f}, {schedule.s_beta:.4f}")
+log_alpha, log_beta = log_alpha_beta(game.pair)
+print(f"  log separation integrals: log alpha {log_alpha:.4f}, log beta {log_beta:.4f}")
 a_low, a_high = schedule.actions([])
 print(f"  first-period committed pair: low-message {a_low:.4f}, "
       f"high-message {a_high:.4f}  (means are -1 and +1)")

@@ -20,7 +20,8 @@ high or low.  The package provides:
 """
 
 from .distributions import (DistributionPair, Family, StateDistribution,
-                            alpha_beta, log_likelihood_ratio, normal_pair)
+                            alpha_beta, log_alpha_beta, log_likelihood_ratio,
+                            normal_pair)
 from .game import (ALL_PROFILES, Bias, GameConfig, InferenceRule,
                    PROFILE_LABELS, PROFILES_BY_LABEL, PureStrategy, SC1, SC2,
                    SC3, SC4, SC5, SC6, SC7, SC8, SC9, SC10, SC11, SC12, SC13,
@@ -29,11 +30,11 @@ from .game import (ALL_PROFILES, Bias, GameConfig, InferenceRule,
                    expected_user_utility, min_expected_cost,
                    posterior_high)
 from .benchmarks import (abandon_scheme, majority_vote_loss,
-                         majority_vote_loss_biased, majority_vote_rule)
-from .equilibrium import (BiasThresholds, DeviationWitness, PbeCertificate,
+                         majority_vote_loss_biased)
+from .equilibrium import (MAX_LOSS_REDUCTION_ONE_USER, BiasThresholds,
+                          DeviationWitness, PbeCertificate,
                           bayesian_system_loss, bias_thresholds,
-                          enumerate_pbe, is_pbe, max_loss_reduction_one_user,
-                          one_user_loss, p1_high, p1_low,
+                          enumerate_pbe, is_pbe, one_user_loss, p1_high, p1_low,
                           sequential_two_user_check, symmetric_bias_loss,
                           three_type_loss)
 from .evolving import (CommitmentSchedule, crossover_threshold,

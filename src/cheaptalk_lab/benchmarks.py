@@ -6,21 +6,7 @@ import math
 
 import numpy as np
 
-from .game import GameConfig, InferenceRule, _kernel
-
-
-def majority_vote_rule(config: GameConfig) -> InferenceRule:
-    """Rate at the winning side's mean; fall back to the prior mean on ties."""
-    n = config.n_users
-    actions = []
-    for k in range(n + 1):
-        if 2 * k > n:
-            actions.append(config.mu_high)
-        elif 2 * k == n:
-            actions.append(config.prior_mean)
-        else:
-            actions.append(config.mu_low)
-    return InferenceRule(tuple(actions))
+from .game import GameConfig, _kernel
 
 
 def majority_vote_loss(config: GameConfig) -> float:

@@ -268,23 +268,25 @@ def _log_separation(num: StateDistribution, den: StateDistribution) -> float:
     return x + math.log(beta * (1.0 + e * e) + e / 3.0) - log_r   # 2 cosh(x) = e^x (1 + e^-2x)
 
 
-def alpha_beta(pair: DistributionPair) -> tuple[float, float]:
-    """The two squared-ratio separation integrals of the pair.
-
-    Both equal 1 exactly when the densities coincide and exceed 1 otherwise.
-    Every pair of one family has exact closed forms; a pair of two families
-    raises ``ValueError``.  Raises ``DivergentIntegral`` when an integral does
-    not converge and ``SeparationOverflow`` when one converges past the double
-    range.
-    """
+def log_alpha_beta(pair: DistributionPair) -> tuple[float, float]:
+    """The logs of the two squared-ratio separation integrals, of low^2/high and
+    high^2/low: 0 exactly when the densities coincide, and positive and finite
+    otherwise.  A pair of two families raises ``ValueError``, and an integral
+    that does not converge ``DivergentIntegral``."""
     low, high = pair.low, pair.high
     if low.family is not high.family:
         raise ValueError(f"a {low.family.value} and {high.family.value} pair: the families differ")
-    log_alpha, log_beta = _log_separation(low, high), _log_separation(high, low)
+    return _log_separation(low, high), _log_separation(high, low)
+
+
+def alpha_beta(pair: DistributionPair) -> tuple[float, float]:
+    """The two separation integrals, the ``exp`` of ``log_alpha_beta``; raises
+    ``SeparationOverflow`` where one converges past the double range."""
+    log_alpha, log_beta = log_alpha_beta(pair)
     if max(log_alpha, log_beta) > _LOG_MAX:
         raise SeparationOverflow(
             "a separation integral of the pair "
             + " and ".join(f"{d.family.value}({d.location!r}, scale {d.scale!r})"
-                           for d in (low, high))
+                           for d in (pair.low, pair.high))
             + " exceeds the double range")
     return math.exp(log_alpha), math.exp(log_beta)

@@ -401,14 +401,10 @@ def bayesian_system_loss(config: GameConfig) -> float:
     return (math.exp(worst) * config.mean_gap) * config.mean_gap
 
 
-def max_loss_reduction_one_user() -> float:
-    """Supremum of (abandoning loss - one-reviewer game loss) / gap^2.
-
-    Attained in the limit of a vanishing (or dominating) positive-bias share
-    with the quality prior at the matching honesty threshold: q_plus -> 0
-    with p_high = p1_high(q_plus), or q_plus -> 1 with p_high = p1_low(q_plus).
-    """
-    return math.sqrt(5.0) - 2.0
+# Supremum of (abandoning loss - one-reviewer game loss) / gap^2, attained as the
+# positive-bias share q_plus -> 0 with p_high = p1_high(q_plus), or q_plus -> 1 with
+# p_high = p1_low(q_plus): the quality prior at the matching honesty threshold
+MAX_LOSS_REDUCTION_ONE_USER = math.sqrt(5.0) - 2.0
 
 
 # ---------------------------------------------------------------------------

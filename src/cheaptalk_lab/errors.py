@@ -14,7 +14,7 @@ class SeparationOverflow(CheapTalkError):
 
 
 class DegenerateHorizon(CheapTalkError):
-    """The commitment has nothing to separate: one period, or densities equal in floats."""
+    """Nothing to separate: one period, or both log separation integrals <= 0 in floats."""
 
 
 class OutOfRegime(CheapTalkError):

@@ -6,10 +6,11 @@ is tilted toward the message's opposite mean by a history weight driven by
 the likelihood ratio, calibrated so that misreporting never pays in
 expectation for either bias.  Both the calibration and its per-period loss
 are closed-form in the excess sums e = sum_{t<T} (r^t - 1) >= 0 of the two
-separation integrals r (``_log_excess``), so nothing cancels as the densities
-meet.  Every schedule, solved or built by hand, is affine in the history
-ratio r and in 1/r, so the Monte Carlo checks read a history's truthfulness
-sum from its sums of r and 1/r, taken in one pass (``_history_sums``).
+separation integrals r, taken from log r (``_excess``), so nothing cancels as
+the densities meet, and nothing overflows as they part.  Every schedule,
+solved or built by hand, is affine in the history ratio r and in 1/r, so the
+Monte Carlo checks read a history's truthfulness sum from its sums of r and
+1/r, taken in one pass (``_history_sums``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 
 from . import benchmarks
 from ._rng import Moments, history_chunk, run_chunks
-from .distributions import DistributionPair, Family, alpha_beta, log_likelihood_ratio
+from .distributions import (DistributionPair, Family, alpha_beta, log_alpha_beta,
+                            log_likelihood_ratio)
 from .errors import DegenerateHorizon
 from .game import GameConfig, _check_chance, _check_count, _check_gap
 
@@ -30,29 +32,30 @@ from .game import GameConfig, _check_chance, _check_count, _check_gap
 _H_SERIES = tuple(1.0 / math.factorial(k + 2) for k in range(16, -1, -1))
 
 
-def _log_excess(log_r: float, horizon: int) -> float:
-    """log e, e = sum_{t<T} (r^t - 1) = (g(T L) - T g(L)) / expm1(L) with L = log r
-    and g(x) = e^x - 1 - x; the two g terms never cancel by more than about a
-    factor of 3.  A log r <= 0, which a separation integral reaches only by
-    rounding, and T = 1 give e = 0, log e = -inf.  e overflows once T L exceeds
-    about 700; its log does not, short of an infinite log r."""
+def _excess(log_r: float, horizon: int) -> tuple[float, float]:
+    """(e, log e), e = sum_{t<T} (r^t - 1) = (g(T L) - T g(L)) / expm1(L) with
+    L = log r and g(x) = e^x - 1 - x; the two g terms never cancel by more than
+    about a factor of 3.  A log r <= 0, which a separation integral reaches only
+    by rounding, and T = 1 give e = 0, log e = -inf.  Past T L = 700, where e
+    soon overflows, it is the exp of its log, finite short of an infinite log r."""
     if log_r <= 0.0 or horizon == 1:
-        return -math.inf
+        return 0.0, -math.inf
     if log_r == math.inf:
-        return math.inf
+        return math.inf, math.inf
     x = horizon * log_r
     if x <= 1.0:   # e = x q, q = (L / expm1(L)) (T h(x) - h(L)) > 1/3: x q is never 0
         h_x = h_l = 0.0
         for c in _H_SERIES:
             h_x, h_l = h_x * x + c, h_l * log_r + c
-        q = log_r / math.expm1(log_r) * (horizon * h_x - h_l)
-        return math.log(x * q)
-    if x < 700.0:
+        e = x * (log_r / math.expm1(log_r) * (horizon * h_x - h_l))
+    elif x < 700.0:
         g_x, g_l = math.expm1(x) - x, math.expm1(log_r) - log_r
-        return math.log((g_x - horizon * g_l) / math.expm1(log_r))
-    # e expm1(L) = e^x (1 + (T - 1) e^-x - T e^(L - x))
-    return (x + math.log1p((horizon - 1) * math.exp(-x) - horizon * math.exp(log_r - x))
-            - log_r - math.log(-math.expm1(-log_r)))
+        e = (g_x - horizon * g_l) / math.expm1(log_r)
+    else:   # e expm1(L) = e^x (1 + (T - 1) e^-x - T e^(L - x))
+        log_e = (x + math.log1p((horizon - 1) * math.exp(-x) - horizon * math.exp(log_r - x))
+                 - log_r - math.log(-math.expm1(-log_r)))
+        return _exp(log_e), log_e
+    return e, math.log(e)
 
 
 def _exp(x: float) -> float:
@@ -63,24 +66,25 @@ def _exp(x: float) -> float:
 
 
 def _solve(p: float, gap: float, log_alpha: float, log_beta: float, horizon: int) -> tuple:
-    """(lambda_low, lambda_high, loss, log e_alpha, log e_beta) of log alpha, log beta.
+    """(lambda_low, lambda_high, loss) of log alpha and log beta.
 
     With y = T / e of each excess sum and x = p y_alpha + (1 - p) y_beta, the
     loss is p(1-p) gap^2 x / (x + p(1-p)), and lambda_low and lambda_high are
     2 p(1-p) gap times the shares p y_alpha and (1 - p) y_beta of x + p(1-p).
-    An overflowed e gives y = 0, and large horizons a loss of exactly 0.0 even
-    where gap^2 is inf; an e of 0 gives y = inf, and the shares their limit in y.
+    y is read from log e where e overflows, so large horizons give a loss of
+    exactly 0.0 even where gap^2 is inf; an e of 0 gives y = inf, and the shares
+    their limit in y.
     """
     pq = p * (1.0 - p)
-    log_a, log_b = _log_excess(log_alpha, horizon), _log_excess(log_beta, horizon)
-    y_a, y_b = horizon * _exp(-log_a), horizon * _exp(-log_b)
+    y_a, y_b = (horizon / e if 0.0 < e < math.inf else horizon * _exp(-log_e)
+                for e, log_e in (_excess(log_alpha, horizon), _excess(log_beta, horizon)))
     x = p * y_a + (1.0 - p) * y_b
     if x < math.inf:
         share_a, share_b, share = p * y_a / (x + pq), (1.0 - p) * y_b / (x + pq), x / (x + pq)
     else:
         share_a, share_b, share = float(y_b < math.inf), float(y_a < math.inf), 1.0
     two_pq_gap, loss = 2.0 * pq * gap, (pq * (gap * gap) * share if share else 0.0)
-    return two_pq_gap * share_a, two_pq_gap * share_b, loss, log_a, log_b
+    return two_pq_gap * share_a, two_pq_gap * share_b, loss
 
 
 def _times(k: float, x: np.ndarray) -> np.ndarray:
@@ -92,25 +96,36 @@ def _times(k: float, x: np.ndarray) -> np.ndarray:
 class CommitmentSchedule:
     """``coefficients`` (c_low, k_low, c_high, k_high) rate a low message
     c_low + k_low r and a high one c_high - k_high / r, r the history's
-    likelihood ratio.  ``solve_schedule`` also fills in the multipliers, sums,
-    integrals and prior it solved with; a schedule built by hand leaves them None."""
+    likelihood ratio.  A schedule built by hand gives them and no prior.  A
+    solved one gives its prior ``p_high`` and the multipliers ``lambda_low``
+    and ``lambda_high`` instead, and its coefficients follow from those here,
+    replacing any given, so a replaced multiplier moves the actions."""
 
     horizon: int
     pair: DistributionPair
-    coefficients: tuple[float, float, float, float]
+    coefficients: tuple[float, float, float, float] | None = None
+    p_high: float | None = None
     lambda_low: float | None = None
     lambda_high: float | None = None
-    s_alpha: float | None = None
-    s_beta: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    p_high: float | None = None
 
     def __post_init__(self):
         _check_count("horizon", self.horizon)
+        if self.p_high is not None:
+            p, pair = _check_chance("p_high", self.p_high), self.pair
+            lam_low = _check_gap("lambda_low", self.lambda_low)
+            lam_high = _check_gap("lambda_high", self.lambda_high)
+            low, high = 2.0 * (1.0 - p), 2.0 * p   # the multipliers' divisors
+            object.__setattr__(self, "coefficients", (
+                pair.mu_low + lam_low / low, lam_high / low,
+                pair.mu_high - lam_high / high, lam_low / high))
+        elif self.coefficients is None or (self.lambda_low, self.lambda_high) != (None, None):
+            raise ValueError("a schedule takes its coefficients, or a prior and its multipliers")
         for name, value in zip(("c_low", "k_low", "c_high", "k_high"), self.coefficients,
                                strict=True):
             _check_gap(name, value)
+
+    alpha = property(lambda self: alpha_beta(self.pair)[0], doc="The pair's integral alpha.")
+    beta = property(lambda self: alpha_beta(self.pair)[1], doc="The pair's integral beta.")
 
     def actions_from_log_ratio(self, log_ratio):
         """Committed (low-message, high-message) ratings; vectorized."""
@@ -139,24 +154,15 @@ def solve_schedule(config: GameConfig, horizon: int) -> CommitmentSchedule:
     horizon = _check_count("horizon", horizon)
     _single_reviewer(config)
     if horizon == 1:
-        raise DegenerateHorizon(
-            "a one-period commitment pins both actions to the prior mean; "
-            "use at least two periods"
-        )
-    alpha, beta = alpha_beta(config.pair)
-    lam_low, lam_high, _, log_a, log_b = _solve(
-        config.p_high, config.mean_gap, math.log(alpha), math.log(beta), horizon)
-    if log_a == log_b == -math.inf:
-        raise DegenerateHorizon(
-            f"nothing to separate: the separation integrals {alpha!r} and "
-            f"{beta!r} are not above 1"
-        )
-    pair, p = config.pair, config.p_high
-    low, high = 2.0 * (1.0 - p), 2.0 * p   # the multipliers' divisors
-    coefficients = (pair.mu_low + lam_low / low, lam_high / low,
-                    pair.mu_high - lam_high / high, lam_low / high)
-    return CommitmentSchedule(horizon, pair, coefficients, lam_low, lam_high,
-                              horizon + _exp(log_a), horizon + _exp(log_b), alpha, beta, p)
+        raise DegenerateHorizon("a one-period commitment pins both actions to the "
+                                "prior mean; use at least two periods")
+    log_alpha, log_beta = log_alpha_beta(config.pair)
+    if max(log_alpha, log_beta) <= 0.0:   # both excess sums are 0, their logs -inf
+        raise DegenerateHorizon(f"nothing to separate: the logs {log_alpha!r} and "
+                                f"{log_beta!r} of the separation integrals are not above 0")
+    lam_low, lam_high, _ = _solve(config.p_high, config.mean_gap, log_alpha, log_beta, horizon)
+    return CommitmentSchedule(horizon, config.pair, p_high=config.p_high,
+                              lambda_low=lam_low, lambda_high=lam_high)
 
 
 def evolving_loss(config: GameConfig, horizon: int) -> float:
@@ -170,8 +176,7 @@ def evolving_loss(config: GameConfig, horizon: int) -> float:
     horizon = _check_count("horizon", horizon)
     if horizon == 1 or config.mean_gap == 0.0:
         return benchmarks.abandon_scheme(config)[1]
-    alpha, beta = alpha_beta(config.pair)
-    return _solve(config.p_high, config.mean_gap, math.log(alpha), math.log(beta), horizon)[2]
+    return _solve(config.p_high, config.mean_gap, *log_alpha_beta(config.pair), horizon)[2]
 
 
 def equal_variance_normal_loss(p_high: float, mean_gap: float, variance: float,
@@ -197,7 +202,7 @@ def crossover_threshold(config: GameConfig, horizon: int) -> float:
     horizon = _check_count("horizon", horizon)
     p, ratio = config.p_high, config.mean_gap / pair.low.scale
     # log1p(max(p, 1 - p) e / T) = log1p(exp(z)), past the overflow of e / T too
-    z = math.log(max(p, 1.0 - p)) - math.log(horizon) + _log_excess(ratio * ratio, horizon)
+    z = math.log(max(p, 1.0 - p)) - math.log(horizon) + _excess(ratio * ratio, horizon)[1]
     return (max(z, 0.0) + math.log1p(math.exp(-abs(z)))) / math.log(2.0)
 
 

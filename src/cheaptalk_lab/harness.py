@@ -76,7 +76,7 @@ def _real(value) -> float:
 
 def _integers(value) -> list[int]:
     if not isinstance(value, list):
-        raise ConfigError(f"options.horizons must be a list, got {value!r}")
+        raise ConfigError(f"expected a list, got {value!r}")
     return [_integer(v) for v in value]
 
 
@@ -157,12 +157,21 @@ def load_experiment(path, scenario: str | None = None, seed: int | None = None,
         if key not in declared:
             readers = ", ".join(repr(s) for s, names in _OPTIONS.items() if key in names)
             raise ConfigError(f"option {key!r} is not read by {chosen!r}, only by {readers}")
+    if "horizons" in options and chosen == "evolving" and axis in (None, "horizon"):
+        raise ConfigError("option 'horizons' is not read by 'evolving' sweeping 'horizon', "
+                          "its default sweep, where each row is its own horizon")
 
     return ExperimentConfig(
         scenario=chosen, game={**_GAME_DEFAULTS, **game_section}, sweep_axis=axis,
         sweep_values=values, stem=stem,
-        options={key: _OPTION_TYPES[key](options.get(key, default))
-                 for key, default in declared.items()})
+        options={key: _option(key, options.get(key, default)) for key, default in declared.items()})
+
+
+def _option(key: str, value):   # typed; a refusal names the option
+    try:
+        return _OPTION_TYPES[key](value)
+    except ConfigError as exc:
+        raise ConfigError(f"option {key!r}: {exc}") from None
 
 
 def _check_keys(section, allowed: tuple[str, ...], where: str) -> dict:

@@ -63,10 +63,22 @@ def brute_force_cost(profile, rule, config: GameConfig) -> float:
     return total
 
 
+def majority_vote_rule(config: GameConfig) -> InferenceRule:
+    """Rate at the winning side's mean; fall back to the prior mean on ties."""
+    n = config.n_users
+    actions = []
+    for k in range(n + 1):
+        if 2 * k > n:
+            actions.append(config.mu_high)
+        elif 2 * k == n:
+            actions.append(config.prior_mean)
+        else:
+            actions.append(config.mu_low)
+    return InferenceRule(tuple(actions))
+
+
 def brute_force_majority_loss(config: GameConfig) -> float:
     """Expected squared mean error when every reviewer messages his bias."""
-    from cheaptalk_lab.benchmarks import majority_vote_rule
-
     rule = majority_vote_rule(config)
     total = 0.0
     for combo in itertools.product(Bias, repeat=config.n_users):
@@ -407,6 +419,20 @@ def normal_ratio_integral_mpmath(mu_num: float, s_num: float, mu_den: float,
                      / mpmath.sqrt(v_num * spread))
 
 
+def normal_log_ratio_integral_mpmath(mu_num: float, s_num: float, mu_den: float,
+                                     s_den: float) -> float:
+    """The log of the same integral in 40-digit mpmath, (m_n - m_d)^2 /
+    (2 v_d - v_n) + log v_d - log(v_n (2 v_d - v_n)) / 2: finite where the
+    integral passes the double range."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        v_num, v_den = mpmath.mpf(s_num) ** 2, mpmath.mpf(s_den) ** 2
+        spread = 2 * v_den - v_num
+        return float((mpmath.mpf(mu_num) - mpmath.mpf(mu_den)) ** 2 / spread
+                     + mpmath.log(v_den) - mpmath.log(v_num * spread) / 2)
+
+
 # ---------------------------------------------------------------------------
 # commitment mechanism cross-checks
 
@@ -545,17 +571,29 @@ def log_excess_mpmath(log_r: float, horizon: int) -> float:
 
 def commitment_loss_mpmath(p: float, gap: float, alpha: float, beta: float,
                            horizon: int) -> float:
+    """Per-period commitment loss of the float alpha, beta, from their logs
+    taken in 60-digit mpmath."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        return commitment_loss_from_logs_mpmath(p, gap, mpmath.log(alpha), mpmath.log(beta),
+                                                horizon)
+
+
+def commitment_loss_from_logs_mpmath(p: float, gap: float, log_alpha: float,
+                                     log_beta: float, horizon: int) -> float:
     """Per-period commitment loss p(1-p) gap^2 x / (x + p(1-p)) with
-    x = T ((1 - p) / e_beta + p / e_alpha), each excess sum e = sum_{t<T}
-    (r^t - 1) summed term by term in 60-digit mpmath from the float alpha,
-    beta; an e of 0 leaves the abandoning loss p(1-p) gap^2."""
+    x = T ((1 - p) / e_beta + p / e_alpha), each excess sum
+    e = sum_{t<T} expm1(t L) summed term by term in 60-digit mpmath from
+    L = log alpha or log beta, never from the integrals' values, which may pass
+    the double range; an e of 0 leaves the abandoning loss p(1-p) gap^2."""
     import mpmath
 
     with mpmath.workdps(60):
         p, gap = mpmath.mpf(p), mpmath.mpf(gap)
         pq = p * (1 - p)
-        e_a, e_b = (mpmath.fsum(mpmath.mpf(r) ** t - 1 for t in range(horizon))
-                    for r in (alpha, beta))
+        e_a, e_b = (mpmath.fsum(mpmath.expm1(t * mpmath.mpf(log_r)) for t in range(horizon))
+                    for log_r in (log_alpha, log_beta))
         if e_a == 0 or e_b == 0:
             return float(pq * gap**2)
         x = horizon * ((1 - p) / e_b + p / e_a)

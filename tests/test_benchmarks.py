@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from cheaptalk_lab.benchmarks import (abandon_scheme, majority_vote_loss,
-                                      majority_vote_loss_biased,
-                                      majority_vote_rule)
+                                      majority_vote_loss_biased)
 from cheaptalk_lab.distributions import normal_pair
 from cheaptalk_lab.game import GameConfig
 
-from oracles import brute_force_majority_loss
+from oracles import brute_force_majority_loss, majority_vote_rule
 
 
 def config(n=1, p=0.3, q=0.5, mu_l=-1.0, mu_h=1.0):

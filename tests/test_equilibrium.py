@@ -14,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 from cheaptalk_lab import _exact, equilibrium
 from cheaptalk_lab.distributions import (DistributionPair, Family, StateDistribution,
                                          normal_pair)
-from cheaptalk_lab.equilibrium import (BiasThresholds, DeviationWitness,
+from cheaptalk_lab.equilibrium import (MAX_LOSS_REDUCTION_ONE_USER,
+                                       BiasThresholds, DeviationWitness,
                                        PbeCertificate, bayesian_system_loss,
                                        bias_thresholds, enumerate_pbe, is_pbe,
-                                       max_loss_reduction_one_user,
                                        one_user_loss, p1_high, p1_low,
                                        sequential_two_user_check,
                                        symmetric_bias_loss, three_type_loss)
@@ -610,7 +610,7 @@ class TestSystemLoss:
 
 class TestLossReduction:
     def test_coefficient(self):
-        assert max_loss_reduction_one_user() == pytest.approx(math.sqrt(5) - 2, rel=1e-12, abs=0.0)
+        assert MAX_LOSS_REDUCTION_ONE_USER == pytest.approx(math.sqrt(5) - 2, rel=1e-12, abs=0.0)
 
     def test_grid_search_approaches_the_coefficient(self):
         gap = 2.0

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 from cheaptalk_lab.benchmarks import abandon_scheme
 from cheaptalk_lab.distributions import (DistributionPair, Family,
                                          StateDistribution, alpha_beta,
-                                         log_likelihood_ratio, normal_pair)
+                                         log_alpha_beta, log_likelihood_ratio,
+                                         normal_pair)
 from cheaptalk_lab.errors import DegenerateHorizon, DivergentIntegral
 from cheaptalk_lab.evolving import (CommitmentSchedule, IcResidual, IcResiduals,
-                                    _log_excess, _solve,
+                                    _excess, _solve,
                                     crossover_threshold,
                                     equal_variance_normal_loss, evolving_loss,
                                     solve_schedule, verify_ic)
@@ -33,9 +34,12 @@ FIG_CONFIG = config()
 
 class TestSolveSchedule:
     def test_reference_values(self):
+        # the geometric separation sums S = T + e of the solve, 1 + e^4 each
+        log_alpha, log_beta = log_alpha_beta(FIG_CONFIG.pair)
+        s_alpha, s_beta = (2 + _excess(log_r, 2)[0] for log_r in (log_alpha, log_beta))
+        assert s_alpha == pytest.approx(1.0 + math.exp(4.0), rel=1e-12, abs=0.0)
+        assert s_beta == s_alpha
         s = solve_schedule(FIG_CONFIG, 2)
-        assert s.s_alpha == pytest.approx(1.0 + math.exp(4.0), rel=1e-12, abs=0.0)
-        assert s.s_beta == s.s_alpha
         assert s.lambda_low > 0 and s.lambda_high > 0
 
     def test_multipliers_match_an_independent_linear_solve(self):
@@ -78,15 +82,15 @@ class TestSolveSchedule:
     @pytest.mark.parametrize("log_r", [2.220446049250313e-16, 1e-8, 0.7, 30.0, 709.0])
     def test_log_excess_matches_mpmath(self, log_r):
         for horizon in (2, 5, 40, 400, 10**6):
-            assert _log_excess(log_r, horizon) == pytest.approx(
+            assert _excess(log_r, horizon)[1] == pytest.approx(
                 log_excess_mpmath(log_r, horizon), rel=5e-15, abs=0.0)
 
     @pytest.mark.parametrize("log_r", [-0.7, -1e-16, 0.0])
     def test_excess_of_a_ratio_at_most_one_is_zero(self, log_r):
         # a separation integral is >= 1; below 1 only by rounding
         for horizon in (1, 2, 40):
-            assert _log_excess(log_r, horizon) == -math.inf
-        assert _log_excess(0.7, 1) == -math.inf
+            assert _excess(log_r, horizon) == (0.0, -math.inf)
+        assert _excess(0.7, 1) == (0.0, -math.inf)
 
     @pytest.mark.parametrize("alpha,beta", [(1.5, 1.0), (1.0, 1.5)])
     def test_a_zero_excess_sum_takes_the_limit_of_a_small_one(self, alpha, beta):
@@ -209,15 +213,15 @@ class TestEvolvingLoss:
     @pytest.mark.parametrize("variance", [0.25, 1.0, 4.0])
     @pytest.mark.parametrize("gap", [1e-8, 1e-6, 1e-4, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0])
     def test_normal_closed_form_matches_mpmath(self, gap, variance):
-        # the worst case, 4.0e-14 at gap 5, variance 4, T = 100, is the rounding
-        # of log e = 618.8, whose ulp is 1.1e-13
+        # y = T / e is divided from e itself: read from its log, y carried the
+        # rounding of log e, 4.0e-14 at gap 5, variance 4, T = 100 (log e = 618.8)
         for p in (0.05, 0.3, 0.7, 0.95):
             for horizon in (1, 2, 3, 10, 100, 1000):
                 want = equal_variance_loss_mpmath(p, gap, variance, horizon)
                 if want < 1e-280:   # the double result underflows
                     continue
                 assert equal_variance_normal_loss(p, gap, variance, horizon) == pytest.approx(
-                    want, rel=5e-14, abs=0.0), (p, horizon)
+                    want, rel=5e-15, abs=0.0), (p, horizon)
 
     @pytest.mark.parametrize("gap", [math.nan, math.inf, -math.inf], ids=repr)
     def test_normal_closed_form_rejects_a_gap_that_is_not_finite(self, gap):
@@ -390,10 +394,12 @@ class TestScheduleFields:
         # bench/workloads.py reads these fields and the four residual names,
         # and bench/test_checks.py replaces lambda_high and positive_low
         solved = solve_schedule(FIG_CONFIG, 3)
+        assert [f.name for f in dataclasses.fields(CommitmentSchedule)] == [
+            "horizon", "pair", "coefficients", "p_high", "lambda_low", "lambda_high"]
         assert dataclasses.replace(solved, lambda_high=0.25).lambda_high == 0.25
+        assert (solved.alpha, solved.beta) == alpha_beta(FIG_CONFIG.pair)
         by_hand = CommitmentSchedule(3, FIG_CONFIG.pair, (-0.5, 0.0, 0.5, 0.0))
-        for name in ("lambda_low", "lambda_high", "s_alpha", "s_beta", "alpha", "beta",
-                     "p_high"):
+        for name in ("lambda_low", "lambda_high", "p_high"):
             assert getattr(solved, name) is not None and getattr(by_hand, name) is None
         ic = verify_ic(solved, 1_000, seed=5)
         low, high = ic.positive_low, ic.negative_high
@@ -401,6 +407,25 @@ class TestScheduleFields:
                                 IcResidual(-low.value, low.stderr), high]
         assert [f.name for f in dataclasses.fields(IcResiduals)] == [
             "positive_low", "negative_high", "episodes", "seed"]
+
+    def test_a_replaced_multiplier_moves_the_actions(self):
+        # the coefficients were stored beside the multipliers they were solved
+        # into, so a replaced lambda_high kept the old actions
+        solved = solve_schedule(FIG_CONFIG, 3)
+        moved = dataclasses.replace(solved, lambda_high=2 * solved.lambda_high)
+        p = FIG_CONFIG.p_high
+        (c_low, k_low, c_high, k_high), got = solved.coefficients, moved.coefficients
+        assert got[1] == pytest.approx(2 * k_low, rel=1e-15, abs=0.0) and got[1] != k_low
+        assert got[2] == FIG_CONFIG.mu_high - 2 * solved.lambda_high / (2 * p) != c_high
+        assert (got[0], got[3]) == (c_low, k_high)
+        assert moved.actions([0.3]) != solved.actions([0.3])
+
+    def test_multipliers_without_a_prior_are_refused(self):
+        by_hand = CommitmentSchedule(3, FIG_CONFIG.pair, (-0.5, 0.0, 0.5, 0.0))
+        for call in (lambda: dataclasses.replace(by_hand, lambda_high=0.25),
+                     lambda: CommitmentSchedule(3, FIG_CONFIG.pair)):
+            with pytest.raises(ValueError, match="coefficients, or a prior"):
+                call()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "0.5", 1j], ids=repr)
     @pytest.mark.parametrize("index,name", enumerate(["c_low", "k_low", "c_high", "k_high"]))
@@ -520,12 +545,15 @@ class TestZeroGap:
 
     @pytest.mark.parametrize("horizon", [2, 3])
     def test_densities_equal_in_floats_cost_the_abandoning_loss(self, horizon):
-        # at a gap of 1e-8 both separation integrals round to 1.0: nothing to
-        # separate, and the abandoning loss is the loss's limit as the gap closes
+        # at a gap of 1e-8 both separation integrals round to 1.0, but their
+        # logs, about 1.0e-16, do not: the schedule solves, and its loss is
+        # the abandoning loss, the loss's limit as the gap closes
         g = GameConfig(1, 0.3, 0.5, normal_pair(1.0, 1.0 + 1e-8))
         assert alpha_beta(g.pair) == (1.0, 1.0)
-        with pytest.raises(DegenerateHorizon):
-            solve_schedule(g, horizon)
+        log_alpha, log_beta = log_alpha_beta(g.pair)
+        assert log_alpha == log_beta == pytest.approx(1e-16, rel=0.01, abs=0.0)
+        s = solve_schedule(g, horizon)
+        assert math.isfinite(s.lambda_low) and math.isfinite(s.lambda_high)
         assert evolving_loss(g, horizon) == abandon_scheme(g)[1]
 
     @pytest.mark.parametrize("horizon", [2, 3])

@@ -7,10 +7,13 @@ import pytest
 import yaml
 
 from cheaptalk_lab import (DistributionPair, Family, GameConfig,
-                           StateDistribution, evolving_loss, harness)
+                           SeparationOverflow, StateDistribution, alpha_beta,
+                           evolving_loss, harness, solve_schedule)
 from cheaptalk_lab.cli import main
-from cheaptalk_lab.harness import (ConfigError, load_experiment, run,
-                                   write_csv)
+from cheaptalk_lab.harness import (ConfigError, build_game, load_experiment,
+                                   run, write_csv)
+
+from oracles import commitment_loss_from_logs_mpmath, normal_log_ratio_integral_mpmath
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -103,20 +106,28 @@ class TestConfigParsing:
             run(cfg, out_dir=tmp_path)
         assert not list(tmp_path.glob("*.csv"))
 
-    @pytest.mark.parametrize("text", [
-        "scenario: evolving\nsweep:\n  axis: mu_low\n  values: [-2.0]\n"
-        "options:\n  horizons: [2.5, 3.7]\n",
-        "scenario: evolving\nsweep:\n  axis: mu_low\n  values: [-2.0]\n"
-        "options:\n  horizons: 3\n",
-        "scenario: compare\noptions:\n  horizon: 2.5\n",
-        "scenario: simulate\noptions:\n  samples: 2.5\n",
-        "scenario: simulate\noptions:\n  seed: 2.5\n",
-        "scenario: simulate\noptions:\n  profile: SC17\n",
+    @pytest.mark.parametrize("text,option", [
+        ("scenario: evolving\nsweep:\n  axis: mu_low\n  values: [-2.0]\n"
+         "options:\n  horizons: [2.5, 3.7]\n", "horizons"),
+        ("scenario: evolving\nsweep:\n  axis: mu_low\n  values: [-2.0]\n"
+         "options:\n  horizons: 3\n", "horizons"),
+        ("scenario: compare\noptions:\n  horizon: 2.5\n", "horizon"),
+        ("scenario: simulate\noptions:\n  samples: 2.5\n", "samples"),
+        ("scenario: simulate\noptions:\n  seed: 2.5\n", "seed"),
+        ("scenario: simulate\noptions:\n  profile: SC17\n", "profile"),
+        ("scenario: compare\noptions:\n  horizon: x\n", "horizon"),
+        ("scenario: fig2\noptions:\n  horizons: [2, 3.5]\n", "horizons"),
+        ("scenario: evolving\nsweep:\n  axis: horizon\n  values: [2, 3]\n"
+         "options:\n  horizons: [7]\n", "horizons"),
+        ("scenario: evolving\noptions:\n  horizons: [7]\n", "horizons"),
     ], ids=["fractional_horizons", "scalar_horizons", "fractional_horizon",
-            "fractional_samples", "fractional_seed", "unknown_profile"])
-    def test_invalid_options_rejected_at_load(self, tmp_path, text):
-        # each was refused only once its table was computed
-        with pytest.raises(ConfigError):
+            "fractional_samples", "fractional_seed", "unknown_profile", "text_horizon",
+            "fractional_horizons_entry", "horizons_over_a_horizon_sweep",
+            "horizons_over_the_default_sweep"])
+    def test_invalid_options_rejected_at_load(self, tmp_path, text, option):
+        # each is refused at load, naming the option: a refused type named only
+        # the value, and horizons over a horizon sweep were ignored
+        with pytest.raises(ConfigError, match=f"option '{option}'"):
             load_experiment(write_yaml(tmp_path, text))
 
     @pytest.mark.parametrize("game,value", [
@@ -365,16 +376,30 @@ class TestCli:
         "  scale_low: 1.4124446891825535\n",   # variance 1.995 against 1
         "  mu_low: -20.0\n  mu_high: 20.0\n",
     ])
-    def test_separation_past_the_double_range_exits_nonzero(self, tmp_path, capsys, game):
-        bad = write_yaml(
+    def test_separation_past_the_double_range_runs_to_a_csv(self, tmp_path, game):
+        # both exited 1 with SeparationOverflow: the loss was taken from the
+        # values of the separation integrals, one of which passes the double
+        # range; it is taken from their logs, which do not
+        path = write_yaml(
             tmp_path,
             "scenario: evolving\ngame:\n" + game
             + "sweep:\n  axis: horizon\n  values: [2]\n",
         )
-        code = main(["evolving", "--config", str(bad), "--out", str(tmp_path)])
-        assert code == 1
-        assert "cheaptalk-lab: error:" in capsys.readouterr().err
-        assert not list(tmp_path.glob("*.csv"))
+        g = build_game(load_experiment(path).game)
+        with pytest.raises(SeparationOverflow):
+            alpha_beta(g.pair)
+        low, high = g.pair.low, g.pair.high
+        log_alpha, log_beta = (
+            normal_log_ratio_integral_mpmath(num.location, num.scale, den.location, den.scale)
+            for num, den in ((low, high), (high, low)))
+        want = commitment_loss_from_logs_mpmath(g.p_high, g.mean_gap, log_alpha, log_beta, 2)
+        assert main(["evolving", "--config", str(path), "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "results.csv")
+        assert header[1] == "evolving_loss"
+        assert float(rows[0][1]) == pytest.approx(want, rel=1e-8, abs=0.0)   # 9 digits
+        assert evolving_loss(g, 2) == pytest.approx(want, rel=1e-14, abs=0.0)
+        schedule = solve_schedule(g, 2)
+        assert all(math.isfinite(c) for c in schedule.coefficients)
 
     @pytest.mark.parametrize("text, message", [
         ("scenario: loss_curve\ngame: 3\n", "section 'game' must contain a mapping"),
