@@ -30,16 +30,19 @@ binomial kernel (``_CountKernel``): the log-odds are linear in the count, h is
 formed from log q and log1p(-q), never from the float 1 - q, and influences
 far below the range of a double still compare.
 
-Which profiles have a nonzero influence, their flags, the sign of each jump
+Relabelling every message (honest <-> reversed, blind-high <-> blind-low)
+negates a profile's flags and maps the count k to N - k, which keeps each
+part of the influence, the posterior variance and each deviation; so each of
+the 8 orbits of two profiles is computed, decided and summed once (``_ORBIT``).
+
+Which orbits have a nonzero influence, their flags, the sign of each jump
 post(k+1) - post(k) and the signs of their parts depend only on whether
 p = 1/2 and on the sign of q - 1/2, so they are tables built at import
-(``_ACTIVE``).  The parts of all those profiles are then one array pass: the
-log-odds, the jumps and the part log-sum-exps are (rows, count) arrays.  The
-rows go in groups whose (rows, N + 1) arrays hold at most ``_BUDGET``
-elements: all active profiles are one pass up to N = 6,552, and from
-N = 32,768 on the pass takes one profile at a time, so memory stays that of
-one profile's arrays.  The posterior variances of the stable profiles are
-summed the same way.
+(``_ACTIVE``, 5 or 4 rows).  Their parts are one array pass over (rows,
+count) arrays, in groups whose (rows, N + 1) arrays hold at most ``_BUDGET``
+elements: one pass up to N = 13,106, and one row at a time from N = 32,768,
+so memory stays that of one row's arrays.  The posterior variances of the
+stable orbits are summed the same way.
 
 D_P is exactly zero, and carries no parts, when (a) s_H = s_L = 0 (SC7, SC8,
 SC16); (b) h_H = h_L, the babbling profiles SC9-SC11 and, at q = 1/2, SC5 and
@@ -113,9 +116,13 @@ _TARGETS = np.array([[ALL_PROFILES.index(profile.with_strategy(bias, alt))
 _FLAGS = tuple((_senders(profile, ServiceType.HIGH), _senders(profile, ServiceType.LOW))
                for profile in ALL_PROFILES)
 
+# each profile's orbit carrier: the lower index of it and its flag-negated partner
+_ORBIT = np.array([min(i, _FLAGS.index(tuple((not a, not b) for a, b in flags)))
+                   for i, flags in enumerate(_FLAGS)])
+
 
 def _active(half: bool, side: int):
-    """The profiles with a nonzero influence in the games of one case
+    """The orbit carriers with a nonzero influence in the games of one case
     (p == 1/2, sign of q - 1/2): their rows, the signs of post(k+1) - post(k)
     as a (rows, 1) array, and their parts as (position, row, type, sign).
     Chances are ordered at the case's share 1/4, 1/2 or 3/4, exact in floats."""
@@ -123,7 +130,7 @@ def _active(half: bool, side: int):
     for i, (high, low) in enumerate(_FLAGS):
         s_high, s_low = high[0] - high[1], low[0] - low[1]
         h_high, h_low = (_chance(0.5 + side / 4, flags) for flags in (high, low))
-        if ((s_high == 0 and s_low == 0) or h_high == h_low
+        if (_ORBIT[i] != i or (s_high == 0 and s_low == 0) or h_high == h_low
                 or (half and low == (not high[0], not high[1]) and s_high == -s_low)):
             continue
         up = 1 if h_high > h_low else -1
@@ -192,12 +199,12 @@ class _LogGame(_CountKernel):
 
     @functools.cached_property
     def influences(self) -> tuple[np.ndarray, np.ndarray]:
-        """Signs and log-magnitudes of every profile's parts, shape (16, 2); an
-        absent part has sign 0 and log -inf.
+        """Signs and log-magnitudes of every profile's parts, shape (16, 2), each
+        row its orbit carrier's; an absent part has sign 0 and log -inf.
 
-        The parts of all active profiles are one array pass per group of rows
+        The parts of all active carriers are one array pass per group of rows
         whose (rows, N + 1) arrays stay within ``_BUDGET`` elements: every
-        profile at once for small N, one at a time for large N."""
+        carrier at once for small N, one at a time for large N."""
         signs, logs = np.zeros((16, 2)), np.full((16, 2), -math.inf)
         active, ups, parts = _ACTIVE[self.p == 0.5, (self.q > 0.5) - (self.q < 0.5)]
         for group in self._groups(len(active)):
@@ -210,7 +217,7 @@ class _LogGame(_CountKernel):
             # a lone row broadcasts; gathering it would copy it for each part
             terms += log_jump if len(log_jump) == 1 else log_jump[np.array(at) - group.start]
             signs[rows, types], logs[rows, types] = part_signs, _logsumexp_rows(terms)
-        return signs, logs
+        return signs[_ORBIT], logs[_ORBIT]
 
     @functools.cached_property
     def deviations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -273,10 +280,11 @@ class _LogGame(_CountKernel):
 @functools.lru_cache(maxsize=256)
 def _stable_profiles(n: int, p: float, q: float) -> tuple[tuple[StrategyProfile, ...], float]:
     """The stable profiles of one game and the log of their largest posterior
-    variance, both from one ``_LogGame``."""
-    game = _LogGame(n, p, q)
-    rows = np.flatnonzero(~game.raised().any(axis=1))
-    return tuple(ALL_PROFILES[i] for i in rows), game.log_posterior_variance(rows)
+    variance, both from one ``_LogGame`` that decides and sums each orbit once."""
+    game, carriers = _LogGame(n, p, q), np.flatnonzero(_ORBIT == np.arange(16))
+    stable = carriers[~game.raised(carriers).any(axis=1)].tolist()
+    return (tuple(a for a, i in zip(ALL_PROFILES, _ORBIT.tolist()) if i in stable),
+            game.log_posterior_variance(stable))
 
 
 def is_pbe(profile: StrategyProfile, config: GameConfig):

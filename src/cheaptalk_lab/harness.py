@@ -157,9 +157,11 @@ def load_experiment(path, scenario: str | None = None, seed: int | None = None,
         if key not in declared:
             readers = ", ".join(repr(s) for s, names in _OPTIONS.items() if key in names)
             raise ConfigError(f"option {key!r} is not read by {chosen!r}, only by {readers}")
-    if "horizons" in options and chosen == "evolving" and axis in (None, "horizon"):
-        raise ConfigError("option 'horizons' is not read by 'evolving' sweeping 'horizon', "
-                          "its default sweep, where each row is its own horizon")
+    if chosen == "evolving" and axis in (None, "horizon"):   # each row is its own horizon
+        if "horizons" in options:
+            raise ConfigError("option 'horizons' is not read by 'evolving' sweeping 'horizon', "
+                              "its default sweep, where each row is its own horizon")
+        declared = {}
 
     return ExperimentConfig(
         scenario=chosen, game={**_GAME_DEFAULTS, **game_section}, sweep_axis=axis,

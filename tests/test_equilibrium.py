@@ -23,8 +23,8 @@ from cheaptalk_lab.equilibrium import (MAX_LOSS_REDUCTION_ONE_USER,
                                        symmetric_bias_loss, three_type_loss)
 from cheaptalk_lab.errors import OutOfRegime, UndecidedEquilibrium
 from cheaptalk_lab.game import (ALL_PROFILES, Bias, GameConfig,
-                                PROFILE_LABELS, PureStrategy, SC1, SC2, SC3,
-                                SC4, SC5, SC7, ServiceType, _senders,
+                                PROFILE_LABELS, PROFILES_BY_LABEL, PureStrategy, SC1,
+                                SC2, SC3, SC4, SC5, SC7, ServiceType, StrategyProfile, _senders,
                                 best_response_rule, expected_user_utility)
 from cheaptalk_lab.benchmarks import (abandon_scheme, majority_vote_loss,
                                       majority_vote_loss_biased)
@@ -50,6 +50,20 @@ def deviation_gains(profile, g):
 
 def labels(profiles):
     return {PROFILE_LABELS[p] for p in profiles}
+
+
+# each profile and its partner under relabelling every message
+MIRRORS = (("SC1", "SC3"), ("SC2", "SC4"), ("SC5", "SC6"), ("SC7", "SC16"),
+           ("SC8", "SC10"), ("SC9", "SC11"), ("SC12", "SC13"), ("SC14", "SC15"))
+
+
+def relabelled(profile):
+    """``profile`` with every message relabelled: honest <-> reversed and
+    blind-high <-> blind-low, in both classes."""
+    def flip(strategy):
+        return PureStrategy(tuple(not sends for sends in strategy.value))
+
+    return StrategyProfile(flip(profile.negative), flip(profile.positive))
 
 
 def influence(game, profile):
@@ -238,16 +252,22 @@ class TestInfluenceEngine:
     @pytest.mark.parametrize("n", [*range(1, 45), 100, 1030, 4096])
     def test_one_pass_matches_the_per_profile_route(self, n, monkeypatch):
         # the comparisons floats cannot order are answered by a stand-in that
-        # records them, so the two tables are compared decision by decision
+        # records them, so the two tables are compared decision by decision;
+        # the engine computes one row per relabelling orbit and copies it to
+        # the partner, so each row is held to its carrier's reference value
         asked = []
         monkeypatch.setattr(_exact, "exceeds",
                             lambda *args: asked.append(args[2]) or len(asked) % 2 == 1)
+        orbit = equilibrium._ORBIT
         for p in (0.05, 0.3, 0.5, 0.7, 0.7 - 0.2, 0.5 + 2.0**-52, 0.5 - 2.0**-52):
             for q in (0.1, 0.3, 0.5, 0.7, 0.9):
                 game, reference = equilibrium._LogGame(n, p, q), ReferenceGame(n, p, q)
                 (signs, logs), (want_signs, want_logs) = game.influences, reference.influences
-                finite = np.isfinite(want_logs)
+                assert np.array_equal(signs, signs[orbit]), (p, q)
+                assert np.array_equal(logs, logs[orbit]), (p, q)
                 assert np.array_equal(signs, want_signs), (p, q)
+                want_logs = want_logs[orbit]
+                finite = np.isfinite(want_logs)
                 assert np.array_equal(logs[~finite], want_logs[~finite]), (p, q)
                 assert np.all(np.abs(logs[finite] - want_logs[finite])
                               <= 4 * np.spacing(np.abs(want_logs[finite]))), (p, q)
@@ -349,9 +369,9 @@ class TestInfluenceEngine:
         assert math.isfinite(bayesian_system_loss(g))
 
     def test_memory_of_a_large_count_solve_stays_bounded(self):
-        # 10.8 MiB, mostly the game's cached count-long arrays: the profiles
+        # 10.7 MiB, mostly the game's cached count-long arrays: the orbits
         # are passed over in row groups of bounded size, one at a time here;
-        # all ten active profiles in one pass peak at 32 MiB
+        # all five active orbits in one pass peak at 19 MiB
         g = config(n=10**5, p=0.3, q=0.3)
         equilibrium._stable_profiles.cache_clear()
         started = not tracemalloc.is_tracing()
@@ -394,15 +414,43 @@ class TestInfluenceEngine:
     def test_equal_shares_give_the_four_profile_table(self, n, p):
         assert labels(enumerate_pbe(config(n=n, p=p))) == {"SC1", "SC2", "SC3", "SC4"}
 
+    def test_the_orbits_pair_each_profile_with_its_relabelling(self):
+        assert {frozenset((PROFILE_LABELS[a], PROFILE_LABELS[relabelled(a)]))
+                for a in ALL_PROFILES} == {frozenset(pair) for pair in MIRRORS}
+        assert [ALL_PROFILES[i] for i in equilibrium._ORBIT] == [
+            min(a, relabelled(a), key=ALL_PROFILES.index) for a in ALL_PROFILES]
+
     @PROPERTY
     @given(n=st.integers(1, 2000), p=st.floats(0.01, 0.99), q=st.floats(0.01, 0.99))
     def test_relabelling_the_messages_keeps_the_influence(self, n, p, q):
-        game = equilibrium._LogGame(n, p, q)
-        for a, b in ((SC1, SC3), (SC2, SC4)):
-            sign_a, log_a = influence(game, a)
-            sign_b, log_b = influence(game, b)
-            assert sign_a == sign_b
-            assert log_a == pytest.approx(log_b, rel=0.0, abs=1e-9)
+        # the engine computes one row per orbit and copies it to the partner,
+        # so the symmetry is checked on the per-profile route, which computes
+        # each profile on its own; the posterior variance is one row's sum
+        game = ReferenceGame(n, p, q)
+        for a, b in MIRRORS:
+            parts_a = reference_parts(game, PROFILES_BY_LABEL[a])
+            parts_b = reference_parts(game, PROFILES_BY_LABEL[b])
+            assert [part[:2] for part in parts_a] == [part[:2] for part in parts_b], (a, b)
+            for (*_, log_a), (*_, log_b) in zip(parts_a, parts_b):
+                assert log_a == pytest.approx(log_b, rel=0.0, abs=1e-9), (a, b)
+            rows = [ALL_PROFILES.index(PROFILES_BY_LABEL[label]) for label in (a, b)]
+            assert game.log_posterior_variance(rows[:1]) == pytest.approx(
+                game.log_posterior_variance(rows[1:]), rel=1e-12, abs=0.0), (a, b)
+
+    def test_the_stable_set_is_closed_under_relabelling(self, monkeypatch):
+        for n in (1, 2, 3, 30, 200):
+            for p in (0.1, 0.3, 0.5, 0.5 + 2.0**-45, 0.5 - 2.0**-53, 0.7):
+                for q in (0.1, 0.3, 0.5, 0.5 + 2.0**-45, 0.5 - 2.0**-53, 0.7):
+                    got = set(enumerate_pbe(config(n=n, p=p, q=q)))
+                    assert {relabelled(a) for a in got} == got, (n, p, q)
+        # one exact comparison per orbit pair, where both partners' rows made 16
+        calls = []
+        exact = _exact.exceeds
+        monkeypatch.setattr(_exact, "exceeds",
+                            lambda *args: calls.append(args[2]) or exact(*args))
+        equilibrium._stable_profiles.cache_clear()
+        enumerate_pbe(config(n=30, p=0.5 + 2.0**-45, q=0.1))
+        assert len(calls) == 8
 
     @PROPERTY
     @given(n=st.integers(1, 2000), p=st.floats(0.01, 0.99), q=st.floats(0.01, 0.99))

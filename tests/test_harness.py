@@ -475,7 +475,6 @@ class TestCli:
 BUNDLED_OPTIONS = {
     "compare_counts": {"horizon": 2},
     "evolving_gap": {"horizons": [2, 3, 4, 6]},
-    "evolving_horizon": {"horizons": [2, 4, 6]},
     "figure2": {"horizons": [2, 3, 4, 5, 6]},
     "simulate_sc1": {"profile": "SC1", "samples": 200_000, "seed": 20240801},
 }
@@ -493,8 +492,8 @@ class TestDeclaredOptions:
 
     @pytest.mark.parametrize("scenario", harness.SCENARIOS)
     def test_a_file_without_options_takes_the_defaults(self, tmp_path, scenario):
-        defaults = {"evolving": {"horizons": [2, 4, 6]}, "fig2": {"horizons": [2, 3, 4, 5, 6]},
-                    "compare": {"horizon": 2},
+        # 'evolving' sweeps the horizon by default and reads no option then
+        defaults = {"fig2": {"horizons": [2, 3, 4, 5, 6]}, "compare": {"horizon": 2},
                     "simulate": {"profile": "SC1", "samples": 100_000, "seed": 0}}
         path = write_yaml(tmp_path, f"scenario: {scenario}\n")
         assert load_experiment(path).options == defaults.get(scenario, {})
