@@ -188,13 +188,6 @@ def _chance(q, flags: tuple[bool, bool]):
     return q * positive + (1 - q) * negative
 
 
-def _xlog(count, log: float):
-    """count * log elementwise, with 0 * log 0 = 0."""
-    if log > -math.inf:
-        return count * log
-    return np.where(count > 0, -math.inf, 0.0)
-
-
 _LOG_TAIL = -65 * math.log(2.0)   # each side of a window drops under 2^-65
 
 
@@ -214,7 +207,6 @@ class _CountKernel:
         self.log_chance = {(False, False): (-math.inf, 0.0), (True, False): (lq, lc),
                            (False, True): (lc, lq), (True, True): (0.0, -math.inf)}
         self.log_prior = (math.log(p), math.log1p(-p))
-        self._powers = {}
 
     @functools.cached_property
     def log_factorial(self) -> np.ndarray:   # log k!, k = 0..N
@@ -232,13 +224,21 @@ class _CountKernel:
         others.log_factorial = self.log_factorial[:self.n]
         return others
 
+    @functools.cached_property
+    def _rows(self) -> np.ndarray:   # the powers of h = 0 and of h = q, read only
+        k, (lq, lc) = np.arange(self.n + 1.0), self.log_chance[True, False]
+        rows = np.full((2, self.n + 1), -math.inf)
+        rows[0, 0] = 0.0
+        np.add(k * lq, (self.n - k) * lc, out=rows[1])
+        rows.flags.writeable = False
+        return rows
+
     def powers(self, flags: tuple[bool, bool]) -> np.ndarray:
-        """log h^k (1 - h)^(N - k) for k = 0..N."""
-        if flags not in self._powers:
-            k = np.arange(self.n + 1.0)
-            lh, lc = self.log_chance[flags]
-            self._powers[flags] = _xlog(k, lh) + _xlog(self.n - k, lc)
-        return self._powers[flags]
+        """log h^k (1 - h)^(N - k) for k = 0..N.  As k -> N - k swaps h and 1 - h,
+        h = 1 and h = 1 - q read the rows of h = 0 and h = q reversed, bit for bit."""
+        positive, negative = flags
+        row = self._rows[int(positive != negative)]
+        return row[::-1] if negative else row
 
     def window(self, flags: tuple[bool, bool]) -> tuple[int, np.ndarray]:
         """(lo, pmf): the pmf on the counts lo..lo + len(pmf) - 1 about the

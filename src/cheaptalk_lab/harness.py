@@ -7,13 +7,13 @@ column is the swept value.  Floats are formatted at nine significant digits
 and the body carries no timestamps, so reruns are byte-identical.  The file is
 staged in a temporary name and renamed, so failed runs leave nothing behind.
 
-Every scenario but ``simulate`` names one entry of a spec table, Figures 2-6
-included as ``fig2``-``fig6``: a default sweep, overrides of the config's
-``game`` section, and columns, each a quantity from a small registry with
-optional game overrides and a fixed horizon.  A ``sweep`` section replaces
-the default sweep.  Each swept value gives a row, and every cell is computed
-on its own row's game, the column's overrides applied last.  The ``horizon``
-axis sets the horizon of columns without a fixed one.
+Each scenario is one entry of ``_SPECS``, Figures 2-6 as ``fig2``-``fig6``:
+a default sweep, game defaults, options with their defaults, and columns, each
+a quantity from a small registry with optional game values and a fixed
+horizon.  A value in the file beats the scenario's default, which beats
+``_GAME_DEFAULTS``.  Each swept value gives a row, and every cell is computed
+on its own row's game, the column's values applied last, as they define it.
+The ``horizon`` axis sets the horizon of columns without a fixed one.
 """
 
 from __future__ import annotations
@@ -74,10 +74,16 @@ def _real(value) -> float:
     raise ConfigError(f"expected a number, got {value!r}")
 
 
-def _integers(value) -> list[int]:
-    if not isinstance(value, list):
-        raise ConfigError(f"expected a list, got {value!r}")
-    return [_integer(v) for v in value]
+def _count(value) -> int:
+    if _integer(value) < 1:
+        raise ConfigError(f"expected an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def _counts(value) -> list[int]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"expected a non-empty list, got {value!r}")
+    return [_count(v) for v in value]
 
 
 def _profile(value) -> str:
@@ -86,29 +92,17 @@ def _profile(value) -> str:
     return str(value)
 
 
-_OPTION_TYPES = {"horizons": _integers, "horizon": _integer, "profile": _profile,
-                 "samples": _integer, "seed": _integer}
+_OPTION_TYPES = {"horizons": _counts, "horizon": _count, "profile": _profile,
+                 "samples": _count, "seed": _integer}
 
-# the options each scenario reads, with their defaults; it refuses any other
-_OPTIONS = {
-    "evolving": {"horizons": [2, 4, 6]},
-    "fig2": {"horizons": [2, 3, 4, 5, 6]},
-    "compare": {"horizon": 2},
-    "simulate": {"profile": "SC1", "samples": 100_000, "seed": 0},
-}
-
-_SECTION_KEYS = {
-    "game": tuple(_GAME_DEFAULTS),
-    "sweep": ("axis", "values"),
-    "output": ("stem",),
-    "options": tuple(_OPTION_TYPES),
-}
+_SECTION_KEYS = {"game": tuple(_GAME_DEFAULTS), "sweep": ("axis", "values"),
+                 "output": ("stem",), "options": tuple(_OPTION_TYPES)}
 
 
 @dataclass
 class ExperimentConfig:
-    """A whole run: the game with its defaults, the sweep, the stem, and every
-    option the scenario reads, typed and with its defaults."""
+    """A whole run: the game and the sweep with the scenario's defaults, the
+    stem, and every option the scenario reads, typed and with its defaults."""
 
     scenario: str
     game: dict
@@ -120,9 +114,10 @@ class ExperimentConfig:
 
 def load_experiment(path, scenario: str | None = None, seed: int | None = None,
                     samples: int | None = None) -> ExperimentConfig:
-    """Parse an experiment file.  A ``scenario`` argument must be the file's,
-    if it names one; ``seed`` and ``samples`` win over the file's options.  An
-    option the scenario does not declare is refused."""
+    """Parse and resolve an experiment file.  A ``scenario`` argument must be
+    the file's, if it names one; ``seed`` and ``samples`` win over the file's
+    options.  An undeclared option or sweep is refused.  An axis in the file
+    brings its own values; values without one sweep the default axis."""
     try:
         raw = yaml.load(Path(path).read_text(), Loader=_YAML_LOADER)
     except (OSError, yaml.YAMLError) as exc:
@@ -139,10 +134,13 @@ def load_experiment(path, scenario: str | None = None, seed: int | None = None,
     if chosen not in SCENARIOS:
         raise ConfigError(f"unknown scenario {chosen!r}; expected one of {SCENARIOS}")
 
+    spec = _SPECS[chosen]
+    if sweep and spec.axis is None:
+        raise ConfigError(f"section 'sweep' is not read by {chosen!r}, which sweeps nothing")
     axis = sweep.get("axis")
-    if axis is not None and axis not in SWEEP_AXES:
+    if axis not in (None, *SWEEP_AXES):
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    values = sweep.get("values", [])
+    axis, values = axis or spec.axis, sweep.get("values", [] if axis else spec.values)
     if not isinstance(values, list):
         raise ConfigError(f"sweep.values must be a list, got {values!r}")
 
@@ -152,20 +150,20 @@ def load_experiment(path, scenario: str | None = None, seed: int | None = None,
 
     options.update({key: value for key, value in (("seed", seed), ("samples", samples))
                     if value is not None})
-    declared = _OPTIONS.get(chosen, {})
+    declared = spec.options
     for key in options:
         if key not in declared:
-            readers = ", ".join(repr(s) for s, names in _OPTIONS.items() if key in names)
+            readers = ", ".join(repr(s) for s, other in _SPECS.items() if key in other.options)
             raise ConfigError(f"option {key!r} is not read by {chosen!r}, only by {readers}")
-    if chosen == "evolving" and axis in (None, "horizon"):   # each row is its own horizon
+    if chosen == "evolving" and axis == "horizon":   # each row is its own horizon
         if "horizons" in options:
             raise ConfigError("option 'horizons' is not read by 'evolving' sweeping 'horizon', "
                               "its default sweep, where each row is its own horizon")
         declared = {}
 
     return ExperimentConfig(
-        scenario=chosen, game={**_GAME_DEFAULTS, **game_section}, sweep_axis=axis,
-        sweep_values=values, stem=stem,
+        scenario=chosen, game={**_GAME_DEFAULTS, **spec.game, **game_section},
+        sweep_axis=axis, sweep_values=list(values), stem=stem,
         options={key: _option(key, options.get(key, default)) for key, default in declared.items()})
 
 
@@ -256,14 +254,15 @@ class Column(NamedTuple):
     horizon: int | str | None = None
 
 
-class TableSpec(NamedTuple):
-    """Default sweep, overrides of the config's game section, and the
-    columns as a function of (options, sweep axis)."""
+class Spec(NamedTuple):
+    """A scenario's default sweep, columns as a function of (options, axis),
+    game defaults, and options with their defaults; all read only."""
 
-    axis: str
-    values: list
-    columns: Callable[[dict, str], list[Column]]
-    game: dict = {}   # read only: shared by every instance
+    axis: str | None = None
+    values: list = []
+    columns: Callable[[dict, str], list[Column]] | None = None
+    game: dict = {}
+    options: dict = {}
 
 
 def _fixed(*columns: Column):
@@ -297,66 +296,63 @@ def _compare_columns(options: dict, axis: str) -> list[Column]:
 _FIG_SHARES = (0.1, 0.5, 0.7)
 
 _SPECS = {
-    "pbe": TableSpec("p_high", [x / 10 for x in range(1, 10)], _fixed(
+    "pbe": Spec("p_high", [x / 10 for x in range(1, 10)], _fixed(
         Column("pbe_set", "pbe_set"), Column("system_loss", "bayesian_loss"))),
-    "loss_curve": TableSpec("n_users", list(range(1, 9)), _fixed(
+    "loss_curve": Spec("n_users", list(range(1, 9)), _fixed(
         Column("bayesian_loss", "bayesian_loss"))),
-    "benchmark": TableSpec("n_users", list(range(1, 9)), _fixed(
+    "benchmark": Spec("n_users", list(range(1, 9)), _fixed(
         Column("majority_loss", "majority_loss"),
         Column("abandon_action", "abandon_action"), _ABANDON)),
-    "evolving": TableSpec("horizon", list(range(2, 13)), _evolving_columns),
-    "compare": TableSpec("n_users", list(range(1, 9)), _compare_columns),
+    "evolving": Spec("horizon", list(range(2, 13)), _evolving_columns,
+                     options={"horizons": [2, 4, 6]}),
+    "compare": Spec("n_users", list(range(1, 9)), _compare_columns, options={"horizon": 2}),
     # Figure 2: commitment loss against the low mean, one column per horizon
-    "fig2": TableSpec(
-        "mu_low", [x / 2.0 for x in range(-10, 0)],
-        lambda options, axis: _horizon_columns(options["horizons"]),
-        dict(family="normal", mu_high=1.0, scale_low=1.0, scale_high=1.0, p_high=0.3)),
+    "fig2": Spec("mu_low", [x / 2.0 for x in range(-10, 0)],
+                 lambda options, axis: _horizon_columns(options["horizons"]),
+                 options={"horizons": [2, 3, 4, 5, 6]}),
     # Figure 3: commitment loss against the horizon for three high variances
-    "fig3": TableSpec("horizon", list(range(2, 11)), _fixed(_ABANDON, *(
+    "fig3": Spec("horizon", list(range(2, 11)), _fixed(_ABANDON, *(
         Column(f"evolving_var_high_{v:g}", "evolving_loss", dict(scale_high=math.sqrt(v)), _ROW)
-        for v in (2.0 / 3.0, 1.0, 1.5))),
-        dict(family="normal", mu_low=-1.0, mu_high=1.0, scale_low=1.0, p_high=0.3)),
+        for v in (2.0 / 3.0, 1.0, 1.5)))),
     # Figure 4: the same for logistic and Laplace pairs
-    "fig4": TableSpec("horizon", list(range(2, 11)), _fixed(
+    "fig4": Spec("horizon", list(range(2, 11)), _fixed(
         _ABANDON,
         Column("logistic_loss", "evolving_loss", dict(family="logistic"), _ROW),
         Column("laplace_loss", "evolving_loss", dict(family="laplace"), _ROW)),
-        dict(p_high=0.3, scale_low=1.0, scale_high=1.5)),
+        dict(scale_high=1.5)),
     # Figure 5: game learning with N reviewers against commitment over T = N periods
-    "fig5": TableSpec("count", list(range(1, 9)), _fixed(
+    "fig5": Spec("count", list(range(1, 9)), _fixed(
         Column("bayesian_loss_at_N", "bayesian_loss"),
         Column("evolving_loss_at_T", "evolving_loss", horizon=_ROW)),
-        dict(p_high=0.3, q_plus=0.5, scale_low=1.0, scale_high=math.sqrt(1.5))),
+        dict(scale_high=math.sqrt(1.5))),
     # Figure 6: baselines and game learning against N for three bias shares
-    "fig6": TableSpec("n_users", list(range(1, 9)), _fixed(
+    "fig6": Spec("n_users", list(range(1, 9)), _fixed(
         _ABANDON,
         *(Column(f"majority_q{q:g}", "majority_loss", dict(q_plus=q)) for q in _FIG_SHARES),
         *(Column(f"bayesian_q{q:g}", "bayesian_loss", dict(q_plus=q)) for q in _FIG_SHARES)),
-        dict(p_high=0.3, scale_low=1.0, scale_high=math.sqrt(1.5))),
+        dict(scale_high=math.sqrt(1.5))),
+    "simulate": Spec(options={"profile": "SC1", "samples": 100_000, "seed": 0}),
 }
 
-SCENARIOS = (*_SPECS, "simulate")
+SCENARIOS = tuple(_SPECS)
 
 
 def _build_table(cfg: ExperimentConfig):
-    """Evaluate a table spec; every cell is computed on its own row's game."""
-    spec = _SPECS[cfg.scenario]
-    if cfg.sweep_axis is not None and not cfg.sweep_values:
+    """Evaluate a table scenario; every cell is computed on its own row's game."""
+    if not cfg.sweep_values:
         raise ConfigError("sweep.values must be a non-empty list")
-    axis = cfg.sweep_axis or spec.axis
-    values = cfg.sweep_values or spec.values
-    columns = spec.columns(cfg.options, axis)
+    axis = cfg.sweep_axis
+    columns = _SPECS[cfg.scenario].columns(cfg.options, axis)
     reads_row_horizon = any(c.horizon == _ROW for c in columns)
     if axis == "horizon" and not reads_row_horizon:
         raise ConfigError(f"axis {axis!r} does not modify the game")
     if reads_row_horizon and axis not in ("horizon", "count"):
         raise ConfigError(f"axis {axis!r} sets no horizon for {cfg.scenario}")
 
-    base = dict(cfg.game, **spec.game)
     rows = []
-    for raw in values:
+    for raw in cfg.sweep_values:
         value = _AXIS_TYPES.get(axis, _real)(raw)
-        section = _apply_axis(base, axis, value)
+        section = _apply_axis(cfg.game, axis, value)
         rows.append([value] + [
             _QUANTITIES[c.quantity](build_game(dict(section, **c.game)),
                                    value if c.horizon == _ROW else c.horizon)

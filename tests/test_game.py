@@ -299,6 +299,23 @@ class TestCountWindow:
         assert pmf.size < 10**4 and peak < 2**20, (pmf.size, peak)
 
 
+@pytest.mark.parametrize("q", [5e-324, 1e-300, 1e-17, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.999,
+                               1.0 - 2.0**-53])
+def test_count_powers_are_the_direct_products_bit_for_bit(q):
+    # two cached rows serve the four flags, two of them as reversed views
+    def xlog(count, log):   # count * log, with 0 * log 0 = 0
+        return count * log if log > -math.inf else np.where(count > 0, -math.inf, 0.0)
+
+    logs = {(False, False): (-math.inf, 0.0), (True, False): (math.log(q), math.log1p(-q)),
+            (False, True): (math.log1p(-q), math.log(q)), (True, True): (0.0, -math.inf)}
+    for n in [*range(1, 60), 1000, 4097, 10**5]:
+        kernel, k = _CountKernel(n, 0.3, q), np.arange(n + 1.0)
+        for flags, (lh, lc) in logs.items():
+            row = kernel.powers(flags)
+            assert not row.flags.writeable
+            assert row.tobytes() == (xlog(k, lh) + xlog(n - k, lc)).tobytes(), (n, flags)
+
+
 class TestExpectationsAtLargeCounts:
     # each sums over the count's window; an (N + 1)-long pmf from lgamma took
     # 61 MiB at 10^6 and put the cost 2.5e-10 off scipy's sum

@@ -120,13 +120,22 @@ class TestConfigParsing:
         ("scenario: evolving\nsweep:\n  axis: horizon\n  values: [2, 3]\n"
          "options:\n  horizons: [7]\n", "horizons"),
         ("scenario: evolving\noptions:\n  horizons: [7]\n", "horizons"),
+        ("scenario: fig2\noptions:\n  horizons: []\n", "horizons"),
+        ("scenario: evolving\nsweep:\n  axis: mu_low\n  values: [-2.0]\n"
+         "options:\n  horizons: []\n", "horizons"),
+        ("scenario: fig2\noptions:\n  horizons: [0]\n", "horizons"),
+        ("scenario: compare\noptions:\n  horizon: 0\n", "horizon"),
+        ("scenario: simulate\noptions:\n  samples: 0\n", "samples"),
     ], ids=["fractional_horizons", "scalar_horizons", "fractional_horizon",
             "fractional_samples", "fractional_seed", "unknown_profile", "text_horizon",
             "fractional_horizons_entry", "horizons_over_a_horizon_sweep",
-            "horizons_over_the_default_sweep"])
+            "horizons_over_the_default_sweep", "no_horizons", "no_horizons_of_evolving",
+            "zero_horizons_entry", "zero_horizon", "zero_samples"])
     def test_invalid_options_rejected_at_load(self, tmp_path, text, option):
         # each is refused at load, naming the option: a refused type named only
-        # the value, and horizons over a horizon sweep were ignored
+        # the value, horizons over a horizon sweep were ignored, no horizons
+        # wrote a table without loss columns, and a count below 1 was refused
+        # only by the run, in a message that did not name the option
         with pytest.raises(ConfigError, match=f"option '{option}'"):
             load_experiment(write_yaml(tmp_path, text))
 
@@ -139,6 +148,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             run(cfg, out_dir=tmp_path)
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("text, axis, values", [
+        ("scenario: fig2\n", "mu_low", [x / 2.0 for x in range(-10, 0)]),
+        ("scenario: fig2\nsweep:\n  values: [-2.0]\n", "mu_low", [-2.0]),
+        ("scenario: fig5\nsweep:\n  axis: horizon\n", "horizon", []),
+        ("scenario: evolving\nsweep:\n  axis: mu_low\n  values: [-1]\n", "mu_low", [-1]),
+    ], ids=["default", "values_without_an_axis", "axis_without_values", "axis_and_values"])
+    def test_the_sweep_is_resolved_at_load(self, tmp_path, text, axis, values):
+        # an axis in the file brings its own values; values without one sweep
+        # the default axis
+        cfg = load_experiment(write_yaml(tmp_path, text))
+        assert (cfg.sweep_axis, cfg.sweep_values) == (axis, values)
+
+    def test_a_sweep_of_simulate_is_refused(self, tmp_path, capsys):
+        # the sweep was ignored: one run, exit 0
+        path = write_yaml(tmp_path, "scenario: simulate\n"
+                          "sweep:\n  axis: n_users\n  values: [1, 2]\n")
+        with pytest.raises(ConfigError, match="section 'sweep'"):
+            load_experiment(path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        assert "section 'sweep'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_whole_float_counts_are_accepted(self, tmp_path):
         path = write_yaml(tmp_path, "scenario: loss_curve\n"
@@ -215,6 +247,29 @@ class TestScenarios:
             series = [float(r[col]) for r in rows]
             tail = series[2:]
             assert all(a >= b - 1e-12 for a, b in zip(tail, tail[1:]))
+
+    def test_the_file_s_game_beats_the_figure_s_defaults(self, tmp_path):
+        # the figure's p_high and mu_high were merged over the file's, and the
+        # run wrote figure2.csv byte for byte
+        path = write_yaml(tmp_path, "scenario: fig2\ngame:\n  p_high: 0.5\n  mu_high: 3.0\n")
+        cfg = load_experiment(path)
+        assert (cfg.game["p_high"], cfg.game["mu_high"]) == (0.5, 3.0)
+        (path,) = run(cfg, out_dir=tmp_path)
+        header, rows = read_csv(path)
+        assert header == ["mu_low", "loss_T2", "loss_T3", "loss_T4", "loss_T5", "loss_T6"]
+        for row in rows:
+            g = GameConfig(1, 0.5, 0.5, DistributionPair(
+                StateDistribution(Family.NORMAL, float(row[0]), 1.0),
+                StateDistribution(Family.NORMAL, 3.0, 1.0)))
+            assert row[1:] == [f"{evolving_loss(g, t):.9g}" for t in range(2, 7)]
+
+    def test_a_column_s_game_beats_the_file_s(self, tmp_path):
+        # each figure 6 column sets its own bias share
+        path = write_yaml(tmp_path, "scenario: fig6\ngame:\n  q_plus: 0.2\n"
+                          "output:\n  stem: figure6\n")
+        (path,) = run(load_experiment(path), out_dir=tmp_path)
+        golden = CONFIG_DIR.parent / "tests" / "golden" / "figure6.csv"
+        assert path.read_bytes() == golden.read_bytes()
 
     def test_compare_scenario_lists_the_crossover(self, tmp_path):
         cfg = load_experiment(CONFIG_DIR / "compare_counts.yaml")
@@ -489,6 +544,17 @@ class TestDeclaredOptions:
         out.mkdir()
         assert run(cfg, out_dir=out) == [out / f"{config.stem}.csv"]
         assert [p.name for p in out.iterdir()] == [f"{config.stem}.csv"]
+
+    @pytest.mark.parametrize("config", [
+        path for path in sorted(CONFIG_DIR.glob("*.yaml"))
+        if yaml.safe_load(path.read_text())["scenario"] != "simulate"], ids=lambda p: p.stem)
+    def test_a_bundled_table_config_holds_its_golden_sweep(self, config):
+        # the loaded config is the run: its axis heads the CSV and its values
+        # are the first column
+        cfg = load_experiment(config)
+        header, rows = read_csv(CONFIG_DIR.parent / "tests" / "golden" / f"{config.stem}.csv")
+        assert header[0] == cfg.sweep_axis
+        assert [row[0] for row in rows] == [f"{v:.9g}" for v in cfg.sweep_values]
 
     @pytest.mark.parametrize("scenario", harness.SCENARIOS)
     def test_a_file_without_options_takes_the_defaults(self, tmp_path, scenario):
