@@ -14,7 +14,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from .errors import UndecidedEquilibrium
 from .game import ServiceType, StrategyProfile, _chance, _senders
 
-MAX_DIGITS = 1000   # precision cap
+MAX_DIGITS = 1000   # precision cap, raised to four times the places of p and q
 
 
 def influence(profile: StrategyProfile, n: int, p: float, q: float):
@@ -65,14 +65,14 @@ def exceeds(a: StrategyProfile | None, b: StrategyProfile | None, labels: tuple[
     h_H - h_L are exact.  It starts from the digits the float margin leaves
     undecided and doubles until the difference clears its rounding bound, or
     until no operation rounded, where both influences are exact and an exact
-    tie is decided as not raised; past ``MAX_DIGITS`` it raises
-    ``UndecidedEquilibrium``.
+    tie is decided as not raised; past ``MAX_DIGITS``, or four times the
+    places where that is more, it raises ``UndecidedEquilibrium``.
     """
     places = max(-Decimal(p).as_tuple().exponent, -Decimal(q).as_tuple().exponent) + 2
     roundings = 8 * n + 64   # per term and in the sums, with room to spare
     digits = max(places, 20 + len(str(roundings))
                  + math.ceil(-math.log10(max(float_margin, 1e-30))))
-    while digits <= MAX_DIGITS:
+    while digits <= max(MAX_DIGITS, 4 * places):
         with localcontext(Context(prec=digits, Emin=MIN_EMIN, Emax=MAX_EMAX)) as context:
             (d_a, size_a), (d_b, size_b) = (
                 (0, 0) if profile is None else influence(profile, n, p, q)

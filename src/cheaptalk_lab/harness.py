@@ -11,9 +11,11 @@ Each scenario is one entry of ``_SPECS``, Figures 2-6 as ``fig2``-``fig6``:
 a default sweep, game defaults, options with their defaults, and columns, each
 a quantity from a small registry with optional game values and a fixed
 horizon.  A value in the file beats the scenario's default, which beats
-``_GAME_DEFAULTS``.  Each swept value gives a row, and every cell is computed
-on its own row's game, the column's values applied last, as they define it.
-The ``horizon`` axis sets the horizon of columns without a fixed one.
+``_GAME_DEFAULTS``.  Every value is typed at load, by ``_TYPES``, and the run
+refuses only values outside the game's domain.  Each swept value gives a row,
+and every cell is computed on its own row's game, the column's values applied
+last, as they define it.  The ``horizon`` and ``count`` axes set the horizon of
+columns without a fixed one.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ _GAME_DEFAULTS = {
     "scale_high": 1.0,
 }
 
-SWEEP_AXES = ("n_users", "horizon", "p_high", "q_plus", "mu_low", "var_high",
+SWEEP_AXES = ("n_users", "horizon", "count", "p_high", "q_plus", "mu_low", "var_high",
               "family")
 
 
@@ -83,26 +85,38 @@ def _count(value) -> int:
 def _counts(value) -> list[int]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"expected a non-empty list, got {value!r}")
-    return [_count(v) for v in value]
+    counts = [_count(v) for v in value]
+    if len(set(counts)) < len(counts):
+        raise ConfigError(f"expected distinct entries, got {value!r}")
+    return counts
 
 
-def _profile(value) -> str:
-    if str(value) not in PROFILES_BY_LABEL:
-        raise ConfigError(f"unknown profile {value!r}")
-    return str(value)
+def _one_of(kind: str, names: tuple) -> Callable:
+    def typed(value):
+        if value in names:
+            return value
+        raise ConfigError(f"unknown {kind} {value!r}; expected one of {names}")
+    return typed
 
 
-_OPTION_TYPES = {"horizons": _counts, "horizon": _count, "profile": _profile,
-                 "samples": _count, "seed": _integer}
+# the type of each option, game value and sweep axis, by name; real if unlisted
+_TYPES = {"n_users": _count, "count": _count, "horizon": _count, "horizons": _counts,
+          "samples": _count, "seed": _integer,
+          "profile": _one_of("profile", tuple(PROFILES_BY_LABEL)),
+          "family": _one_of("family", tuple(f.value for f in Family))}
 
-_SECTION_KEYS = {"game": tuple(_GAME_DEFAULTS), "sweep": ("axis", "values"),
-                 "output": ("stem",), "options": tuple(_OPTION_TYPES)}
+
+def _typed(where: str, key: str, value):   # a refusal names the key
+    try:
+        return _TYPES.get(key, _real)(value)
+    except ConfigError as exc:
+        raise ConfigError(f"{where} {key!r}: {exc}") from None
 
 
 @dataclass
 class ExperimentConfig:
-    """A whole run: the game and the sweep with the scenario's defaults, the
-    stem, and every option the scenario reads, typed and with its defaults."""
+    """A whole run, every value typed: the game and the sweep with the
+    scenario's defaults, the stem, and every option the scenario reads."""
 
     scenario: str
     game: dict
@@ -114,10 +128,11 @@ class ExperimentConfig:
 
 def load_experiment(path, scenario: str | None = None, seed: int | None = None,
                     samples: int | None = None) -> ExperimentConfig:
-    """Parse and resolve an experiment file.  A ``scenario`` argument must be
-    the file's, if it names one; ``seed`` and ``samples`` win over the file's
-    options.  An undeclared option or sweep is refused.  An axis in the file
-    brings its own values; values without one sweep the default axis."""
+    """Parse, type and resolve an experiment file.  A ``scenario`` argument
+    must be the file's, if it names one; ``seed`` and ``samples`` win over the
+    file's options.  An axis in the file brings its own values; values without
+    one sweep the default axis.  Every value is typed by ``_TYPES``; an
+    undeclared option, or an empty sweep or one the columns cannot read, is refused."""
     try:
         raw = yaml.load(Path(path).read_text(), Loader=_YAML_LOADER)
     except (OSError, yaml.YAMLError) as exc:
@@ -141,8 +156,8 @@ def load_experiment(path, scenario: str | None = None, seed: int | None = None,
     if axis not in (None, *SWEEP_AXES):
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     axis, values = axis or spec.axis, sweep.get("values", [] if axis else spec.values)
-    if not isinstance(values, list):
-        raise ConfigError(f"sweep.values must be a list, got {values!r}")
+    if not isinstance(values, list) or (spec.axis and not values):
+        raise ConfigError(f"sweep.values must be a non-empty list, got {values!r}")
 
     stem = str(output.get("stem", "results"))
     if stem in ("", "..") or stem != Path(stem).name:   # a file name inside the output directory
@@ -160,18 +175,18 @@ def load_experiment(path, scenario: str | None = None, seed: int | None = None,
             raise ConfigError("option 'horizons' is not read by 'evolving' sweeping 'horizon', "
                               "its default sweep, where each row is its own horizon")
         declared = {}
+    options = {key: _typed("option", key, options.get(key, d)) for key, d in declared.items()}
 
-    return ExperimentConfig(
-        scenario=chosen, game={**_GAME_DEFAULTS, **spec.game, **game_section},
-        sweep_axis=axis, sweep_values=list(values), stem=stem,
-        options={key: _option(key, options.get(key, default)) for key, default in declared.items()})
+    if spec.columns:
+        reads_row = any(c.horizon == _ROW for c in spec.columns(options, axis))
+        if axis == "horizon" and not reads_row:
+            raise ConfigError(f"axis {axis!r} does not modify the game")
+        if reads_row and axis not in ("horizon", "count"):
+            raise ConfigError(f"axis {axis!r} sets no horizon for {chosen}")
 
-
-def _option(key: str, value):   # typed; a refusal names the option
-    try:
-        return _OPTION_TYPES[key](value)
-    except ConfigError as exc:
-        raise ConfigError(f"option {key!r}: {exc}") from None
+    game = {**_GAME_DEFAULTS, **spec.game, **game_section}
+    return ExperimentConfig(chosen, {key: _typed("game", key, v) for key, v in game.items()},
+                            axis, [_typed("sweep", axis, v) for v in values], stem, options)
 
 
 def _check_keys(section, allowed: tuple[str, ...], where: str) -> dict:
@@ -185,26 +200,17 @@ def _check_keys(section, allowed: tuple[str, ...], where: str) -> dict:
 
 
 def build_game(section: dict) -> GameConfig:
+    """The game of a typed section; a value outside its domain is refused."""
     try:
-        family = Family(section["family"])
-    except ValueError as exc:
-        raise ConfigError(f"unknown family {section['family']!r}") from exc
-    try:
+        family = section["family"]
         pair = DistributionPair(
-            StateDistribution(family, _real(section["mu_low"]), _real(section["scale_low"])),
-            StateDistribution(family, _real(section["mu_high"]), _real(section["scale_high"])),
-        )
-        return GameConfig(
-            n_users=_integer(section["n_users"]),
-            p_high=_real(section["p_high"]),
-            q_plus=_real(section["q_plus"]),
-            pair=pair,
-        )
+            StateDistribution(family, section["mu_low"], section["scale_low"]),
+            StateDistribution(family, section["mu_high"], section["scale_high"]))
+        return GameConfig(section["n_users"], section["p_high"], section["q_plus"], pair)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-_AXIS_TYPES = {"n_users": _integer, "horizon": _integer, "count": _integer, "family": str}
 _ROW = "row"   # a column horizon: the row's, which the horizon and count axes set
 
 
@@ -284,7 +290,7 @@ def _evolving_columns(options: dict, axis: str) -> list[Column]:
 
 def _compare_columns(options: dict, axis: str) -> list[Column]:
     if axis != "n_users":
-        raise ConfigError("compare sweeps the reviewer count")
+        raise ConfigError(f"axis {axis!r} is not read by 'compare', which sweeps 'n_users'")
     t = options["horizon"]
     return [Column("bayesian_loss", "bayesian_loss"),
             Column(f"evolving_loss_T{t}", "evolving_loss", horizon=t),
@@ -335,23 +341,16 @@ _SPECS = {
 }
 
 SCENARIOS = tuple(_SPECS)
+_SECTION_KEYS = {"game": tuple(_GAME_DEFAULTS), "sweep": ("axis", "values"), "output": ("stem",),
+                 "options": tuple(dict.fromkeys(key for s in _SPECS.values() for key in s.options))}
 
 
 def _build_table(cfg: ExperimentConfig):
     """Evaluate a table scenario; every cell is computed on its own row's game."""
-    if not cfg.sweep_values:
-        raise ConfigError("sweep.values must be a non-empty list")
     axis = cfg.sweep_axis
     columns = _SPECS[cfg.scenario].columns(cfg.options, axis)
-    reads_row_horizon = any(c.horizon == _ROW for c in columns)
-    if axis == "horizon" and not reads_row_horizon:
-        raise ConfigError(f"axis {axis!r} does not modify the game")
-    if reads_row_horizon and axis not in ("horizon", "count"):
-        raise ConfigError(f"axis {axis!r} sets no horizon for {cfg.scenario}")
-
     rows = []
-    for raw in cfg.sweep_values:
-        value = _AXIS_TYPES.get(axis, _real)(raw)
+    for value in cfg.sweep_values:
         section = _apply_axis(cfg.game, axis, value)
         rows.append([value] + [
             _QUANTITIES[c.quantity](build_game(dict(section, **c.game)),
@@ -416,12 +415,12 @@ def default_output_dir() -> Path:
 
 def run(cfg: ExperimentConfig, out_dir=None) -> list[Path]:
     """Evaluate one scenario and write its CSV; returns the written path."""
-    out = Path(out_dir) if out_dir is not None else default_output_dir()
-    out.mkdir(parents=True, exist_ok=True)
     if cfg.scenario == "simulate":
         header, rows = _scenario_simulate(cfg)
     else:
         header, rows = _build_table(cfg)
+    out = Path(out_dir) if out_dir is not None else default_output_dir()
+    out.mkdir(parents=True, exist_ok=True)
     path = out / f"{cfg.stem}.csv"
     write_csv(path, header, rows)
     return [path]

@@ -209,24 +209,25 @@ def closed_form_utility(idx: int, bias_positive: bool, n: int, q: float,
     raise ValueError(idx)
 
 
-def closed_form_equilibrium_set(n: int, p: float, q: float) -> set[str]:
+def closed_form_equilibrium_set(n: int, p: float, q: float, dps: int = 60) -> set[str]:
     """Labels of the stable profiles, from ``closed_form_utility`` in mpmath.
 
-    Utilities take means -1 and 1 (the set does not depend on them) and 60
-    digits.  True gains for N <= 44 exceed 1e-45 and closed-form ties come
-    out below 1e-55, so a gain counts as a deviation above 1e-52.
+    Utilities take means -1 and 1 (the set does not depend on them) and
+    ``dps`` digits, and a gain counts as a deviation above 10^-(dps - 8).  At
+    the default 60 digits, true gains for N <= 44 exceed 1e-45 and closed-form
+    ties come out below 1e-55, so the bound 1e-52 tells them apart.
     """
     import mpmath
 
     from cheaptalk_lab.game import ALL_PROFILES, PROFILE_LABELS
 
-    with mpmath.workdps(60):
+    with mpmath.workdps(dps):
         pp, qq, one = mpmath.mpf(p), mpmath.mpf(q), mpmath.mpf(1)
         utility = {(profile, bias): closed_form_utility(
                        idx, bias is Bias.POSITIVE, n, qq, pp, one, -one)
                    for idx, profile in enumerate(ALL_PROFILES, start=1)
                    for bias in Bias}
-        eps = mpmath.mpf(10) ** -52
+        eps = mpmath.mpf(10) ** -(dps - 8)
         return {PROFILE_LABELS[profile] for profile in ALL_PROFILES
                 if all(utility[profile.with_strategy(bias, alt), bias]
                        - utility[profile, bias] <= eps

@@ -296,8 +296,15 @@ class TestInfluenceEngine:
                         assert "SC4" in got
             assert calls, p
 
+    @staticmethod
+    def _inexact_tie(*args):
+        # two influences that tie and round at every precision, so no
+        # comparison of two profiles ever clears its rounding bound
+        third = decimal.Decimal(1) / 3
+        return third, third
+
     def test_an_undecidable_comparison_raises(self, monkeypatch):
-        monkeypatch.setattr(_exact, "MAX_DIGITS", 10)
+        monkeypatch.setattr(_exact, "influence", self._inexact_tie)
         equilibrium._stable_profiles.cache_clear()
         with pytest.raises(UndecidedEquilibrium, match=r"SC\d+ or SC\d+"):
             enumerate_pbe(config(n=30, p=0.5 + 2.0**-45, q=0.1))
@@ -306,7 +313,7 @@ class TestInfluenceEngine:
     def test_an_undecidable_comparison_raises_in_is_pbe(self, monkeypatch):
         # only the profile's own row is decided: SC4's has one comparison that
         # floats cannot order, SC1's has none
-        monkeypatch.setattr(_exact, "MAX_DIGITS", 10)
+        monkeypatch.setattr(_exact, "influence", self._inexact_tie)
         with pytest.raises(UndecidedEquilibrium, match=r"SC5 or SC4"):
             is_pbe(SC4, config(n=30, p=0.5 + 2.0**-45, q=0.1))
         assert isinstance(is_pbe(SC1, config(n=30, p=0.5 + 2.0**-45, q=0.1)), PbeCertificate)
@@ -324,6 +331,22 @@ class TestInfluenceEngine:
         first = precisions[0]
         assert precisions == [first * 2**(i // 2) for i in range(10)]
         assert first * 2**4 <= _exact.MAX_DIGITS < first * 2**5
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_shares_of_1e_300_are_decided(self, n):
+        # the precision started at the ~1,051 decimal places of 1e-300, past
+        # the 1,000-digit cap, so UndecidedEquilibrium was raised without a
+        # comparison; the oracle needs as many digits to hold the shares
+        equilibrium._stable_profiles.cache_clear()
+        for p, q in ((1e-300, 1e-300), (0.3, 1e-300), (1e-300, 0.3)):
+            got = labels(enumerate_pbe(config(n=n, p=p, q=q)))
+            assert got == closed_form_equilibrium_set(n, p, q, dps=1300), (n, p, q)
+
+    def test_a_share_of_1e_300_is_decided_at_64_reviewers(self):
+        # a 1,300-digit oracle reads a tie here, as the SC2 -> SC6 gain is
+        # about 1e-9583; at 20,000 digits it gives this set
+        equilibrium._stable_profiles.cache_clear()
+        assert labels(enumerate_pbe(config(n=64, p=0.3, q=1e-300))) == {"SC1", "SC3"}
 
     @pytest.mark.parametrize("p", [0.25, 0.75])
     @pytest.mark.parametrize("q", [0.25, 0.75])

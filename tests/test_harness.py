@@ -79,32 +79,61 @@ class TestConfigParsing:
         assert len(read[0]) == 12
         assert all(configs == read[0] for configs in read)
 
-    @pytest.mark.parametrize("text", [
-        "scenario: pbe\nsweep:\n  axis: horizon\n  values: [2]\n",
-        "scenario: compare\nsweep:\n  axis: p_high\n  values: [0.3]\n",
-        "scenario: evolving\nsweep:\n  axis: p_high\n  values: []\n",
-        "scenario: fig3\nsweep:\n  axis: p_high\n  values: [0.3]\n",
-        "scenario: benchmark\ngame:\n  mu_low: .nan\n",
-        "scenario: pbe\ngame:\n  n_users: 2.5\n",
-        "scenario: loss_curve\nsweep:\n  axis: n_users\n  values: [2.5, 3.9]\n",
-        "scenario: pbe\nsweep:\n  axis: p_high\n  values: [0.3, abc]\n",
-        "scenario: evolving\nsweep:\n  axis: mu_low\n  values: [false]\n",
-        "scenario: evolving\nsweep:\n  axis: mu_low\n  values: ['-2.0']\n",
-        "scenario: evolving\nsweep:\n  axis: var_high\n  values: [true]\n",
-        "scenario: benchmark\ngame:\n  mu_low: true\n  mu_high: 2.0\n",
-        "scenario: benchmark\ngame:\n  p_high: '0.3'\n",
-        "scenario: benchmark\ngame:\n  family: cauchy\n",
+    @pytest.mark.parametrize("text, key", [
+        ("scenario: pbe\nsweep:\n  axis: horizon\n  values: [2]\n", "axis 'horizon'"),
+        ("scenario: compare\nsweep:\n  axis: p_high\n  values: [0.3]\n", "axis 'p_high'"),
+        ("scenario: evolving\nsweep:\n  axis: p_high\n  values: []\n", "sweep.values"),
+        ("scenario: fig3\nsweep:\n  axis: p_high\n  values: [0.3]\n", "axis 'p_high'"),
+        ("scenario: pbe\ngame:\n  n_users: 2.5\n", "game 'n_users'"),
+        ("scenario: loss_curve\nsweep:\n  axis: n_users\n  values: [2.5, 3.9]\n",
+         "sweep 'n_users'"),
+        ("scenario: pbe\nsweep:\n  axis: p_high\n  values: [0.3, abc]\n", "sweep 'p_high'"),
+        ("scenario: evolving\nsweep:\n  axis: mu_low\n  values: [false]\n", "sweep 'mu_low'"),
+        ("scenario: evolving\nsweep:\n  axis: mu_low\n  values: ['-2.0']\n", "sweep 'mu_low'"),
+        ("scenario: evolving\nsweep:\n  axis: var_high\n  values: [true]\n",
+         "sweep 'var_high'"),
+        ("scenario: benchmark\ngame:\n  mu_low: true\n  mu_high: 2.0\n", "game 'mu_low'"),
+        ("scenario: benchmark\ngame:\n  p_high: '0.3'\n", "game 'p_high'"),
+        ("scenario: benchmark\ngame:\n  family: cauchy\n", "game 'family'"),
+        ("scenario: evolving\ngame:\n  family: cauchy\n"
+         "sweep:\n  axis: var_high\n  values: [1.0]\n", "game 'family'"),
+        ("scenario: fig5\nsweep:\n  axis: horizon\n", "sweep.values"),
+        ("scenario: pbe\ngame:\n  p_high: oops\n", "game 'p_high'"),
+        ("scenario: loss_curve\ngame:\n  n_users: 2.5\n", "game 'n_users'"),
+        ("scenario: evolving\ngame:\n  family: cauchy\n"
+         "sweep:\n  axis: family\n  values: [normal]\n", "game 'family'"),
     ], ids=["horizon_axis_unused", "compare_axis", "empty_values",
-            "figure_needs_horizon_sweep", "nan_mean",
-            "fractional_n_users", "fractional_sweep_values",
-            "text_sweep_value", "bool_sweep_value",
-            "quoted_sweep_value", "bool_variance", "bool_game_mean",
-            "quoted_game_prior", "unknown_family"])
+            "figure_needs_horizon_sweep", "fractional_n_users", "fractional_sweep_values",
+            "text_sweep_value", "bool_sweep_value", "quoted_sweep_value", "bool_variance",
+            "bool_game_mean", "quoted_game_prior", "unknown_family",
+            "unknown_family_of_a_variance_sweep", "axis_without_values",
+            "prior_under_a_prior_sweep", "count_under_a_count_sweep",
+            "family_under_a_family_sweep"])
+    def test_invalid_tables_rejected_at_load(self, tmp_path, capsys, text, key):
+        # each loaded and was refused only by the run, or, where the sweep
+        # sets the bad value (the last three), ran to a CSV
+        path = write_yaml(tmp_path, text)
+        with pytest.raises(ConfigError, match=key):
+            load_experiment(path)
+        out = tmp_path / "out"
+        assert main([yaml.safe_load(text)["scenario"], "--config", str(path),
+                     "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "scenario: benchmark\ngame:\n  mu_low: .nan\n",
+    ], ids=["nan_mean"])
     def test_invalid_tables_rejected(self, tmp_path, text):
+        # a value of the right type outside the game's domain is refused by
+        # the run, which made the output directory before it refused
         cfg = load_experiment(write_yaml(tmp_path, text))
         with pytest.raises(ConfigError):
             run(cfg, out_dir=tmp_path)
         assert not list(tmp_path.glob("*.csv"))
+        with pytest.raises(ConfigError):
+            run(cfg, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text,option", [
         ("scenario: evolving\nsweep:\n  axis: mu_low\n  values: [-2.0]\n"
@@ -126,24 +155,25 @@ class TestConfigParsing:
         ("scenario: fig2\noptions:\n  horizons: [0]\n", "horizons"),
         ("scenario: compare\noptions:\n  horizon: 0\n", "horizon"),
         ("scenario: simulate\noptions:\n  samples: 0\n", "samples"),
+        ("scenario: fig2\nsweep:\n  values: [-2.0]\noptions:\n  horizons: [3, 3]\n",
+         "horizons"),
     ], ids=["fractional_horizons", "scalar_horizons", "fractional_horizon",
             "fractional_samples", "fractional_seed", "unknown_profile", "text_horizon",
             "fractional_horizons_entry", "horizons_over_a_horizon_sweep",
             "horizons_over_the_default_sweep", "no_horizons", "no_horizons_of_evolving",
-            "zero_horizons_entry", "zero_horizon", "zero_samples"])
+            "zero_horizons_entry", "zero_horizon", "zero_samples", "repeated_horizons"])
     def test_invalid_options_rejected_at_load(self, tmp_path, text, option):
         # each is refused at load, naming the option: a refused type named only
         # the value, horizons over a horizon sweep were ignored, no horizons
-        # wrote a table without loss columns, and a count below 1 was refused
-        # only by the run, in a message that did not name the option
+        # wrote a table without loss columns, a count below 1 was refused only
+        # by the run, in a message that did not name the option, and repeated
+        # horizons wrote two columns under one header
         with pytest.raises(ConfigError, match=f"option '{option}'"):
             load_experiment(write_yaml(tmp_path, text))
 
-    @pytest.mark.parametrize("game,value", [
-        ("", "0.0"), ("", "-1.0"), ("", ".nan"), ("game:\n  family: cauchy\n", "1.0")],
-        ids=["zero", "negative", "nan", "unknown_family"])
-    def test_invalid_high_variance_rejected(self, tmp_path, game, value):
-        text = f"scenario: evolving\n{game}sweep:\n  axis: var_high\n  values: [{value}]\n"
+    @pytest.mark.parametrize("value", ["0.0", "-1.0", ".nan"], ids=["zero", "negative", "nan"])
+    def test_invalid_high_variance_rejected(self, tmp_path, value):
+        text = f"scenario: evolving\nsweep:\n  axis: var_high\n  values: [{value}]\n"
         cfg = load_experiment(write_yaml(tmp_path, text))
         with pytest.raises(ConfigError):
             run(cfg, out_dir=tmp_path)
@@ -152,14 +182,20 @@ class TestConfigParsing:
     @pytest.mark.parametrize("text, axis, values", [
         ("scenario: fig2\n", "mu_low", [x / 2.0 for x in range(-10, 0)]),
         ("scenario: fig2\nsweep:\n  values: [-2.0]\n", "mu_low", [-2.0]),
-        ("scenario: fig5\nsweep:\n  axis: horizon\n", "horizon", []),
         ("scenario: evolving\nsweep:\n  axis: mu_low\n  values: [-1]\n", "mu_low", [-1]),
-    ], ids=["default", "values_without_an_axis", "axis_without_values", "axis_and_values"])
+    ], ids=["default", "values_without_an_axis", "axis_and_values"])
     def test_the_sweep_is_resolved_at_load(self, tmp_path, text, axis, values):
         # an axis in the file brings its own values; values without one sweep
         # the default axis
         cfg = load_experiment(write_yaml(tmp_path, text))
         assert (cfg.sweep_axis, cfg.sweep_values) == (axis, values)
+
+    def test_a_file_can_name_the_count_axis(self, tmp_path):
+        # fig5's default axis was refused as an unknown axis when a file named it
+        path = write_yaml(tmp_path, "scenario: fig5\nsweep:\n  axis: count\n  values: [1, 2]\n")
+        assert main(["fig5", "--config", str(path), "--out", str(tmp_path)]) == 0
+        golden = (CONFIG_DIR.parent / "tests" / "golden" / "figure5.csv").read_text()
+        assert (tmp_path / "results.csv").read_text().splitlines() == golden.splitlines()[:3]
 
     def test_a_sweep_of_simulate_is_refused(self, tmp_path, capsys):
         # the sweep was ignored: one run, exit 0
@@ -550,11 +586,17 @@ class TestDeclaredOptions:
         if yaml.safe_load(path.read_text())["scenario"] != "simulate"], ids=lambda p: p.stem)
     def test_a_bundled_table_config_holds_its_golden_sweep(self, config):
         # the loaded config is the run: its axis heads the CSV and its values
-        # are the first column
+        # are the first column, typed: the counting axes load as int, every
+        # other swept value and game number as float, whatever the file wrote
         cfg = load_experiment(config)
         header, rows = read_csv(CONFIG_DIR.parent / "tests" / "golden" / f"{config.stem}.csv")
         assert header[0] == cfg.sweep_axis
         assert [row[0] for row in rows] == [f"{v:.9g}" for v in cfg.sweep_values]
+        want = int if cfg.sweep_axis in ("n_users", "horizon", "count") else float
+        assert {type(v) for v in cfg.sweep_values} == {want}
+        assert type(cfg.game["n_users"]) is int
+        assert {type(cfg.game[key]) for key in ("p_high", "q_plus", "mu_low", "mu_high",
+                                                "scale_low", "scale_high")} == {float}
 
     @pytest.mark.parametrize("scenario", harness.SCENARIOS)
     def test_a_file_without_options_takes_the_defaults(self, tmp_path, scenario):
