@@ -9,7 +9,7 @@ so influences far below the range of a double are compared as they are.
 from __future__ import annotations
 
 import math
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Inexact, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Inexact, getcontext, localcontext
 
 from .errors import UndecidedEquilibrium
 from .game import ServiceType, StrategyProfile, _chance, _senders
@@ -57,8 +57,24 @@ def influence(profile: StrategyProfile, n: int, p: float, q: float):
     return total, size
 
 
+def _influence(profile: StrategyProfile | None, n: int, p: float, q: float, cache):
+    """(D_P, size, whether an operation rounded) in the current context, None
+    standing for an exactly zero influence; read from ``cache``, if given, by
+    (profile, precision), so a stored result keeps its rounding flag."""
+    context = getcontext()
+    key = profile, context.prec
+    if cache is not None and key in cache:
+        return cache[key]
+    context.clear_flags()
+    d, size = (0, 0) if profile is None else influence(profile, n, p, q)
+    entry = d, size, bool(context.flags[Inexact])
+    if cache is not None:
+        cache[key] = entry
+    return entry
+
+
 def exceeds(a: StrategyProfile | None, b: StrategyProfile | None, labels: tuple[str, str],
-            n: int, p: float, q: float, float_margin: float) -> bool:
+            n: int, p: float, q: float, float_margin: float, cache: dict | None = None) -> bool:
     """Whether D_a > D_b, where None stands for an exactly zero influence.
 
     The precision holds every decimal place of p and q, so 1 - p, 1 - q and
@@ -66,18 +82,18 @@ def exceeds(a: StrategyProfile | None, b: StrategyProfile | None, labels: tuple[
     undecided and doubles until the difference clears its rounding bound, or
     until no operation rounded, where both influences are exact and an exact
     tie is decided as not raised; past ``MAX_DIGITS``, or four times the
-    places where that is more, it raises ``UndecidedEquilibrium``.
+    places where that is more, it raises ``UndecidedEquilibrium``.  ``cache``
+    is one game's store of influences across its comparisons.
     """
     places = max(-Decimal(p).as_tuple().exponent, -Decimal(q).as_tuple().exponent) + 2
     roundings = 8 * n + 64   # per term and in the sums, with room to spare
     digits = max(places, 20 + len(str(roundings))
                  + math.ceil(-math.log10(max(float_margin, 1e-30))))
     while digits <= max(MAX_DIGITS, 4 * places):
-        with localcontext(Context(prec=digits, Emin=MIN_EMIN, Emax=MAX_EMAX)) as context:
-            (d_a, size_a), (d_b, size_b) = (
-                (0, 0) if profile is None else influence(profile, n, p, q)
-                for profile in (a, b))
-            if not context.flags[Inexact]:   # both exact: a tie is not raised
+        with localcontext(Context(prec=digits, Emin=MIN_EMIN, Emax=MAX_EMAX)):
+            (d_a, size_a, inexact_a), (d_b, size_b, inexact_b) = (
+                _influence(profile, n, p, q, cache) for profile in (a, b))
+            if not (inexact_a or inexact_b):   # both exact: a tie is not raised
                 return d_a > d_b
             bound = 2 * roundings * Decimal(10) ** (1 - digits) * (size_a + size_b)
             if abs(d_a - d_b) > bound:

@@ -25,24 +25,25 @@ influence is
 
 with s_t the positive class's message minus the negative class's under type
 t and h_t in {0, q, 1-q, 1} a reviewer's chance of messaging high.  Each
-type's part is one log-sum-exp over the count, read from ``game``'s log-space
-binomial kernel (``_CountKernel``): the log-odds are linear in the count, h is
-formed from log q and log1p(-q), never from the float 1 - q, and influences
-far below the range of a double still compare.
+type's part is in log space, from ``game``'s binomial kernel
+(``_CountKernel``), h formed from log q and log1p(-q), never from the float
+1 - q, so influences far below the range of a double still compare.  Where one
+type's chance is 0 or 1 (SC1-SC4, SC12-SC15) both types share one count,
+k = 0 or N, so the posterior jumps once, at j = 0 or N - 1 among the others,
+and the part and the posterior variance are one term each.  Only SC5/SC6,
+with chances q and 1 - q, is a log-sum-exp over the count, one row for its two
+parts, as is the variance of SC5/SC6 and SC9/SC11, whose types share every
+count; there the log-odds are linear in the count.
 
 Relabelling every message (honest <-> reversed, blind-high <-> blind-low)
 negates a profile's flags and maps the count k to N - k, which keeps each
 part of the influence, the posterior variance and each deviation; so each of
 the 8 orbits of two profiles is computed, decided and summed once (``_ORBIT``).
 
-Which orbits have a nonzero influence, their flags, the sign of each jump
+Which orbits have a nonzero influence, the sign of each jump
 post(k+1) - post(k) and the signs of their parts depend only on whether
 p = 1/2 and on the sign of q - 1/2, so they are tables built at import
-(``_ACTIVE``, 5 or 4 rows).  Their parts are one array pass over (rows,
-count) arrays, in groups whose (rows, N + 1) arrays hold at most ``_BUDGET``
-elements: one pass up to N = 13,106, and one row at a time from N = 32,768,
-so memory stays that of one row's arrays.  The posterior variances of the
-stable orbits are summed the same way.
+(``_ACTIVE``, 5 or 4 carriers), as is ``_SHARED``, the counts both types share.
 
 D_P is exactly zero, and carries no parts, when (a) s_H = s_L = 0 (SC7, SC8,
 SC16); (b) h_H = h_L, the babbling profiles SC9-SC11 and, at q = 1/2, SC5 and
@@ -51,8 +52,9 @@ cancels the two parts (SC5 and SC6 at p = 1/2).  Ties between such zeros are
 therefore exact.  Any other comparison whose float margin is below a fixed
 bound (1e-10 of the parts' magnitudes, widened by the rounding of the largest
 log term at large N) is decided again in decimal arithmetic by ``_exact``,
-imported only then, at a precision taken from the float margin and doubled
-until the sign is certain; past a cap it raises ``UndecidedEquilibrium``
+imported only then, on the orbit carriers, at a precision taken from the
+float margin and doubled until the sign is certain, each influence computed
+once per game and precision; past a cap it raises ``UndecidedEquilibrium``
 rather than return a set.  Losses are the expected posterior variance, summed
 in the same log space.
 """
@@ -121,12 +123,20 @@ _ORBIT = np.array([min(i, _FLAGS.index(tuple((not a, not b) for a, b in flags)))
                    for i, flags in enumerate(_FLAGS)])
 
 
+# the counts both types of each profile can send: None for every count, where
+# both chances of messaging high lie in (0, 1), else the ends of 0..N that both
+# reach (0 for the count 0, 1 for N), as a chance of 0 or 1 holds the count there
+_SHARED = tuple(None if all(a != b for a, b in flags) else
+                tuple(end for end in (0, 1) if all(any(f) if end else not all(f) for f in flags))
+                for flags in _FLAGS)
+
+
 def _active(half: bool, side: int):
     """The orbit carriers with a nonzero influence in the games of one case
-    (p == 1/2, sign of q - 1/2): their rows, the signs of post(k+1) - post(k)
-    as a (rows, 1) array, and their parts as (position, row, type, sign).
-    Chances are ordered at the case's share 1/4, 1/2 or 3/4, exact in floats."""
-    rows, ups, parts = [], [], []
+    (p == 1/2, sign of q - 1/2), each as (row, sign of post(k+1) - post(k),
+    parts as (type, sign)).  Chances are ordered at the case's share 1/4, 1/2
+    or 3/4, exact in floats."""
+    active = []
     for i, (high, low) in enumerate(_FLAGS):
         s_high, s_low = high[0] - high[1], low[0] - low[1]
         h_high, h_low = (_chance(0.5 + side / 4, flags) for flags in (high, low))
@@ -134,35 +144,28 @@ def _active(half: bool, side: int):
                 or (half and low == (not high[0], not high[1]) and s_high == -s_low)):
             continue
         up = 1 if h_high > h_low else -1
-        parts += [(len(rows), i, t, s * up) for t, s in enumerate((s_high, s_low)) if s]
-        rows.append(i)
-        ups.append(up)
-    return tuple(rows), np.array(ups, dtype=float)[:, None], tuple(parts)
+        active.append((i, up, tuple((t, s * up) for t, s in enumerate((s_high, s_low)) if s)))
+    return tuple(active)
 
 
 _ACTIVE = {(half, side): _active(half, side) for half in (False, True) for side in (-1, 0, 1)}
 
-_BUDGET = 2**16   # elements of one row group's (rows, N + 1) arrays
+
+def _logaddexp(a: float, b: float) -> float:
+    """log(e^a + e^b) for finite a and b, as ``np.logaddexp`` forms it."""
+    return a + math.log1p(math.exp(b - a)) if a > b else b + math.log1p(math.exp(a - b))
 
 
-def _logsumexp_rows(x: np.ndarray) -> list[float]:
-    """log sum exp of each row of ``x``, which it overwrites."""
-    top = x.max(axis=1)
-    x -= np.where(top > -math.inf, top, 0.0)[:, None]
-    np.exp(x, out=x)
-    return [t if t == -math.inf else t + math.log(s)
-            for t, s in zip(top.tolist(), x.sum(axis=1).tolist())]
+def _logsumexp(x: np.ndarray) -> float:
+    """log sum exp of the finite ``x``, which it overwrites."""
+    top = float(x.max())
+    x -= top
+    return top + math.log(np.exp(x, out=x).sum())
 
 
 def _log1mexp(x: float) -> float:
     """log(1 - e^-x) for x > 0."""
     return math.log(-math.expm1(-x)) if x < math.log(2.0) else math.log1p(-math.exp(-x))
-
-
-def _powers_of(kernel: _CountKernel, flags) -> np.ndarray:
-    """The cached ``powers`` of each flag pair as rows; one row is a view."""
-    rows = [kernel.powers(f) for f in flags]
-    return rows[0][None] if len(rows) == 1 else np.array(rows)
 
 
 class _LogGame(_CountKernel):
@@ -173,50 +176,50 @@ class _LogGame(_CountKernel):
         super().__init__(n, p, q)
         lq, lc = self.log_chance[True, False]
         # float error of the largest log term, relative to the parts it sums
-        scale = (self.log_factorial[n] + n * (abs(lq) + abs(lc))
+        scale = (math.lgamma(n + 1.0) + n * (abs(lq) + abs(lc))
                  + abs(self.log_prior[0] - self.log_prior[1]))
         self.tolerance = _MARGIN + 16.0 * sys.float_info.epsilon * (scale + 1.0)
+        self._exact_influences = {}   # by (carrier, precision), for ``_exact.exceeds``
 
-    def _groups(self, count: int):
-        """Slices of ``count`` rows whose (rows, N + 1) arrays stay within ``_BUDGET``."""
-        size = max(1, _BUDGET // (self.n + 1))
-        return (slice(start, min(start + size, count)) for start in range(0, count, size))
+    def _end_powers(self, i: int, end: int) -> list[float]:
+        """log h^k (1 - h)^(N - k) of each type of the profile i at k = end N."""
+        return [self.n * self.log_chance[flags][1 - end] for flags in _FLAGS[i]]
 
-    def _log_jumps(self, rows: tuple[int, ...], ups: np.ndarray) -> np.ndarray:
-        """log |post(j+1) - post(j)|, j = 0..N-1, for each profile of ``rows``."""
-        highs, lows = zip(*(_FLAGS[i] for i in rows))
-        log_odds = (self.log_prior[0] - self.log_prior[1]
-                    + _powers_of(self, highs) - _powers_of(self, lows))
+    def _log_jump(self, i: int, up: int) -> np.ndarray:
+        """log |post(j+1) - post(j)|, j = 0..N-1, for the profile i."""
+        high, low = _FLAGS[i]
+        log_odds = self.log_prior[0] - self.log_prior[1] + self.powers(high) - self.powers(low)
         # sigma(hi) - sigma(lo) = sigma(-lo) - sigma(-hi): negated, the log-odds
         # of a falling posterior rise like the others
-        log_odds *= ups
-        hi, lo = log_odds[:, 1:], log_odds[:, :-1]
-        logit = {flags: lh - lc for flags, (lh, lc) in self.log_chance.items()}
-        steps = [_log1mexp(abs(logit[high] - logit[low]))   # hi - lo where finite
-                 for high, low in zip(highs, lows)]
+        log_odds *= up
+        hi, lo = log_odds[1:], log_odds[:-1]
+        (lh_high, lc_high), (lh_low, lc_low) = self.log_chance[high], self.log_chance[low]
+        step = _log1mexp(abs((lh_high - lc_high) - (lh_low - lc_low)))
         # log(sigma(hi) - sigma(lo)) = log sigma(hi) + log sigma(-lo) + log(1 - e^(lo - hi))
-        return -np.logaddexp(0.0, -hi) - np.logaddexp(0.0, lo) + np.array(steps)[:, None]
+        return -np.logaddexp(0.0, -hi) - np.logaddexp(0.0, lo) + step
 
     @functools.cached_property
     def influences(self) -> tuple[np.ndarray, np.ndarray]:
         """Signs and log-magnitudes of every profile's parts, shape (16, 2), each
-        row its orbit carrier's; an absent part has sign 0 and log -inf.
-
-        The parts of all active carriers are one array pass per group of rows
-        whose (rows, N + 1) arrays stay within ``_BUDGET`` elements: every
-        carrier at once for small N, one at a time for large N."""
+        row its orbit carrier's; an absent part has sign 0 and log -inf."""
         signs, logs = np.zeros((16, 2)), np.full((16, 2), -math.inf)
-        active, ups, parts = _ACTIVE[self.p == 0.5, (self.q > 0.5) - (self.q < 0.5)]
-        for group in self._groups(len(active)):
-            log_jump = self._log_jumps(active[group], ups[group])
-            at, rows, types, part_signs = zip(
-                *(part for part in parts if group.start <= part[0] < group.stop))
-            terms = (np.array([self.log_prior[t] for t in types])[:, None]
-                     + self.others.log_comb)
-            terms += _powers_of(self.others, (_FLAGS[i][t] for i, t in zip(rows, types)))
-            # a lone row broadcasts; gathering it would copy it for each part
-            terms += log_jump if len(log_jump) == 1 else log_jump[np.array(at) - group.start]
-            signs[rows, types], logs[rows, types] = part_signs, _logsumexp_rows(terms)
+        for i, up, parts in _ACTIVE[self.p == 0.5, (self.q > 0.5) - (self.q < 0.5)]:
+            if _SHARED[i] is None:   # SC5/SC6: one pass over the count for both parts
+                log_jump = self._log_jump(i, up)
+                for t, sign in parts:
+                    terms = self.log_prior[t] + self.others.log_comb
+                    terms += self.others.powers(_FLAGS[i][t])
+                    terms += log_jump
+                    signs[i, t], logs[i, t] = sign, _logsumexp(terms)
+                continue
+            # the types share only k = end N, so the posterior jumps once, at j = end (N - 1)
+            # among the others: log pi_t + log Bin(j; N - 1, h_t) - log(1 + e^(+-x)), x at k
+            (end,), ((t, sign),) = _SHARED[i], parts
+            power_high, power_low = self._end_powers(i, end)
+            x = (self.log_prior[0] - self.log_prior[1] + power_high - power_low) * up
+            signs[i, t] = sign
+            logs[i, t] = (self.log_prior[t] + (self.n - 1) * self.log_chance[_FLAGS[i][t]][1 - end]
+                          - _logaddexp(0.0, -x if end else x))
         return signs[_ORBIT], logs[_ORBIT]
 
     @functools.cached_property
@@ -238,7 +241,8 @@ class _LogGame(_CountKernel):
     def raised(self, rows: Sequence[int] = range(16)) -> np.ndarray:
         """Whether each class deviation raises the influence of the profiles
         ``rows``, shape (len(rows), 6), decided exactly: by the float sign where
-        the margin is clear, two exact zeros never, and by ``_exact`` otherwise."""
+        the margin is clear, two exact zeros never, and by ``_exact`` otherwise,
+        on the orbit carriers, each exact influence computed once per game."""
         value, size, _ = self.deviations
         value, size = value[rows], size[rows]
         raised = value > 0.0
@@ -246,12 +250,12 @@ class _LogGame(_CountKernel):
         for r, j in zip(*np.nonzero((np.abs(value) <= self.tolerance * size) & (size > 0.0))):
             from . import _exact   # loads decimal; only when floats cannot decide
 
-            i = rows[r]
-            a, b = ALL_PROFILES[_TARGETS[i, j]], ALL_PROFILES[i]
-            raised[r, j] = _exact.exceeds(a if signs[_TARGETS[i, j]].any() else None,
-                                          b if signs[i].any() else None,
-                                          (PROFILE_LABELS[a], PROFILE_LABELS[b]),
-                                          self.n, self.p, self.q, abs(value[r, j]) / size[r, j])
+            pair = _TARGETS[rows[r], j], rows[r]   # compared on their carriers, named as they are
+            raised[r, j] = _exact.exceeds(*(ALL_PROFILES[_ORBIT[k]] if signs[k].any() else None
+                                            for k in pair),
+                                          tuple(PROFILE_LABELS[ALL_PROFILES[k]] for k in pair),
+                                          self.n, self.p, self.q, abs(value[r, j]) / size[r, j],
+                                          self._exact_influences)
         return raised
 
     def gains(self, i: int, mean_gap: float) -> dict[tuple[Bias, PureStrategy], float]:
@@ -262,18 +266,21 @@ class _LogGame(_CountKernel):
 
     def log_posterior_variance(self, rows: Sequence[int]) -> float:
         """The largest log sum_k P(high, k) P(low, k) / P(k) among the profiles
-        ``rows``, k the count of high messages; -inf for none."""
+        ``rows``, k the count of high messages; -inf for none.  Only the counts
+        both types can send add a term: one where a chance is 0 or 1."""
         worst = -math.inf
-        for group in self._groups(len(rows)):
-            highs, lows = zip(*(_FLAGS[i] for i in rows[group]))
-            high = self.log_prior[0] + self.log_comb + _powers_of(self, highs)
-            low = self.log_prior[1] + self.log_comb + _powers_of(self, lows)
-            both = np.isfinite(high) & np.isfinite(low)
-            terms = np.logaddexp(high, low)
-            high += low
-            np.subtract(high, terms, out=terms, where=both)
-            terms[~both] = -math.inf   # no count k that both types can send
-            worst = max(worst, *_logsumexp_rows(terms))
+        for i in rows:
+            if _SHARED[i] is None:
+                high = self.log_prior[0] + self.log_comb + self.powers(_FLAGS[i][0])
+                low = self.log_prior[1] + self.log_comb + self.powers(_FLAGS[i][1])
+                terms = np.logaddexp(high, low)
+                high += low
+                high -= terms
+                worst = max(worst, _logsumexp(high))
+            for end in _SHARED[i] or ():
+                high, low = (log + power for log, power in zip(self.log_prior,
+                                                                self._end_powers(i, end)))
+                worst = max(worst, high + low - _logaddexp(high, low))
         return worst
 
 

@@ -234,6 +234,17 @@ def closed_form_equilibrium_set(n: int, p: float, q: float, dps: int = 60) -> se
                        for bias in Bias for alt in PureStrategy)}
 
 
+def symmetric_log_variance(n: int, p: float, dps: int = 40) -> float:
+    """log of ``symmetric_bias_loss``'s closed form over gap^2, in mpmath: the
+    worst posterior variance at q = 1/2, p (1 - p) 2^-N over the smaller of
+    p 2^-N + 1 - p and p + (1 - p) 2^-N, with p and 2^-N held exactly."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        pp, s = mpmath.mpf(p), mpmath.ldexp(mpmath.mpf(1), -n)
+        return float(mpmath.log(pp * (1 - pp) * s / min(pp * s + 1 - pp, pp + (1 - pp) * s)))
+
+
 # ---------------------------------------------------------------------------
 # published best-response rating rules
 

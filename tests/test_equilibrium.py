@@ -30,7 +30,7 @@ from cheaptalk_lab.benchmarks import (abandon_scheme, majority_vote_loss,
                                       majority_vote_loss_biased)
 
 from oracles import (closed_form_equilibrium_set, sequential_utilities,
-                     three_type_loss_direct)
+                     symmetric_log_variance, three_type_loss_direct)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -332,6 +332,40 @@ class TestInfluenceEngine:
         assert precisions == [first * 2**(i // 2) for i in range(10)]
         assert first * 2**4 <= _exact.MAX_DIGITS < first * 2**5
 
+    def test_each_exact_influence_is_computed_once_per_game(self, monkeypatch):
+        # the game keeps its exact influences by orbit carrier and precision:
+        # at N = 1000 the solve computed 20, for 5 (carrier, precision) pairs
+        computed = []
+        influence = _exact.influence
+        monkeypatch.setattr(_exact, "influence", lambda *args: computed.append(
+            (args[0], decimal.getcontext().prec)) or influence(*args))
+        carriers = {ALL_PROFILES[i] for i in equilibrium._ORBIT}
+        for n, p, q in ((30, 0.5 + 2.0**-45, 0.1), (1000, 0.5 - 2.0**-53, 0.3)):
+            computed.clear()
+            equilibrium._stable_profiles.cache_clear()
+            enumerate_pbe(config(n=n, p=p, q=q))
+            assert computed and len(set(computed)) == len(computed), (n, p, q)
+            assert {profile for profile, _ in computed} <= carriers, (n, p, q)
+        equilibrium._stable_profiles.cache_clear()
+
+    def test_a_cached_influence_keeps_its_rounding_flag(self, monkeypatch):
+        # SC1 is served exact and SC2 rounded, both equal to one; read back
+        # from the cache, SC2 must still count as rounded, or a tie against it
+        # would be decided as exact
+        computed, one = [], decimal.Decimal(1)
+        monkeypatch.setattr(_exact, "influence", lambda profile, *args: computed.append(
+            (profile, decimal.getcontext().prec)) or (
+            (one, one) if profile is SC1 else (one / 3 + 2 * one / 3, one)))
+        cache, game = {}, (3, 0.3, 0.1, 1e-10)
+        assert not _exact.exceeds(SC1, SC1, ("SC1", "SC1"), *game, cache)
+        assert len(computed) == 1   # the second side read the first's entry
+        for _ in range(2):
+            with pytest.raises(UndecidedEquilibrium, match="SC1 or SC2"):
+                _exact.exceeds(SC1, SC2, ("SC1", "SC2"), *game, cache)
+        with pytest.raises(UndecidedEquilibrium, match="SC2 or SC2"):
+            _exact.exceeds(SC2, SC2, ("SC2", "SC2"), *game, cache)
+        assert len(set(computed)) == len(computed) == 10   # five precisions, two profiles
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_shares_of_1e_300_are_decided(self, n):
         # the precision started at the ~1,051 decimal places of 1e-300, past
@@ -392,9 +426,9 @@ class TestInfluenceEngine:
         assert math.isfinite(bayesian_system_loss(g))
 
     def test_memory_of_a_large_count_solve_stays_bounded(self):
-        # 10.7 MiB, mostly the game's cached count-long arrays: the orbits
-        # are passed over in row groups of bounded size, one at a time here;
-        # all five active orbits in one pass peak at 19 MiB
+        # 8.4 MiB, mostly the game's cached count-long arrays: only the
+        # SC5/SC6 orbit is summed over the count, one row for its two parts;
+        # all five active orbits in one (rows, count) pass peaked at 19 MiB
         g = config(n=10**5, p=0.3, q=0.3)
         equilibrium._stable_profiles.cache_clear()
         started = not tracemalloc.is_tracing()
@@ -410,6 +444,38 @@ class TestInfluenceEngine:
                 tracemalloc.stop()
             equilibrium._stable_profiles.cache_clear()
         assert peak < 12 * 2**20
+
+    @pytest.mark.parametrize("n", [10**3, 10**6])
+    @pytest.mark.parametrize("p, q", [(0.3, 0.5), (0.5, 0.3)])
+    def test_a_prior_or_share_of_one_half_reads_no_count_long_array(self, n, p, q):
+        # SC5/SC6 has no influence here and no stable orbit shares every count,
+        # so each part and each posterior variance is one term: the solve at
+        # N = 10^6 read 92 MiB of count-long arrays before
+        g = config(n=n, p=p, q=q)
+        equilibrium._stable_profiles.cache_clear()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            got = labels(enumerate_pbe(g))
+            bayesian_system_loss(g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+            equilibrium._stable_profiles.cache_clear()
+        assert got == {"SC1", "SC2", "SC3", "SC4"}
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("n", [10**3, 10**6])
+    @pytest.mark.parametrize("p", [0.3, 0.5])
+    def test_the_equal_shares_log_variance_matches_mpmath(self, n, p):
+        # the log of the loss, which underflows to 0.0 at these counts
+        want = symmetric_log_variance(n, p)
+        got = equilibrium._stable_profiles(n, p, 0.5)[1]
+        assert abs(got - want) <= 4 * np.spacing(abs(want)), (got, want)
 
     @pytest.mark.parametrize("n", [1030, 4096])
     def test_gains_are_the_utility_changes_past_the_float_binomial(self, n):
